@@ -75,32 +75,6 @@ class BlockComplexMatrix:
             ((j, i, arr.conj().T) for (i, j), arr in self.entries.items()),
         )
 
-    def scale_block_rows(self, scalars: np.ndarray) -> "BlockComplexMatrix":
-        """Multiply every block in block-row ``i`` by ``scalars[i]``."""
-        s = np.asarray(scalars)
-        if s.shape != (self.block_rows,):
-            raise ValueError(f"expected {self.block_rows} row scalars, got shape {s.shape}")
-        return BlockComplexMatrix(
-            self.block_rows,
-            self.block_cols,
-            self.block_dim,
-            ((i, j, s[i] * arr) for (i, j), arr in self.entries.items()),
-        )
-
-    def right_multiply_block_diagonal(self, blocks: np.ndarray) -> "BlockComplexMatrix":
-        """Multiply every block in block-column ``j`` by ``blocks[j]`` on the right."""
-        blocks = np.asarray(blocks)
-        if blocks.shape != (self.block_cols, self.block_dim, self.block_dim):
-            raise ValueError(
-                f"expected {(self.block_cols, self.block_dim, self.block_dim)} column blocks"
-            )
-        return BlockComplexMatrix(
-            self.block_rows,
-            self.block_cols,
-            self.block_dim,
-            ((i, j, arr @ blocks[j]) for (i, j), arr in self.entries.items()),
-        )
-
     def matmul(self, other: "BlockComplexMatrix") -> "BlockComplexMatrix":
         """Block-sparse product; cost scales with matching inner blocks."""
         if self.block_cols != other.block_rows or self.block_dim != other.block_dim:
@@ -125,17 +99,6 @@ class BlockComplexMatrix:
         for (i, j), blk in self.entries.items():
             out[i * d : (i + 1) * d] += blk @ arr[j * d : (j + 1) * d]
         return out
-
-    def add_block_diagonal(self, blocks: np.ndarray, sign: float = 1.0) -> "BlockComplexMatrix":
-        """Return ``self + sign * blockdiag(blocks)``; requires a square block grid."""
-        if self.block_rows != self.block_cols:
-            raise ValueError("block-diagonal update requires a square matrix")
-        blocks = np.asarray(blocks)
-        if blocks.shape != (self.block_rows, self.block_dim, self.block_dim):
-            raise ValueError(f"expected {(self.block_rows, self.block_dim, self.block_dim)} diagonal blocks")
-        items = [(i, j, arr) for (i, j), arr in self.entries.items()]
-        items.extend((i, i, sign * blocks[i]) for i in range(self.block_rows))
-        return BlockComplexMatrix(self.block_rows, self.block_cols, self.block_dim, items)
 
     # --- diagnostics and export -----------------------------------------
 
@@ -168,7 +131,3 @@ class BlockComplexMatrix:
             out[i * d : (i + 1) * d, j * d : (j + 1) * d] = arr
         return out
 
-    @classmethod
-    def identity(cls, block_rows: int, block_dim: int) -> "BlockComplexMatrix":
-        eye = np.eye(block_dim, dtype=complex)
-        return cls(block_rows, block_rows, block_dim, ((i, i, eye) for i in range(block_rows)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -50,7 +51,7 @@ def write_manifest(
 ) -> None:
     lines = [
         f"subcommand={subcommand}",
-        "argv=" + " ".join(argv),
+        "argv=" + shlex.join(argv),
         f"duration_s={duration:.3f}",
     ]
     for p in inputs:
@@ -66,7 +67,7 @@ def manifest_argv(path: str | Path) -> list[str]:
     """Recover the recorded argument vector from a manifest for replay."""
     for line in Path(path).read_text().splitlines():
         if line.startswith("argv="):
-            return line[len("argv=") :].split()
+            return shlex.split(line[len("argv=") :])
     raise ValueError(f"{path}: manifest has no argv record")
 
 
@@ -414,6 +415,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ValueError("--config requires a file path")
     path = Path(argv[idx + 1])
     pairs = {}
     for line in path.read_text().splitlines():
@@ -435,7 +438,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     head = argv[: idx + 2]
     tail = argv[idx + 2 :]
     if not tail:
-        raise SystemExit("--config requires a subcommand")
+        raise ValueError("--config requires a subcommand")
     return head[:idx] + [tail[0]] + injected + tail[1:]
 
 
@@ -443,11 +446,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        parsed_argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(parsed_argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = parser.parse_args(_apply_config_file(parser, argv))
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         return args.func(args, argv)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ __all__ = [
     "vertex_degree",
     "from_directed_graph",
     "read_hypergraph",
+    "format_hypergraph",
     "write_hypergraph",
     "read_labels",
     "write_labels",
@@ -194,14 +195,19 @@ def from_directed_graph(G: DirectedGraph) -> DirectedHypergraph:
 _WEIGHT_FMT = "%.9g"  # round-trips decimal weights with <= 9 significant digits
 
 
-def write_hypergraph(H: DirectedHypergraph, path: str | Path) -> None:
-    validate(H)
+def format_hypergraph(H: DirectedHypergraph) -> str:
+    """The hypergraph file text: the ``n m`` header and one line per hyperedge."""
     lines = [f"{H.num_vertices} {H.num_hyperedges}"]
     for e, w in zip(H.hyperedges, H.weights):
         tail = " ".join(str(v + 1) for v in e.tail)
         head = " ".join(str(v + 1) for v in e.head)
         lines.append(f"e {_WEIGHT_FMT % w} : {tail} | {head}".rstrip())
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines)
+
+
+def write_hypergraph(H: DirectedHypergraph, path: str | Path) -> None:
+    validate(H)
+    Path(path).write_text(format_hypergraph(H) + "\n")
 
 
 def read_hypergraph(path: str | Path) -> DirectedHypergraph:

@@ -1,16 +1,23 @@
 """Assembly of the complex Hermitian hypergraph Laplacian and its signless form.
 
-With ``B`` the block incidence matrix (one ``d x d`` complex block per
-incidence), ``D_E = diag(delta_e I_d)`` and ``D_V`` the block-diagonal of
-``D_u = sum_e F^T F``:
+Every incidence ``k = (u, e)`` carries one complex ``d x d`` factor block
 
-    Q   = B^dagger D_E^{-1} B          L   = D_V - Q
-    Q_N = W^dagger W,  W = D_E^{-1/2} B D_V^{-1/2}        L_N = I - Q_N
+    Z_k = delta_e^{-1/2} S_k F_k [D_u^{-1/2}]
 
-Both signless forms are assembled as conjugate products of a single factor,
-so they are Hermitian to rounding error by construction.  Hyperedge weights
-are stored on the hypergraph but deliberately excluded here: the spectral
-guarantees assume unit weights.
+(``S_k`` the directional phase, ``D_u = sum_e F^T F`` the real degree block,
+the bracketed root only in the normalized case).  Stacked, the blocks form
+the factor ``Z`` of the signless operator, and
+
+    Q = Z^dagger Z     L   = D_V - Q          (unnormalized)
+    Q_N = Z^dagger Z   L_N = I - Q_N          (normalized)
+
+:class:`IncidenceStructure` fixes the canonical incidence order once per
+hypergraph; :func:`signless_apply` is the one vectorised ``Z^dagger Z``
+kernel and :func:`dense_factor` the one dense export of ``Z``.  The
+assembled ``BlockComplexMatrix`` forms are conjugate products of ``Z``, so
+they are Hermitian to rounding error by construction.  The spectral
+guarantees assume unit hyperedge weights, so a hypergraph with any other
+weight is rejected rather than silently treated as unweighted.
 """
 
 from __future__ import annotations
@@ -19,14 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import SegmentPlan
 from .blockmatrix import BlockComplexMatrix
 from .hypergraph import DirectedHypergraph
 from .jacobi import jacobi_eigh
-from .sheaf import SheafAssignment
+from .sheaf import SheafAssignment, tail_coefficient
 
 __all__ = [
     "NodeSignal",
+    "IncidenceStructure",
     "LaplacianBundle",
+    "incidence_maps",
+    "signless_apply",
+    "dense_factor",
     "build_incidence",
     "build_degree_matrices",
     "build_laplacian",
@@ -42,13 +54,91 @@ NodeSignal = np.ndarray
 DEGREE_JITTER = 1e-8
 
 
+@dataclass
+class IncidenceStructure:
+    """Canonical incidence order of one hypergraph (edge by edge, tails before
+    heads) with the index plans that every factor-based path shares."""
+
+    n: int
+    m: int
+    inc_node: np.ndarray
+    inc_edge: np.ndarray
+    inc_is_tail: np.ndarray
+    delta: np.ndarray
+    node_plan: SegmentPlan
+    edge_plan: SegmentPlan
+
+    @classmethod
+    def build(cls, H: DirectedHypergraph) -> "IncidenceStructure":
+        for j, w in enumerate(H.weights):
+            if w != 1.0:
+                raise ValueError(
+                    f"hyperedge {j} has weight {w:g}; the operator is defined for unit weights only"
+                )
+        nodes, edges, tails = [], [], []
+        for u, e, role in H.incidences():
+            nodes.append(u)
+            edges.append(e)
+            tails.append(role == "tail")
+        inc_node = np.asarray(nodes, dtype=np.int64)
+        inc_edge = np.asarray(edges, dtype=np.int64)
+        return cls(
+            n=H.num_vertices,
+            m=H.num_hyperedges,
+            inc_node=inc_node,
+            inc_edge=inc_edge,
+            inc_is_tail=np.asarray(tails, dtype=bool),
+            delta=np.array([float(e.degree) for e in H.hyperedges]),
+            node_plan=SegmentPlan.build(inc_node, H.num_vertices),
+            edge_plan=SegmentPlan.build(inc_edge, H.num_hyperedges),
+        )
+
+    def phases(self, q: float) -> np.ndarray:
+        """Per-incidence directional coefficient ``S_k`` (complex, unit modulus)."""
+        return np.where(self.inc_is_tail, tail_coefficient(q), 1.0 + 0.0j)
+
+
+def incidence_maps(structure: IncidenceStructure, A: SheafAssignment) -> np.ndarray:
+    """``A``'s real restriction maps as an ``(I, d, d)`` array in canonical order."""
+    keys = list(zip(structure.inc_node.tolist(), structure.inc_edge.tolist()))
+    A.check_roles(dict(zip(keys, np.where(structure.inc_is_tail, "tail", "head").tolist())))
+    d = A.config.d
+    return np.asarray([A.maps[k] for k in keys], dtype=float).reshape(-1, d, d)
+
+
+def signless_apply(structure: IncidenceStructure, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``Z^dagger Z X`` for factor blocks ``Z`` ``(I, d, d)`` and a signal ``X`` ``(n, d, f)``.
+
+    Gather, batched ``Z @``, edge segment-sum, gather, batched ``Z^H @``,
+    node segment-sum.
+    """
+    Y = structure.edge_plan.apply(Z @ X[structure.inc_node])
+    return structure.node_plan.apply(np.conj(np.swapaxes(Z, 1, 2)) @ Y[structure.inc_edge])
+
+
+def dense_factor(structure: IncidenceStructure, Z: np.ndarray) -> np.ndarray:
+    """``Z`` as a dense ``(m d) x (n d)`` matrix; every ``(e, u)`` pair occurs once."""
+    d = Z.shape[1]
+    out = np.zeros((structure.m, d, structure.n, d), dtype=complex)
+    out[structure.inc_edge, :, structure.inc_node, :] = Z
+    return out.reshape(structure.m * d, structure.n * d)
+
+
+def _incidence_matrix(structure: IncidenceStructure, blocks: np.ndarray) -> BlockComplexMatrix:
+    """The ``m x n`` block matrix holding each incidence's block at ``(e, u)``."""
+    items = zip(structure.inc_edge.tolist(), structure.inc_node.tolist(), blocks)
+    return BlockComplexMatrix(structure.m, structure.n, blocks.shape[1], items)
+
+
+def _degree_blocks(structure: IncidenceStructure, F: np.ndarray) -> np.ndarray:
+    return structure.node_plan.apply(np.swapaxes(F, 1, 2) @ F)
+
+
 def build_incidence(H: DirectedHypergraph, A: SheafAssignment) -> BlockComplexMatrix:
     """Block incidence matrix: block ``(e, u)`` is ``S * F`` for each incidence."""
-    A.validate_against(H)
-    items = []
-    for u, e, _role in H.incidences():
-        items.append((e, u, A.coefficient(u, e) * A.map_for(u, e)))
-    return BlockComplexMatrix(H.num_hyperedges, H.num_vertices, A.config.d, items)
+    structure = IncidenceStructure.build(H)
+    F = incidence_maps(structure, A)
+    return _incidence_matrix(structure, structure.phases(A.config.q)[:, None, None] * F)
 
 
 def build_degree_matrices(
@@ -59,14 +149,8 @@ def build_degree_matrices(
     ``D_u = sum_{e : u in e} F^T F`` is real because the unit-modulus
     directional phases cancel in the conjugate product.
     """
-    A.validate_against(H)
-    d = A.config.d
-    D_V = np.zeros((H.num_vertices, d, d))
-    for u, e, _role in H.incidences():
-        F = A.map_for(u, e)
-        D_V[u] += F.T @ F
-    D_E = np.array([float(e.degree) for e in H.hyperedges])
-    return D_V, D_E
+    structure = IncidenceStructure.build(H)
+    return _degree_blocks(structure, incidence_maps(structure, A)), structure.delta
 
 
 def _spd_inverse_sqrt(
@@ -104,20 +188,25 @@ def _spd_inverse_sqrt(
 
 @dataclass
 class LaplacianBundle:
-    """An assembled Laplacian with the pieces needed for matrix-free application."""
+    """An assembled Laplacian with its factor ``Z`` for matrix-free application."""
 
     hypergraph: DirectedHypergraph
     sheaf: SheafAssignment
+    structure: IncidenceStructure
+    Z: np.ndarray
     L: BlockComplexMatrix
     Q: BlockComplexMatrix
     D_V: np.ndarray
-    D_E: np.ndarray
     normalized: bool
     dv_inv_sqrt: np.ndarray | None = None
 
     @property
+    def D_E(self) -> np.ndarray:
+        return self.structure.delta
+
+    @property
     def n(self) -> int:
-        return self.hypergraph.num_vertices
+        return self.structure.n
 
     @property
     def d(self) -> int:
@@ -133,42 +222,33 @@ def build_laplacian(
     jitter: float = DEGREE_JITTER,
 ) -> LaplacianBundle:
     """Assemble ``L = D_V - Q`` or its normalized form ``L_N = I - Q_N``."""
-    B = build_incidence(H, A)
-    D_V, D_E = build_degree_matrices(H, A)
-    d = A.config.d
-    n = H.num_vertices
+    structure = IncidenceStructure.build(H)
+    F = incidence_maps(structure, A)
+    D_V = _degree_blocks(structure, F)
+    d, n = A.config.d, H.num_vertices
 
+    scale = structure.phases(A.config.q) / np.sqrt(structure.delta[structure.inc_edge])
+    Z = scale[:, None, None] * F
     dv_inv_sqrt = None
-    W = B.scale_block_rows(1.0 / np.sqrt(D_E))
     if normalized:
-        dv_inv_sqrt = _spd_inverse_sqrt(
-            D_V, A.config.map_shape, strict=strict, jitter=jitter
-        )
-        W = W.right_multiply_block_diagonal(dv_inv_sqrt)
+        dv_inv_sqrt = _spd_inverse_sqrt(D_V, A.config.map_shape, strict=strict, jitter=jitter)
+        Z = Z @ dv_inv_sqrt[structure.inc_node]
+    W = _incidence_matrix(structure, Z)
     Q = W.conjugate_transpose().matmul(W)
 
-    if normalized:
-        diag = np.broadcast_to(np.eye(d), (n, d, d))
-    else:
-        diag = D_V
+    diag = np.broadcast_to(np.eye(d), (n, d, d)) if normalized else D_V
     items = [(i, j, -arr) for i, j, arr in Q]
-    items.extend((u, u, diag[u].astype(complex)) for u in range(n))
+    items.extend((u, u, diag[u]) for u in range(n))
     L = BlockComplexMatrix(n, n, d, items)
-    return LaplacianBundle(H, A, L, Q, D_V, D_E, normalized, dv_inv_sqrt)
+    return LaplacianBundle(H, A, structure, Z, L, Q, D_V, normalized, dv_inv_sqrt)
 
 
 def apply_laplacian(bundle: LaplacianBundle, x: NodeSignal) -> NodeSignal:
-    """Matrix-free application of the (normalized) Laplacian to a signal.
+    """Matrix-free ``L x = D_V x - Z^dagger Z x`` (``x - Z^dagger Z x`` when normalized).
 
-    Evaluates the disagreement form hyperedge by hyperedge:
-
-        (L x)_u = sum_e (1/delta_e) vecF_u^dagger sum_{v in e, v != u}
-                  (vecF_u x_u - vecF_v x_v)
-
-    with ``x_u`` replaced by ``D_u^{-1/2} x_u`` and a matching left factor in
-    the normalized case.  Never touches the assembled matrix.
+    Never touches the assembled matrix: the factor goes through
+    :func:`signless_apply`.
     """
-    H, A = bundle.hypergraph, bundle.sheaf
     n, d = bundle.n, bundle.d
     arr = np.asarray(x, dtype=complex)
     flat_input = arr.ndim == 1
@@ -177,25 +257,8 @@ def apply_laplacian(bundle: LaplacianBundle, x: NodeSignal) -> NodeSignal:
     if arr.shape[0] != n * d:
         raise ValueError(f"signal has {arr.shape[0]} rows, expected {n * d}")
     xs = arr.reshape(n, d, -1)
-    if bundle.normalized:
-        xs = np.einsum("uab,ubf->uaf", bundle.dv_inv_sqrt, xs)
-
-    out = np.zeros_like(xs)
-    for j, e in enumerate(H.hyperedges):
-        members = e.members
-        delta = float(e.degree)
-        projected = {
-            u: (A.coefficient(u, j) * A.map_for(u, j)) @ xs[u] for u in members
-        }
-        total = sum(projected.values())
-        for u in members:
-            Fu = A.map_for(u, j)
-            coeff = A.coefficient(u, j)
-            inner = delta * projected[u] - total
-            out[u] += np.conj(coeff) * (Fu.T @ inner) / delta
-    if bundle.normalized:
-        out = np.einsum("uab,ubf->uaf", bundle.dv_inv_sqrt, out)
-    result = out.reshape(n * d, -1)
+    diag = xs if bundle.normalized else bundle.D_V @ xs
+    result = (diag - signless_apply(bundle.structure, bundle.Z, xs)).reshape(n * d, -1)
     return result[:, 0] if flat_input else result
 
 

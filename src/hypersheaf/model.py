@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SegmentPlan, Tape, Tensor
+from .autodiff import Tape, Tensor
 from .hypergraph import DirectedHypergraph
+from .laplacian import IncidenceStructure, dense_factor, incidence_maps, signless_apply
 from .sheaf import SheafAssignment, SheafConfig
 
 __all__ = [
@@ -203,52 +204,6 @@ def init_state(config: ModelConfig, input_width: int, num_classes: int) -> Model
     return ModelState(params, zeros, {k: v.copy() for k, v in zeros.items()}, 0, input_width, num_classes)
 
 
-# --- incidence structure ----------------------------------------------------
-
-
-@dataclass
-class IncidenceStructure:
-    """Static index plans for one hypergraph, shared across epochs."""
-
-    n: int
-    m: int
-    inc_node: np.ndarray
-    inc_edge: np.ndarray
-    inc_is_tail: np.ndarray
-    delta: np.ndarray
-    node_plan: SegmentPlan
-    edge_plan: SegmentPlan
-
-    @classmethod
-    def build(cls, H: DirectedHypergraph) -> "IncidenceStructure":
-        nodes, edges, tails = [], [], []
-        for u, e, role in H.incidences():
-            nodes.append(u)
-            edges.append(e)
-            tails.append(role == "tail")
-        inc_node = np.asarray(nodes, dtype=np.int64)
-        inc_edge = np.asarray(edges, dtype=np.int64)
-        inc_is_tail = np.asarray(tails, dtype=bool)
-        delta = np.array([float(e.degree) for e in H.hyperedges])
-        return cls(
-            n=H.num_vertices,
-            m=H.num_hyperedges,
-            inc_node=inc_node,
-            inc_edge=inc_edge,
-            inc_is_tail=inc_is_tail,
-            delta=delta,
-            node_plan=SegmentPlan.build(inc_node, H.num_vertices),
-            edge_plan=SegmentPlan.build(inc_edge, H.num_hyperedges),
-        )
-
-    def phases(self, q: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-incidence (cos, sin) of the directional coefficient."""
-        angle = -2.0 * math.pi * q
-        c = np.where(self.inc_is_tail, math.cos(angle), 1.0)
-        s = np.where(self.inc_is_tail, math.sin(angle), 0.0)
-        return c, s
-
-
 # --- tape-level building blocks ----------------------------------------------------
 
 
@@ -349,7 +304,8 @@ def _operator_blocks(
         D = ad.add(D, DEGREE_EPS * np.eye(d)[None, :, :])
         dinv = _newton_schulz_inverse_sqrt(D, d)
         M = ad.matmul(maps, ad.gather(dinv, structure.inc_node))
-    c, s = structure.phases(config.q)
+    phases = structure.phases(config.q)
+    c, s = phases.real, phases.imag
     w = 1.0 / np.sqrt(structure.delta[structure.inc_edge])
     if config.map_shape == "diagonal":
         cw = (c * w)[:, None]
@@ -445,22 +401,16 @@ class ForwardAux:
     layer_factors: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
     map_values: list[np.ndarray] = field(default_factory=list)
 
+    def factor(self, config: ModelConfig, layer: int) -> np.ndarray:
+        """Complex factor blocks ``Z_k`` ``(I, d, d)`` of one layer, from the captured factors."""
+        M, cw, sw = self.layer_factors[layer]
+        if config.map_shape == "diagonal":
+            M = M[:, :, None] * np.eye(config.stalk_dim)
+        return (cw + 1j * sw)[:, None, None] * M
+
     def dense_signless(self, structure: IncidenceStructure, config: ModelConfig, layer: int) -> np.ndarray:
         """Dense ``Q_N`` of one layer, rebuilt from the captured factors."""
-        M, cw, sw = self.layer_factors[layer]
-        d = config.stalk_dim
-        num_inc = len(structure.inc_node)
-        if config.map_shape == "diagonal":
-            blocks = np.zeros((num_inc, d, d))
-            idx = np.arange(d)
-            blocks[:, idx, idx] = M
-        else:
-            blocks = M
-        zb = (cw + 1j * sw).reshape(num_inc, 1, 1) * blocks
-        Z = np.zeros((structure.m * d, structure.n * d), dtype=complex)
-        for k in range(num_inc):
-            e, u = structure.inc_edge[k], structure.inc_node[k]
-            Z[e * d : (e + 1) * d, u * d : (u + 1) * d] += zb[k]
+        Z = dense_factor(structure, self.factor(config, layer))
         return Z.conj().T @ Z
 
 
@@ -597,12 +547,11 @@ def diffusion_layer(
         left_projection=left_projection,
         use_layer_norm=gamma is not None,
     )
-    entries = []
-    for u, e in zip(structure.inc_node, structure.inc_edge):
-        F = sheaf.map_for(int(u), int(e))
-        entries.append(np.diag(F) if config.map_shape == "diagonal" else F)
+    F = incidence_maps(structure, sheaf)
+    if config.map_shape == "diagonal":
+        F = np.diagonal(F, axis1=1, axis2=2).copy()
     tape = Tape()
-    maps = tape.tensor(np.asarray(entries))
+    maps = tape.tensor(F)
     M, cw, sw = _operator_blocks(maps, structure, config)
     Xc = np.asarray(X, dtype=complex).reshape(n, d, f)
     pair = (tape.tensor(Xc.real), tape.tensor(Xc.imag))
@@ -772,37 +721,18 @@ def operator_lambda_max(
     if nd <= 256:
         Q = aux.dense_signless(structure, config, layer)
         return float(hermitian_eigenvalues(Q)[-1])
-    M, cw, sw = aux.layer_factors[layer]
+    Z = aux.factor(config, layer)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((structure.n, d, 1)) + 1j * rng.standard_normal((structure.n, d, 1))
     lam = 0.0
     for _ in range(120):
-        y = _numpy_signless_apply(M, cw, sw, x, structure, config)
+        y = signless_apply(structure, Z, x)
         norm = np.linalg.norm(y)
         if norm == 0:
             return 0.0
         x = y / norm
         lam = norm
     return float(lam)
-
-
-def _numpy_signless_apply(M, cw, sw, x, structure: IncidenceStructure, config: ModelConfig):
-    phase = cw + 1j * sw
-    g = x[structure.inc_node]
-    if config.map_shape == "diagonal":
-        p = (M[:, :, None] * g) * phase[:, None, None]
-    else:
-        p = (M @ g) * phase[:, None, None]
-    y = np.zeros((structure.m,) + p.shape[1:], dtype=complex)
-    np.add.at(y, structure.inc_edge, p)
-    b = y[structure.inc_edge] * np.conj(phase)[:, None, None]
-    if config.map_shape == "diagonal":
-        q = M[:, :, None] * b
-    else:
-        q = np.swapaxes(M, 1, 2) @ b
-    out = np.zeros_like(x)
-    np.add.at(out, structure.inc_node, q)
-    return out
 
 
 def synthetic_benchmark_config(seed: int = 0, q: float = 0.1) -> tuple[ModelConfig, TrainingBudget]:

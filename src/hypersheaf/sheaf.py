@@ -100,7 +100,10 @@ class SheafAssignment:
 
     def validate_against(self, H: DirectedHypergraph) -> None:
         """Check the assignment covers exactly the incidences of ``H``."""
-        expected = {(u, j): role for u, j, role in H.incidences()}
+        self.check_roles({(u, j): role for u, j, role in H.incidences()})
+
+    def check_roles(self, expected: Mapping[tuple[int, int], str]) -> None:
+        """Check the assignment covers exactly ``expected``, a map from incidence to role."""
         if set(self.maps) != set(expected):
             extra = sorted(set(self.maps) - set(expected))
             missing = sorted(set(expected) - set(self.maps))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockmatrix import DENSE_EXPORT_CAP
-from .hypergraph import DirectedHypergraph, Hyperedge
+from .hypergraph import DirectedHypergraph, Hyperedge, format_hypergraph
 from .jacobi import jacobi_eigh
 from .laplacian import LaplacianBundle, build_laplacian
 from .sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf
@@ -170,15 +170,8 @@ class SpectralCheckReport:
 
 def serialize_instance(H: DirectedHypergraph, A: SheafAssignment, note: str = "") -> str:
     """Text form of an instance (hypergraph file format plus sheaf config) for replay."""
-    lines = [
-        f"# sheaf q={A.config.q} d={A.config.d} shape={A.config.map_shape} {note}".rstrip(),
-        f"{H.num_vertices} {H.num_hyperedges}",
-    ]
-    for e, w in zip(H.hyperedges, H.weights):
-        tail = " ".join(str(v + 1) for v in e.tail)
-        head = " ".join(str(v + 1) for v in e.head)
-        lines.append(f"e {w:.9g} : {tail} | {head}".rstrip())
-    return "\n".join(lines)
+    header = f"# sheaf q={A.config.q} d={A.config.d} shape={A.config.map_shape} {note}".rstrip()
+    return header + "\n" + format_hypergraph(H)
 
 
 def verify_spectral_suite(

@@ -57,20 +57,6 @@ def test_apply_matches_dense():
         M.apply(np.zeros(8))
 
 
-def test_scale_block_rows_and_right_diagonal():
-    rng = np.random.default_rng(3)
-    M = random_block_matrix(rng, 3, 3, 2)
-    s = np.array([2.0, 0.5, 1.0])
-    scaled = M.scale_block_rows(s).to_dense()
-    np.testing.assert_allclose(scaled, np.kron(np.diag(s), np.eye(2)) @ M.to_dense())
-    blocks = rng.standard_normal((3, 2, 2))
-    right = M.right_multiply_block_diagonal(blocks).to_dense()
-    D = np.zeros((6, 6))
-    for j in range(3):
-        D[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = blocks[j]
-    np.testing.assert_allclose(right, M.to_dense() @ D, atol=1e-12)
-
-
 def test_hermitian_defect():
     h = np.array([[1.0, 1j], [-1j, 2.0]])
     M = BlockComplexMatrix(1, 1, 2, [(0, 0, h)])
@@ -83,11 +69,6 @@ def test_dense_export_cap():
     M = BlockComplexMatrix(5000, 5000, 1, [])
     with pytest.raises(ValueError, match="cap"):
         M.to_dense()
-
-
-def test_identity():
-    I = BlockComplexMatrix.identity(3, 2)
-    np.testing.assert_allclose(I.to_dense(), np.eye(6))
 
 
 def test_blocks_are_immutable():

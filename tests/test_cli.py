@@ -181,3 +181,28 @@ def test_usage_error_exit_code():
 
 def test_missing_input_file_is_usage_error(tmp_path):
     assert main(["build-laplacian", "--in", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_config_flag_without_path_is_usage_error(capsys):
+    assert main(["--config"]) == 2
+    assert "error: --config requires a file path" in capsys.readouterr().err
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    assert main(["--config", str(tmp_path / "missing.cfg"), "gen-synthetic"]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_manifest_replay_with_spaced_path(tmp_path):
+    folder = tmp_path / "with space"
+    folder.mkdir()
+    argv = [
+        "gen-synthetic", "--n", "20", "--classes", "2", "--hmin", "2", "--hmax", "4",
+        "--intra", "3", "--inter", "4", "--seed", "3", "--out", str(folder / "a"),
+    ]
+    assert main(argv) == 0
+    replay = manifest_argv(folder / "a.manifest")
+    assert replay == argv
+    replay[-1] = str(folder / "b")
+    assert main(replay) == 0
+    assert (folder / "a.hg").read_bytes() == (folder / "b.hg").read_bytes()

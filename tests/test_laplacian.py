@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.laplacian import (
+    IncidenceStructure,
     apply_laplacian,
     build_degree_matrices,
     build_incidence,
     build_laplacian,
+    dense_factor,
     entrywise_block,
     format_dense_matrix,
     parse_dense_matrix,
@@ -218,6 +222,66 @@ def test_matrix_free_apply_matches_dense(normalized):
         free = apply_laplacian(bundle, x)
         scale = max(1.0, np.max(np.abs(dense)))
         assert np.max(np.abs(dense - free)) / scale < 1e-10
+
+
+@st.composite
+def hypergraph_instances(draw):
+    """Small covered hypergraphs: all-tail, all-directed or mixed edges,
+    optionally 2-uniform, with a fixed sheaf of any shape, d in 1..6 and
+    q anywhere in [-1, 1]."""
+    n = draw(st.integers(2, 8))
+    direction = draw(st.sampled_from(["all-tail", "all-directed", "mixed"]))
+    max_size = 2 if draw(st.booleans()) else min(n, 5)
+    edges = []
+    for _ in range(draw(st.integers(1, 6))):
+        members = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=max_size, unique=True))
+        if direction == "all-directed" or (direction == "mixed" and draw(st.booleans())):
+            cut = draw(st.integers(1, len(members) - 1))
+            edges.append(Hyperedge(tuple(members[:cut]), tuple(members[cut:])))
+        else:
+            edges.append(Hyperedge(tuple(members)))
+    uncovered = sorted(set(range(n)) - {u for e in edges for u in e.members})
+    if uncovered:
+        # one more edge through a covered vertex keeps every degree block nonzero
+        members = [edges[0].tail[0]] + uncovered
+        if direction == "all-tail":
+            edges.append(Hyperedge(tuple(members)))
+        else:
+            edges.append(Hyperedge(tuple(members[:1]), tuple(members[1:])))
+    H = DirectedHypergraph(n, tuple(edges))
+    config = SheafConfig(
+        q=draw(st.floats(-1.0, 1.0)),
+        d=draw(st.integers(1, 6)),
+        map_shape=draw(st.sampled_from(["trivial", "diagonal", "full"])),
+    )
+    return H, build_fixed_sheaf(H, config, rng_seed=draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=hypergraph_instances(), normalized=st.booleans())
+def test_kernel_assembly_and_oracle_agree(instance, normalized):
+    H, A = instance
+    bundle = build_laplacian(H, A, normalized=normalized)
+    k = bundle.n * bundle.d
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
+    free = apply_laplacian(bundle, x)
+    np.testing.assert_allclose(free, bundle.L.to_dense() @ x, rtol=0, atol=1e-10)
+    # the package and the oracle invert the degree blocks with different
+    # eigensolvers, whose rounding error grows with the blocks' conditioning
+    cond = float(np.linalg.cond(bundle.D_V).max()) if normalized else 1.0
+    oracle = dense_laplacian_oracle(H, A, normalized=normalized)
+    np.testing.assert_allclose(free, oracle @ x, rtol=0, atol=1e-10 + 1e-15 * cond)
+    Z = dense_factor(bundle.structure, bundle.Z)
+    np.testing.assert_allclose(Z.conj().T @ Z, bundle.Q.to_dense(), rtol=0, atol=1e-10)
+
+
+def test_non_unit_weight_is_rejected():
+    H = DirectedHypergraph(3, (Hyperedge((0, 1)), Hyperedge((1,), (2,))), weights=(1.0, 2.5))
+    A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=1))
+    for build in (IncidenceStructure.build, lambda H: build_laplacian(H, A)):
+        with pytest.raises(ValueError, match="hyperedge 1 has weight 2.5"):
+            build(H)
 
 
 def test_apply_is_linear():

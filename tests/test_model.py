@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hypersheaf import autodiff as ad
 from hypersheaf.data import SyntheticConfig, generate_synthetic
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
-from hypersheaf.laplacian import build_laplacian
+from hypersheaf.laplacian import build_laplacian, signless_apply
 from hypersheaf.model import (
     DEGREE_EPS,
     IncidenceStructure,
     ModelConfig,
+    Tape,
     TrainingBudget,
     TrainingDiverged,
     complex_layer_norm,
@@ -17,9 +20,11 @@ from hypersheaf.model import (
     forward,
     init_state,
     loss_and_gradients,
+    operator_lambda_max,
     predict_sheaf,
     train,
     unwind,
+    _forward_tape,
 )
 from hypersheaf.spectral import random_instance
 
@@ -363,6 +368,38 @@ def test_spectral_safety_probe_is_bounded():
     probes = [row["lambda_max"] for row in result.history if "lambda_max" in row]
     assert probes
     assert all(lam <= 1 + 1e-6 for lam in probes)
+
+
+@pytest.mark.parametrize("shape", ["diagonal", "full"])
+def test_power_iteration_lambda_max_above_dense_threshold(shape):
+    ds = generate_synthetic(SyntheticConfig(
+        n=150, classes=3, h_min=2, h_max=4, intra_per_class=20, inter_per_pair=10, seed=32
+    ))
+    config = ModelConfig(num_layers=1, stalk_dim=2, hidden_width=4, seed=32, map_shape=shape)
+    assert ds.hypergraph.num_vertices * config.stalk_dim > 256  # past the dense branch
+    structure = IncidenceStructure.build(ds.hypergraph)
+    state = init_state(config, ds.features.shape[1], 3)
+    _, aux, _ = _forward_tape(Tape(), ds.features, structure, state, config, collect_aux=True)
+    Q = aux.dense_signless(structure, config, 0)
+    x = np.random.default_rng(0).standard_normal((structure.n, 2, 3)) + 0j
+    np.testing.assert_allclose(
+        signless_apply(structure, aux.factor(config, 0), x).reshape(-1, 3),
+        Q @ x.reshape(-1, 3), rtol=0, atol=1e-12,
+    )
+    exact = np.linalg.eigvalsh(Q)[-1]
+    lam = operator_lambda_max(structure, config, aux, 0)
+    # ||Q x|| / ||x|| never exceeds lambda_max; 120 steps get within 5e-3
+    assert exact - 5e-3 <= lam <= exact + 1e-10
+
+
+def test_training_refuses_non_unit_weights():
+    ds = small_dataset(seed=24)
+    H = ds.hypergraph
+    weights = (1.0,) * (H.num_hyperedges - 1) + (0.5,)
+    ds = dataclasses.replace(ds, hypergraph=DirectedHypergraph(H.num_vertices, H.hyperedges, weights))
+    config = ModelConfig(num_layers=1, stalk_dim=2, hidden_width=4, seed=24)
+    with pytest.raises(ValueError, match=f"hyperedge {H.num_hyperedges - 1} has weight 0.5"):
+        train(ds, config, TrainingBudget(max_epochs=1))
 
 
 def test_divergence_raises_with_epoch_index():
