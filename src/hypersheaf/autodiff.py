@@ -19,6 +19,7 @@ __all__ = [
     "Tape",
     "Tensor",
     "SegmentPlan",
+    "record",
     "add",
     "sub",
     "mul",
@@ -27,6 +28,7 @@ __all__ = [
     "matmul",
     "transpose",
     "reshape",
+    "unstack",
     "concat",
     "gather",
     "segment_sum",
@@ -77,8 +79,10 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # an owned copy: later contributions add into it in place
+            self.grad = np.array(g, dtype=float)
+        else:
+            self.grad += g
 
 
 def _as_tensor(tape: Tape, x) -> Tensor:
@@ -87,7 +91,12 @@ def _as_tensor(tape: Tape, x) -> Tensor:
     return tape.tensor(x)
 
 
-def _record(tape: Tape, value: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+def record(tape: Tape, value: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """Record an operation whose vector-Jacobian product ``backward(g)`` supplies.
+
+    ``backward`` accumulates into every parent that requires a gradient.
+    Nothing is recorded when no parent does.
+    """
     out = Tensor(tape, value, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._backward = backward
@@ -119,7 +128,7 @@ def add(a, b):
         if b.requires_grad:
             b.accumulate(_unbroadcast(g, b.value.shape))
 
-    return _record(tape, value, (a, b), backward)
+    return record(tape, value, (a, b), backward)
 
 
 def sub(a, b):
@@ -133,7 +142,7 @@ def sub(a, b):
         if b.requires_grad:
             b.accumulate(_unbroadcast(-g, b.value.shape))
 
-    return _record(tape, value, (a, b), backward)
+    return record(tape, value, (a, b), backward)
 
 
 def neg(a: Tensor):
@@ -141,7 +150,7 @@ def neg(a: Tensor):
         if a.requires_grad:
             a.accumulate(-g)
 
-    return _record(a.tape, -a.value, (a,), backward)
+    return record(a.tape, -a.value, (a,), backward)
 
 
 def mul(a, b):
@@ -155,7 +164,7 @@ def mul(a, b):
         if b.requires_grad:
             b.accumulate(_unbroadcast(g * a.value, b.value.shape))
 
-    return _record(tape, value, (a, b), backward)
+    return record(tape, value, (a, b), backward)
 
 
 def div(a, b):
@@ -169,7 +178,7 @@ def div(a, b):
         if b.requires_grad:
             b.accumulate(_unbroadcast(-g * a.value / (b.value**2), b.value.shape))
 
-    return _record(tape, value, (a, b), backward)
+    return record(tape, value, (a, b), backward)
 
 
 def matmul(a, b):
@@ -186,7 +195,7 @@ def matmul(a, b):
             gb = np.swapaxes(a.value, -1, -2) @ g
             b.accumulate(_unbroadcast(gb, b.value.shape))
 
-    return _record(tape, value, (a, b), backward)
+    return record(tape, value, (a, b), backward)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]):
@@ -196,7 +205,7 @@ def transpose(a: Tensor, axes: tuple[int, ...]):
         if a.requires_grad:
             a.accumulate(np.transpose(g, inverse))
 
-    return _record(a.tape, np.transpose(a.value, axes), (a,), backward)
+    return record(a.tape, np.transpose(a.value, axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape):
@@ -206,7 +215,22 @@ def reshape(a: Tensor, shape):
         if a.requires_grad:
             a.accumulate(g.reshape(old))
 
-    return _record(a.tape, a.value.reshape(shape), (a,), backward)
+    return record(a.tape, a.value.reshape(shape), (a,), backward)
+
+
+def unstack(a: Tensor) -> tuple[Tensor, ...]:
+    """The slices ``a[0], a[1], ...`` along axis 0, each recorded as a view."""
+
+    def view(i):
+        def backward(g):
+            if a.requires_grad:
+                if a.grad is None:
+                    a.grad = np.zeros_like(a.value)
+                a.grad[i] += g
+
+        return record(a.tape, a.value[i], (a,), backward)
+
+    return tuple(view(i) for i in range(a.value.shape[0]))
 
 
 def concat(tensors, axis=0):
@@ -223,7 +247,7 @@ def concat(tensors, axis=0):
                 index[axis] = slice(lo, hi)
                 t.accumulate(g[tuple(index)])
 
-    return _record(tape, value, tuple(tensors), backward)
+    return record(tape, value, tuple(tensors), backward)
 
 
 def gather(a: Tensor, idx: np.ndarray):
@@ -236,7 +260,7 @@ def gather(a: Tensor, idx: np.ndarray):
             np.add.at(buf, idx, g)
             a.accumulate(buf)
 
-    return _record(a.tape, a.value[idx], (a,), backward)
+    return record(a.tape, a.value[idx], (a,), backward)
 
 
 @dataclass
@@ -248,6 +272,7 @@ class SegmentPlan:
     order: np.ndarray
     starts: np.ndarray
     empty: np.ndarray
+    presorted: bool  # seg_ids already non-decreasing: rows need no reordering
 
     @classmethod
     def build(cls, seg_ids: np.ndarray, num_segments: int) -> "SegmentPlan":
@@ -257,18 +282,20 @@ class SegmentPlan:
         starts = np.searchsorted(sorted_ids, np.arange(num_segments))
         counts = np.bincount(seg_ids, minlength=num_segments) if len(seg_ids) else np.zeros(num_segments, dtype=int)
         empty = counts == 0
-        return cls(seg_ids, num_segments, order, starts, empty)
+        presorted = bool(np.all(seg_ids[1:] >= seg_ids[:-1]))
+        return cls(seg_ids, num_segments, order, starts, empty, presorted)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out_shape = (self.num_segments,) + values.shape[1:]
         if len(self.seg_ids) == 0:
             return np.zeros(out_shape, dtype=values.dtype)
-        # a zero sentinel row keeps every start index valid (starts may equal
-        # len(values) for trailing empty segments); empty segments, for which
-        # reduceat reports the element at their start, are zeroed afterwards
-        ordered = values[self.order]
-        padded = np.concatenate([ordered, np.zeros((1,) + values.shape[1:], dtype=values.dtype)])
-        out = np.add.reduceat(padded, self.starts, axis=0)
+        ordered = values if self.presorted else values[self.order]
+        # trailing empty segments start at len(values): a zero sentinel row
+        # keeps those starts valid; empty segments, for which reduceat
+        # reports the element at their start, are zeroed afterwards
+        if self.starts[-1] == len(ordered):
+            ordered = np.concatenate([ordered, np.zeros((1,) + values.shape[1:], dtype=values.dtype)])
+        out = np.add.reduceat(ordered, self.starts, axis=0)
         if self.empty.any():
             out[self.empty] = 0.0
         return out
@@ -279,7 +306,7 @@ def segment_sum(a: Tensor, plan: SegmentPlan):
         if a.requires_grad:
             a.accumulate(g[plan.seg_ids])
 
-    return _record(a.tape, plan.apply(a.value), (a,), backward)
+    return record(a.tape, plan.apply(a.value), (a,), backward)
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims=False):
@@ -292,7 +319,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False):
             gg = g if keepdims else np.expand_dims(g, axis)
             a.accumulate(np.broadcast_to(gg, a.value.shape).copy())
 
-    return _record(a.tape, a.value.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return record(a.tape, a.value.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims=False):
@@ -312,7 +339,7 @@ def sigmoid(a: Tensor):
         if a.requires_grad:
             a.accumulate(g * value * (1.0 - value))
 
-    return _record(a.tape, value, (a,), backward)
+    return record(a.tape, value, (a,), backward)
 
 
 def tanh(a: Tensor):
@@ -322,7 +349,7 @@ def tanh(a: Tensor):
         if a.requires_grad:
             a.accumulate(g * (1.0 - value**2))
 
-    return _record(a.tape, value, (a,), backward)
+    return record(a.tape, value, (a,), backward)
 
 
 def relu(a: Tensor):
@@ -332,7 +359,7 @@ def relu(a: Tensor):
         if a.requires_grad:
             a.accumulate(g * mask)
 
-    return _record(a.tape, a.value * mask, (a,), backward)
+    return record(a.tape, a.value * mask, (a,), backward)
 
 
 def sqrt(a: Tensor):
@@ -342,7 +369,7 @@ def sqrt(a: Tensor):
         if a.requires_grad:
             a.accumulate(g * 0.5 / value)
 
-    return _record(a.tape, value, (a,), backward)
+    return record(a.tape, value, (a,), backward)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -370,7 +397,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray):
             grad *= mask[:, None] / count
             logits.accumulate(g * grad)
 
-    return _record(logits.tape, value, (logits,), backward)
+    return record(logits.tape, value, (logits,), backward)
 
 
 def finite_difference_check(

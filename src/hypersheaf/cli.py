@@ -259,12 +259,14 @@ def _budget_from_args(args) -> TrainingBudget:
     )
 
 
-def _write_metrics(path: Path, result) -> None:
-    lines = ["epoch,train_loss,train_acc,val_acc"]
+def _write_metrics(path: Path, result, eigencheck: bool) -> None:
+    """One row per epoch; a ``lambda_max`` column, empty between probes, when probing."""
+    lines = ["epoch,train_loss,train_acc,val_acc" + (",lambda_max" if eigencheck else "")]
     for row in result.history:
-        lines.append(
-            f"{row['epoch']},{row['train_loss']:.17g},{row['train_acc']:.17g},{row['val_acc']:.17g}"
-        )
+        line = f"{row['epoch']},{row['train_loss']:.17g},{row['train_acc']:.17g},{row['val_acc']:.17g}"
+        if eigencheck:
+            line += f",{row['lambda_max']:.17g}" if "lambda_max" in row else ","
+        lines.append(line)
     lines.append(f"test_acc,{result.test_acc:.17g}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -279,10 +281,11 @@ def _dataset_input_paths(prefix: str) -> list[Path]:
 def cmd_train(args, argv) -> int:
     t0 = time.time()
     _check_q_range(args.q)
+    budget = _budget_from_args(args)
     dataset = read_dataset(args.data)
-    result = train(dataset, _model_config_from_args(args), _budget_from_args(args))
+    result = train(dataset, _model_config_from_args(args), budget)
     out = Path(args.metrics_out)
-    _write_metrics(out, result)
+    _write_metrics(out, result, budget.eigencheck_every > 0)
     write_manifest(
         _manifest_path(args, out), "train", argv, _dataset_input_paths(args.data), [out],
         time.time() - t0,

@@ -38,6 +38,8 @@ __all__ = [
     "LaplacianBundle",
     "incidence_maps",
     "signless_apply",
+    "factor_apply",
+    "factor_adjoint_apply",
     "dense_factor",
     "build_incidence",
     "build_degree_matrices",
@@ -52,6 +54,11 @@ __all__ = [
 NodeSignal = np.ndarray
 
 DEGREE_JITTER = 1e-8
+# Off-diagonal stopping tolerance of the Jacobi solve behind D_V^{-1/2}.  Its
+# error in the inverse square root grows like tol * cond(D_u), so the
+# solver's looser default (1e-12) would cost up to 1e-8 relative at
+# cond 1e4; one more quadratically converging sweep brings it to rounding.
+INV_SQRT_TOL = 1e-14
 
 
 @dataclass
@@ -106,14 +113,30 @@ def incidence_maps(structure: IncidenceStructure, A: SheafAssignment) -> np.ndar
     return np.asarray([A.maps[k] for k in keys], dtype=float).reshape(-1, d, d)
 
 
-def signless_apply(structure: IncidenceStructure, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``Z^dagger Z X`` for factor blocks ``Z`` ``(I, d, d)`` and a signal ``X`` ``(n, d, f)``.
+def _block_apply(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per-incidence ``Z_k X_k``; ``Z`` ``(I, d)`` holds diagonal blocks."""
+    return Z[:, :, None] * X if Z.ndim == 2 else Z @ X
 
-    Gather, batched ``Z @``, edge segment-sum, gather, batched ``Z^H @``,
-    node segment-sum.
+
+def factor_apply(structure: IncidenceStructure, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The edge half ``Z X`` ``(m, d, f)`` of :func:`signless_apply`."""
+    return structure.edge_plan.apply(_block_apply(Z, X[structure.inc_node]))
+
+
+def factor_adjoint_apply(structure: IncidenceStructure, Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The node half ``Z^dagger Y`` ``(n, d, f)`` of :func:`signless_apply`."""
+    Zh = np.conj(Z) if Z.ndim == 2 else np.conj(np.swapaxes(Z, 1, 2))
+    return structure.node_plan.apply(_block_apply(Zh, Y[structure.inc_edge]))
+
+
+def signless_apply(structure: IncidenceStructure, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``Z^dagger Z X`` for factor blocks ``Z`` and a signal ``X`` ``(n, d, f)``.
+
+    ``Z`` is ``(I, d, d)``, or ``(I, d)`` for diagonal blocks, which are then
+    applied elementwise.  Gather, per-incidence ``Z``, edge segment-sum,
+    gather, per-incidence ``Z^H``, node segment-sum.
     """
-    Y = structure.edge_plan.apply(Z @ X[structure.inc_node])
-    return structure.node_plan.apply(np.conj(np.swapaxes(Z, 1, 2)) @ Y[structure.inc_edge])
+    return factor_adjoint_apply(structure, Z, factor_apply(structure, Z, X))
 
 
 def dense_factor(structure: IncidenceStructure, Z: np.ndarray) -> np.ndarray:
@@ -177,7 +200,7 @@ def _spd_inverse_sqrt(
                 )
             out[u] = np.diag(1.0 / np.sqrt(diag))
         else:
-            w, V = jacobi_eigh(block, compute_vectors=True)
+            w, V = jacobi_eigh(block, compute_vectors=True, tol=INV_SQRT_TOL)
             if strict and np.any(w <= 0.0):
                 raise ValueError(
                     f"degree block of vertex {u} is singular; enable jitter or fix the instance"

@@ -21,7 +21,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .hypergraph import DirectedHypergraph
-from .laplacian import IncidenceStructure, dense_factor, incidence_maps, signless_apply
+from .laplacian import (
+    IncidenceStructure,
+    dense_factor,
+    factor_adjoint_apply,
+    factor_apply,
+    incidence_maps,
+    signless_apply,
+)
 from .sheaf import SheafAssignment, SheafConfig
 
 __all__ = [
@@ -46,6 +53,7 @@ __all__ = [
 LAYER_NORM_EPS = 1e-5
 DEGREE_EPS = 1e-8
 NEWTON_SCHULZ_ITERS = 45
+LANCZOS_TOL = 1e-10
 
 
 # --- plain complex helpers ----------------------------------------------------
@@ -324,39 +332,40 @@ def _apply_signless(
     structure: IncidenceStructure,
     config: ModelConfig,
 ) -> tuple[Tensor, Tensor]:
-    """Apply ``Q_N = Z^dagger Z`` to a signal pair via two incidence sweeps."""
-    xr, xi = X
-    gr = ad.gather(xr, structure.inc_node)
-    gi = ad.gather(xi, structure.inc_node)
-    m3 = ad.reshape(M, M.shape + (1,)) if config.map_shape == "diagonal" else None
-    if config.map_shape == "diagonal":
-        Mr = ad.mul(m3, gr)
-        Mi = ad.mul(m3, gi)
-        cw_b, sw_b = cw[:, :, None], sw[:, :, None]
-    else:
-        Mr = ad.matmul(M, gr)
-        Mi = ad.matmul(M, gi)
-        cw_b, sw_b = cw, sw
-    pr = ad.sub(ad.mul(Mr, cw_b), ad.mul(Mi, sw_b))
-    pi = ad.add(ad.mul(Mi, cw_b), ad.mul(Mr, sw_b))
-    yr = ad.segment_sum(pr, structure.edge_plan)
-    yi = ad.segment_sum(pi, structure.edge_plan)
+    """Apply ``Q_N = Z^dagger Z``, ``Z_k = (cw_k + i sw_k) M_k``, to a signal pair.
 
-    br = ad.gather(yr, structure.inc_edge)
-    bi = ad.gather(yi, structure.inc_edge)
-    # Z^dagger: transpose block, conjugate phase
-    tr_ = ad.add(ad.mul(br, cw_b), ad.mul(bi, sw_b))
-    ti_ = ad.sub(ad.mul(bi, cw_b), ad.mul(br, sw_b))
-    if config.map_shape == "diagonal":
-        qr = ad.mul(m3, tr_)
-        qi = ad.mul(m3, ti_)
-    else:
-        Mt = ad.transpose(M, (0, 2, 1))
-        qr = ad.matmul(Mt, tr_)
-        qi = ad.matmul(Mt, ti_)
-    out_r = ad.segment_sum(qr, structure.node_plan)
-    out_i = ad.segment_sum(qi, structure.node_plan)
-    return _pair(out_r, out_i)
+    One tape node, split into its real and imaginary parts by two views.
+    ``Q_N`` is Hermitian, so the signal's gradient is ``Q_N G`` for the
+    output gradient ``G``.  The blocks' gradient is
+    ``Re(conj(s_k) (U_e G_u^H + V_e X_u^H))`` with the edge halves
+    ``U = Z X`` (kept from the forward) and ``V = Z G``.
+    """
+    xr, xi = X
+    s = cw + 1j * sw
+    Z = s * M.value
+    x = xr.value + 1j * xi.value
+    U = factor_apply(structure, Z, x)
+    y = factor_adjoint_apply(structure, Z, U)
+
+    def backward(g):
+        G = g[0] + 1j * g[1]
+        V = factor_apply(structure, Z, G)
+        if xr.requires_grad or xi.requires_grad:
+            gx = factor_adjoint_apply(structure, Z, V)
+            if xr.requires_grad:
+                xr.accumulate(gx.real)
+            if xi.requires_grad:
+                xi.accumulate(gx.imag)
+        if M.requires_grad:
+            u, e = structure.inc_node, structure.inc_edge
+            if config.map_shape == "diagonal":
+                C = (U[e] * np.conj(G[u])).sum(axis=-1) + (V[e] * np.conj(x[u])).sum(axis=-1)
+            else:
+                C = U[e] @ np.conj(np.swapaxes(G[u], 1, 2)) + V[e] @ np.conj(np.swapaxes(x[u], 1, 2))
+            M.accumulate(cw * C.real + sw * C.imag)
+
+    out = ad.record(xr.tape, np.stack([y.real, y.imag]), (M, xr, xi), backward)
+    return _pair(*ad.unstack(out))
 
 
 def _layer_norm_pair(
@@ -453,7 +462,10 @@ def _forward_tape(
             # probe mode: the operator is pinned to externally supplied values
             maps = tape.tensor(fixed_maps[layer])
         elif config.dynamic_sheaf or maps_cache is None:
-            maps = _predict_maps(tape, X, structure, phi, config)
+            # light mode detaches the operator: the frozen predictor then
+            # reads a detached signal, so nothing of it is recorded
+            source = (_detach(X[0]), _detach(X[1])) if config.light_mode else X
+            maps = _predict_maps(tape, source, structure, phi, config)
             if training and config.sheaf_dropout and config.dropout_rate > 0.0:
                 if dropout_rng is None:
                     raise ValueError("sheaf dropout requires a generator during training")
@@ -461,8 +473,6 @@ def _forward_tape(
                 mask = (dropout_rng.random(len(structure.inc_node)) < keep) / keep
                 shape = (len(structure.inc_node),) + (1,) * (len(maps.shape) - 1)
                 maps = ad.mul(maps, mask.reshape(shape))
-            if config.light_mode:
-                maps = _detach(maps)
             if not config.dynamic_sheaf:
                 maps_cache = maps
         else:
@@ -666,6 +676,10 @@ class TrainingBudget:
     weight_decay: float = 0.0
     eigencheck_every: int = 0  # 0 disables the periodic spectral safety probe
 
+    def __post_init__(self):
+        if self.eigencheck_every < 0:
+            raise ValueError("eigencheck_every must be >= 0 (0 disables the probe)")
+
 
 @dataclass
 class TrainResult:
@@ -711,8 +725,11 @@ def operator_lambda_max(
 ) -> float:
     """Largest eigenvalue of one layer's normalized signless operator.
 
-    Exact (via the Hermitian eigensolver) for small operators; estimated by
-    power iteration on ``Z^dagger Z`` above the dense cap.
+    Exact (via the Hermitian eigensolver) for small operators.  Above the
+    dense cap, Lanczos on ``Z^dagger Z`` with full reorthogonalisation from a
+    seeded random start, stopped once the top Ritz pair's residual norm is at
+    most ``LANCZOS_TOL``.  The Ritz value is a Rayleigh quotient, so it never
+    exceeds ``lambda_max``, and an eigenvalue lies within the residual of it.
     """
     from .spectral import hermitian_eigenvalues
 
@@ -723,16 +740,24 @@ def operator_lambda_max(
         return float(hermitian_eigenvalues(Q)[-1])
     Z = aux.factor(config, layer)
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((structure.n, d, 1)) + 1j * rng.standard_normal((structure.n, d, 1))
-    lam = 0.0
-    for _ in range(120):
-        y = signless_apply(structure, Z, x)
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            return 0.0
-        x = y / norm
-        lam = norm
-    return float(lam)
+    q = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
+    basis = [q / np.linalg.norm(q)]
+    alpha: list[float] = []
+    beta: list[float] = []
+    for _ in range(nd):
+        w = signless_apply(structure, Z, basis[-1].reshape(structure.n, d, 1)).reshape(-1)
+        alpha.append(float(np.vdot(basis[-1], w).real))
+        B = np.asarray(basis)
+        for _ in range(2):  # twice is enough for orthogonality to rounding error
+            w = w - B.T @ (B.conj() @ w)
+        b = float(np.linalg.norm(w))
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, S = np.linalg.eigh(T)
+        if b * abs(S[-1, -1]) <= LANCZOS_TOL:
+            break
+        beta.append(b)
+        basis.append(w / b)
+    return float(theta[-1])
 
 
 def synthetic_benchmark_config(seed: int = 0, q: float = 0.1) -> tuple[ModelConfig, TrainingBudget]:
@@ -765,7 +790,8 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
     ``dataset`` must expose ``hypergraph``, ``features``, ``labels`` and
     ``masks`` (train/val/test boolean arrays).  Returns the best-validation
     state, the per-epoch metric history, and the test accuracy of the best
-    state.  Raises :class:`TrainingDiverged` on a non-finite loss.
+    state, read from that epoch's validation logits.  Raises
+    :class:`TrainingDiverged` on a non-finite loss.
     """
     H = dataset.hypergraph
     structure = IncidenceStructure.build(H)
@@ -778,19 +804,31 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
     best_state = state.copy()
     best_val = -1.0
     best_epoch = 0
+    best_logits = None
     history: list[dict] = []
     since_best = 0
+    # Without sheaf dropout a training forward equals the evaluation forward,
+    # so the next step's logits are this step's validation logits.
+    reuse_step = not (config.sheaf_dropout and config.dropout_rate > 0.0)
+    next_step = None
 
-    for epoch in range(1, budget.max_epochs + 1):
-        loss, grads, logits = loss_and_gradients(
+    def step():
+        return loss_and_gradients(
             features, structure, labels, train_mask, state, config,
             training=True, dropout_rng=dropout_rng,
         )
+
+    for epoch in range(1, budget.max_epochs + 1):
+        loss, grads, logits = next_step or step()
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch, loss)
         _adam_step(state, grads, config, budget)
 
-        eval_logits = forward(features, H, state, config, structure=structure)
+        if reuse_step and epoch < budget.max_epochs:
+            next_step = step()
+            eval_logits = next_step[2]
+        else:
+            eval_logits = forward(features, H, state, config, structure=structure)
         row = {
             "epoch": epoch,
             "train_loss": loss,
@@ -810,17 +848,19 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
             best_val = row["val_acc"]
             best_epoch = epoch
             best_state = state.copy()
+            best_logits = eval_logits
             since_best = 0
         else:
             since_best += 1
             if since_best >= budget.patience:
                 break
 
-    test_logits = forward(features, H, best_state, config, structure=structure)
+    if best_logits is None:
+        best_logits = forward(features, H, best_state, config, structure=structure)
     return TrainResult(
         state=best_state,
         history=history,
-        test_acc=accuracy(test_logits, labels, test_mask),
+        test_acc=accuracy(best_logits, labels, test_mask),
         best_epoch=best_epoch,
         best_val_acc=best_val,
     )

@@ -89,6 +89,10 @@ def test_segment_plan_handles_empty_segments():
     plan = SegmentPlan.build(np.array([2, 0, 2]), 4)
     values = np.array([[1.0], [5.0], [2.0]])
     np.testing.assert_allclose(plan.apply(values), [[5.0], [0.0], [3.0], [0.0]])
+    for ids, expected in (([0, 0, 2], [[6.0], [0.0], [2.0], [0.0]]), ([0, 2, 3], [[1.0], [0.0], [5.0], [2.0]])):
+        presorted = SegmentPlan.build(np.array(ids), 4)
+        assert presorted.presorted
+        np.testing.assert_allclose(presorted.apply(values), expected)
     empty_plan = SegmentPlan.build(np.array([], dtype=int), 3)
     np.testing.assert_allclose(empty_plan.apply(np.zeros((0, 2))), np.zeros((3, 2)))
 

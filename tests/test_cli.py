@@ -119,6 +119,33 @@ def test_train_writes_metrics_and_manifest(tmp_path):
     assert lines[-1].startswith("test_acc,")
 
 
+def test_train_writes_lambda_max_column_when_probing(tmp_path):
+    prefix = gen_small(tmp_path)
+    metrics = tmp_path / "metrics.csv"
+    code = run([
+        "train", "--data", str(prefix), "--layers", "1", "--stalk-dim", "2",
+        "--hidden", "4", "--epochs", "4", "--patience", "10", "--eigencheck-every", "2",
+        "--metrics-out", str(metrics),
+    ])
+    assert code == 0
+    lines = metrics.read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,train_acc,val_acc,lambda_max"
+    probes = [line.split(",")[4] for line in lines[1:5]]
+    assert probes[0] == probes[2] == ""
+    assert all(0.0 <= float(lam) <= 1 + 1e-6 for lam in probes[1::2])
+
+
+def test_negative_eigencheck_interval_is_usage_error(tmp_path, capsys):
+    prefix = gen_small(tmp_path)
+    code = run([
+        "train", "--data", str(prefix), "--epochs", "2", "--eigencheck-every", "-2",
+        "--metrics-out", str(tmp_path / "m.csv"),
+    ])
+    assert code == 2
+    assert "eigencheck_every" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_train_replay_is_bit_identical(tmp_path):
     prefix = gen_small(tmp_path)
     argv = [
