@@ -1,9 +1,11 @@
-"""Reverse-mode differentiation over real numpy arrays.
+"""Reverse-mode differentiation over real and complex numpy arrays.
 
 A :class:`Tape` records operations in forward order; ``backward`` walks the
 record in reverse and accumulates vector-Jacobian products into ``.grad``.
-Complex quantities elsewhere in the package are handled as explicit
-real/imaginary pairs of these tensors, so every recorded value is real.
+A tensor holds float64 or complex128 values.  The loss is real, and a
+complex tensor's gradient is ``dL/dRe z + i dL/dIm z`` (twice the conjugate
+Wirtinger derivative), so a holomorphic op ``f`` passes ``g conj(f'(z))``
+back to its input.  A real tensor keeps the real part of what it is sent.
 
 Operations involving only constants are not recorded, which keeps graphs
 small when large parts of a computation are detached.
@@ -24,11 +26,11 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "matmul",
+    "real",
+    "imag",
     "transpose",
     "reshape",
-    "unstack",
     "concat",
     "gather",
     "segment_sum",
@@ -51,7 +53,7 @@ class Tape:
         self.nodes: list[Tensor] = []
 
     def tensor(self, value, requires_grad=False) -> "Tensor":
-        return Tensor(self, np.asarray(value, dtype=float), requires_grad=requires_grad)
+        return Tensor(self, value, requires_grad=requires_grad)
 
     def backward(self, loss: "Tensor") -> None:
         """Accumulate gradients of a scalar ``loss`` into every tracked tensor."""
@@ -68,7 +70,8 @@ class Tensor:
 
     def __init__(self, tape: Tape, value: np.ndarray, requires_grad: bool = False):
         self.tape = tape
-        self.value = np.asarray(value, dtype=float)
+        value = np.asarray(value)
+        self.value = value.astype(complex if value.dtype.kind == "c" else float, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._backward = None
@@ -78,9 +81,11 @@ class Tensor:
         return self.value.shape
 
     def accumulate(self, g: np.ndarray) -> None:
+        if g.dtype.kind == "c" and self.value.dtype.kind != "c":
+            g = g.real
         if self.grad is None:
             # an owned copy: later contributions add into it in place
-            self.grad = np.array(g, dtype=float)
+            self.grad = np.array(g, dtype=self.value.dtype)
         else:
             self.grad += g
 
@@ -145,12 +150,9 @@ def sub(a, b):
     return record(tape, value, (a, b), backward)
 
 
-def neg(a: Tensor):
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(-g)
-
-    return record(a.tape, -a.value, (a,), backward)
+def _conj(x: np.ndarray) -> np.ndarray:
+    """Complex conjugate; a real array is returned as is, without a copy."""
+    return np.conj(x) if x.dtype.kind == "c" else x
 
 
 def mul(a, b):
@@ -160,9 +162,9 @@ def mul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.value, a.value.shape))
+            a.accumulate(_unbroadcast(g * _conj(b.value), a.value.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.value, b.value.shape))
+            b.accumulate(_unbroadcast(g * _conj(a.value), b.value.shape))
 
     return record(tape, value, (a, b), backward)
 
@@ -174,28 +176,71 @@ def div(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g / b.value, a.value.shape))
+            a.accumulate(_unbroadcast(g / _conj(b.value), a.value.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(-g * a.value / (b.value**2), b.value.shape))
+            b.accumulate(_unbroadcast(-g * _conj(a.value) / (_conj(b.value) ** 2), b.value.shape))
 
     return record(tape, value, (a, b), backward)
+
+
+def _float_view(x: np.ndarray) -> np.ndarray:
+    """A complex array's last axis as interleaved (re, im) floats."""
+    return np.ascontiguousarray(x).view(float)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, with a real operand kept on a real BLAS path.
+
+    A real matrix acting from the left is applied to the other operand's
+    interleaved (re, im) float view.  A complex stack times a real matrix is
+    one 2-D product, not one product per batch entry.
+    """
+    if a.dtype.kind != "c" and b.dtype.kind == "c" and b.ndim >= 2:
+        return (a @ _float_view(b)).view(complex)
+    if a.dtype.kind == "c" and b.dtype.kind != "c" and b.ndim == 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
+    return a @ b
 
 
 def matmul(a, b):
     """``np.matmul`` semantics, including batched operands."""
     tape = (a if isinstance(a, Tensor) else b).tape
     a, b = _as_tensor(tape, a), _as_tensor(tape, b)
-    value = a.value @ b.value
+    value = _product(a.value, b.value)
 
     def backward(g):
         if a.requires_grad:
-            ga = g @ np.swapaxes(b.value, -1, -2)
+            if a.value.dtype.kind == "c" or b.value.dtype.kind != "c":
+                ga = _product(g, np.swapaxes(_conj(b.value), -1, -2))
+            else:  # a real target takes Re(g b^H): one real product of the float views
+                ga = _float_view(g) @ np.swapaxes(_float_view(b.value), -1, -2)
             a.accumulate(_unbroadcast(ga, a.value.shape))
         if b.requires_grad:
-            gb = np.swapaxes(a.value, -1, -2) @ g
+            if b.value.dtype.kind == "c" or a.value.dtype.kind != "c" or b.value.ndim != 2:
+                gb = _product(np.swapaxes(_conj(a.value), -1, -2), g)
+            else:  # Re(a^H g) summed over the stack, from one product of the float views
+                k, f = b.value.shape
+                P = _float_view(a.value.reshape(-1, k)).T @ _float_view(g.reshape(-1, f))
+                gb = P[::2, ::2] + P[1::2, 1::2]
             b.accumulate(_unbroadcast(gb, b.value.shape))
 
     return record(tape, value, (a, b), backward)
+
+
+def real(a: Tensor):
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g)
+
+    return record(a.tape, np.real(a.value), (a,), backward)
+
+
+def imag(a: Tensor):
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(1j * g)
+
+    return record(a.tape, np.imag(a.value), (a,), backward)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]):
@@ -216,21 +261,6 @@ def reshape(a: Tensor, shape):
             a.accumulate(g.reshape(old))
 
     return record(a.tape, a.value.reshape(shape), (a,), backward)
-
-
-def unstack(a: Tensor) -> tuple[Tensor, ...]:
-    """The slices ``a[0], a[1], ...`` along axis 0, each recorded as a view."""
-
-    def view(i):
-        def backward(g):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.value)
-                a.grad[i] += g
-
-        return record(a.tape, a.value[i], (a,), backward)
-
-    return tuple(view(i) for i in range(a.value.shape[0]))
 
 
 def concat(tensors, axis=0):
@@ -323,13 +353,8 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False):
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims=False):
-    if axis is None:
-        count = a.value.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.value.shape[ax] for ax in axis]))
-    else:
-        count = a.value.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    total = reduce_sum(a, axis=axis, keepdims=keepdims)
+    return mul(total, total.value.size / a.value.size)
 
 
 def sigmoid(a: Tensor):

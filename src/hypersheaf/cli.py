@@ -281,9 +281,9 @@ def _dataset_input_paths(prefix: str) -> list[Path]:
 def cmd_train(args, argv) -> int:
     t0 = time.time()
     _check_q_range(args.q)
-    budget = _budget_from_args(args)
+    config, budget = _model_config_from_args(args), _budget_from_args(args)
     dataset = read_dataset(args.data)
-    result = train(dataset, _model_config_from_args(args), budget)
+    result = train(dataset, config, budget)
     out = Path(args.metrics_out)
     _write_metrics(out, result, budget.eigencheck_every > 0)
     write_manifest(
@@ -298,16 +298,17 @@ def cmd_train(args, argv) -> int:
 
 def cmd_q_sweep(args, argv) -> int:
     t0 = time.time()
-    dataset = read_dataset(args.data)
     grid = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
     for q in grid:
         _check_q_range(q)
+    configs = [_model_config_from_args(args, q=q) for q in grid]
+    budget = _budget_from_args(args)
+    dataset = read_dataset(args.data)
     out = Path(args.out)
     rows = ["q,test_acc"]
-    budget = _budget_from_args(args)
     try:
-        for q in grid:
-            result = train(dataset, _model_config_from_args(args, q=q), budget)
+        for q, config in zip(grid, configs):
+            result = train(dataset, config, budget)
             rows.append(f"{q:.17g},{result.test_acc:.17g}")
             print(f"q={q:g}: test accuracy {result.test_acc:.4f}")
     finally:

@@ -6,9 +6,9 @@ assembles the normalized signless operator ``Q_N = Z^dagger Z`` with
 
     X_{t+1} = crelu(layernorm(Q_N (I_n (x) W1) X_t W2 [+ X_t]))
 
-on a complex signal held as a real/imaginary pair.  The light variant keeps
-the map-predictor frozen and detaches the operator from the backward pass;
-the signal path itself stays differentiable.
+to a complex signal, one complex tensor on the autodiff tape.  The light
+variant keeps the map-predictor frozen and detaches the operator from the
+backward pass; the signal path itself stays differentiable.
 """
 
 from __future__ import annotations
@@ -124,13 +124,16 @@ class ModelConfig:
     dynamic_sheaf: bool = False
     left_projection: bool = True
     use_layer_norm: bool = True
-    phi_depth: int = 1
 
     def __post_init__(self):
         if not (0 <= self.num_layers <= 5):
             raise ValueError("num_layers must be in [0, 5]")
         if not (1 <= self.stalk_dim <= 6):
             raise ValueError("stalk_dim must be in [1, 6]")
+        if self.hidden_width < 1:
+            raise ValueError("hidden_width must be >= 1")
+        if self.classifier_width < 1:
+            raise ValueError("classifier_width must be >= 1")
         if self.sheaf_activation not in ("sigmoid", "tanh", "none"):
             raise ValueError("sheaf_activation must be sigmoid, tanh or none")
         if self.map_shape not in ("diagonal", "full"):
@@ -139,8 +142,6 @@ class ModelConfig:
             raise ValueError("hyperedge_aggregation must be mean or sum")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.phi_depth not in (1, 2):
-            raise ValueError("phi_depth must be 1 or 2")
 
     @property
     def phi_input_width(self) -> int:
@@ -190,15 +191,8 @@ def init_state(config: ModelConfig, input_width: int, num_classes: int) -> Model
     params["proj_b"] = np.zeros(d * f)
     for layer in range(config.num_layers):
         p_in, p_out = config.phi_input_width, config.phi_output_width
-        if config.phi_depth == 1:
-            params[f"phi{layer}_W"] = _glorot(rng, p_in, p_out)
-            params[f"phi{layer}_b"] = np.zeros(p_out)
-        else:
-            hidden = 2 * d * f
-            params[f"phi{layer}_W"] = _glorot(rng, p_in, hidden)
-            params[f"phi{layer}_b"] = np.zeros(hidden)
-            params[f"phi{layer}_W2"] = _glorot(rng, hidden, p_out)
-            params[f"phi{layer}_b2"] = np.zeros(p_out)
+        params[f"phi{layer}_W"] = _glorot(rng, p_in, p_out)
+        params[f"phi{layer}_b"] = np.zeros(p_out)
         params[f"W1_{layer}"] = _glorot(rng, d, d, (d, d))
         params[f"W2_{layer}"] = _glorot(rng, f, f, (f, f))
         params[f"ln{layer}_gamma"] = np.eye(2) / math.sqrt(2.0)
@@ -215,22 +209,13 @@ def init_state(config: ModelConfig, input_width: int, num_classes: int) -> Model
 # --- tape-level building blocks ----------------------------------------------------
 
 
-def _pair(re: Tensor, im: Tensor) -> tuple[Tensor, Tensor]:
-    return (re, im)
-
-
-def _detach(t: Tensor) -> Tensor:
-    return t.tape.tensor(t.value)
-
-
 def _scalar_entries(mat: Tensor, k: int):
     flat = ad.reshape(mat, (-1,))
     return [ad.gather(flat, np.array([i])) for i in range(k)]
 
 
 def _predict_maps(
-    tape: Tape,
-    X: tuple[Tensor, Tensor],
+    X: Tensor,
     structure: IncidenceStructure,
     phi: dict[str, Tensor],
     config: ModelConfig,
@@ -242,27 +227,13 @@ def _predict_maps(
     """
     d, f = config.stalk_dim, config.hidden_width
     num_inc = len(structure.inc_node)
-    xr, xi = X
-    gr = ad.gather(xr, structure.inc_node)
-    gi = ad.gather(xi, structure.inc_node)
-    er = ad.segment_sum(gr, structure.edge_plan)
-    ei = ad.segment_sum(gi, structure.edge_plan)
+    node = ad.gather(X, structure.inc_node)
+    edge = ad.segment_sum(node, structure.edge_plan)
     if config.hyperedge_aggregation == "mean":
-        inv = (1.0 / structure.delta)[:, None, None]
-        er = ad.mul(er, inv)
-        ei = ad.mul(ei, inv)
-    her = ad.gather(er, structure.inc_edge)
-    hei = ad.gather(ei, structure.inc_edge)
-    parts = [
-        ad.reshape(gr, (num_inc, d * f)),
-        ad.reshape(gi, (num_inc, d * f)),
-        ad.reshape(her, (num_inc, d * f)),
-        ad.reshape(hei, (num_inc, d * f)),
-    ]
-    inp = ad.concat(parts, axis=1)
-    h = ad.add(ad.matmul(inp, phi["W"]), phi["b"])
-    if config.phi_depth == 2:
-        h = ad.add(ad.matmul(ad.tanh(h), phi["W2"]), phi["b2"])
+        edge = ad.mul(edge, (1.0 / structure.delta)[:, None, None])
+    edge = ad.gather(edge, structure.inc_edge)
+    parts = [ad.reshape(part(t), (num_inc, d * f)) for t in (node, edge) for part in (ad.real, ad.imag)]
+    h = ad.add(ad.matmul(ad.concat(parts, axis=1), phi["W"]), phi["b"])
     if config.sheaf_activation == "sigmoid":
         h = ad.sigmoid(h)
     elif config.sheaf_activation == "tanh":
@@ -292,13 +263,12 @@ def _newton_schulz_inverse_sqrt(D: Tensor, d: int, iters: int = NEWTON_SCHULZ_IT
     return ad.div(Z, ad.sqrt(tr))
 
 
-def _operator_blocks(
-    maps: Tensor, structure: IncidenceStructure, config: ModelConfig
-) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Normalized per-incidence factor blocks ``M_k`` plus phase constants.
+def _operator_blocks(maps: Tensor, structure: IncidenceStructure, config: ModelConfig) -> Tensor:
+    """Normalized per-incidence factor blocks ``Z_k = delta_e^{-1/2} S_k M_k``.
 
-    ``Z_k = delta_e^{-1/2} S_k M_k`` with ``M_k = F_k D_{u_k}^{-1/2}``; the
-    weight ``delta^{-1/2}`` is folded into the returned phase constants.
+    ``M_k = F_k D_{u_k}^{-1/2}`` is real; the phase ``S_k`` and the weight
+    ``delta_e^{-1/2}`` are constants, so ``M``'s gradient is the real part
+    of ``conj(S_k) delta_e^{-1/2}`` times ``Z``'s.
     """
     d = config.stalk_dim
     if config.map_shape == "diagonal":
@@ -312,71 +282,40 @@ def _operator_blocks(
         D = ad.add(D, DEGREE_EPS * np.eye(d)[None, :, :])
         dinv = _newton_schulz_inverse_sqrt(D, d)
         M = ad.matmul(maps, ad.gather(dinv, structure.inc_node))
-    phases = structure.phases(config.q)
-    c, s = phases.real, phases.imag
-    w = 1.0 / np.sqrt(structure.delta[structure.inc_edge])
-    if config.map_shape == "diagonal":
-        cw = (c * w)[:, None]
-        sw = (s * w)[:, None]
-    else:
-        cw = (c * w)[:, None, None]
-        sw = (s * w)[:, None, None]
-    return M, cw, sw
+    s = structure.phases(config.q) / np.sqrt(structure.delta[structure.inc_edge])
+    return ad.mul(M, s.reshape((-1,) + (1,) * (len(M.shape) - 1)))
 
 
-def _apply_signless(
-    M: Tensor,
-    cw: np.ndarray,
-    sw: np.ndarray,
-    X: tuple[Tensor, Tensor],
-    structure: IncidenceStructure,
-    config: ModelConfig,
-) -> tuple[Tensor, Tensor]:
-    """Apply ``Q_N = Z^dagger Z``, ``Z_k = (cw_k + i sw_k) M_k``, to a signal pair.
+def _apply_signless(Z: Tensor, X: Tensor, structure: IncidenceStructure, config: ModelConfig) -> Tensor:
+    """Apply ``Q_N = Z^dagger Z`` to a signal ``X`` ``(n, d, f)``, as one tape node.
 
-    One tape node, split into its real and imaginary parts by two views.
     ``Q_N`` is Hermitian, so the signal's gradient is ``Q_N G`` for the
-    output gradient ``G``.  The blocks' gradient is
-    ``Re(conj(s_k) (U_e G_u^H + V_e X_u^H))`` with the edge halves
-    ``U = Z X`` (kept from the forward) and ``V = Z G``.
+    output gradient ``G``.  The blocks' gradient is ``U_e G_u^H + V_e X_u^H``
+    with the edge halves ``U = Z X`` (kept from the forward) and ``V = Z G``.
     """
-    xr, xi = X
-    s = cw + 1j * sw
-    Z = s * M.value
-    x = xr.value + 1j * xi.value
-    U = factor_apply(structure, Z, x)
-    y = factor_adjoint_apply(structure, Z, U)
+    z, x = Z.value, X.value
+    U = factor_apply(structure, z, x)
 
-    def backward(g):
-        G = g[0] + 1j * g[1]
-        V = factor_apply(structure, Z, G)
-        if xr.requires_grad or xi.requires_grad:
-            gx = factor_adjoint_apply(structure, Z, V)
-            if xr.requires_grad:
-                xr.accumulate(gx.real)
-            if xi.requires_grad:
-                xi.accumulate(gx.imag)
-        if M.requires_grad:
+    def backward(G):
+        V = factor_apply(structure, z, G)
+        if X.requires_grad:
+            X.accumulate(factor_adjoint_apply(structure, z, V))
+        if Z.requires_grad:
             u, e = structure.inc_node, structure.inc_edge
             if config.map_shape == "diagonal":
                 C = (U[e] * np.conj(G[u])).sum(axis=-1) + (V[e] * np.conj(x[u])).sum(axis=-1)
             else:
                 C = U[e] @ np.conj(np.swapaxes(G[u], 1, 2)) + V[e] @ np.conj(np.swapaxes(x[u], 1, 2))
-            M.accumulate(cw * C.real + sw * C.imag)
+            Z.accumulate(C)
 
-    out = ad.record(xr.tape, np.stack([y.real, y.imag]), (M, xr, xi), backward)
-    return _pair(*ad.unstack(out))
+    return ad.record(X.tape, factor_adjoint_apply(structure, z, U), (Z, X), backward)
 
 
-def _layer_norm_pair(
-    X: tuple[Tensor, Tensor], gamma: Tensor, beta: Tensor, n_rows: int, f: int
-) -> tuple[Tensor, Tensor]:
-    xr = ad.reshape(X[0], (n_rows, f))
-    xi = ad.reshape(X[1], (n_rows, f))
-    mur = ad.reduce_mean(xr, axis=0, keepdims=True)
-    mui = ad.reduce_mean(xi, axis=0, keepdims=True)
-    cr = ad.sub(xr, mur)
-    ci = ad.sub(xi, mui)
+def _layer_norm_pair(X: Tensor, gamma: Tensor, beta: Tensor, n_rows: int, f: int) -> Tensor:
+    """:func:`complex_layer_norm` of ``X`` seen as ``(n_rows, f)``, on the tape."""
+    X = ad.reshape(X, (n_rows, f))
+    C = ad.sub(X, ad.reduce_mean(X, axis=0, keepdims=True))
+    cr, ci = ad.real(C), ad.imag(C)
     s_rr = ad.add(ad.reduce_mean(ad.mul(cr, cr), axis=0, keepdims=True), LAYER_NORM_EPS)
     s_ii = ad.add(ad.reduce_mean(ad.mul(ci, ci), axis=0, keepdims=True), LAYER_NORM_EPS)
     s_ri = ad.reduce_mean(ad.mul(cr, ci), axis=0, keepdims=True)
@@ -386,18 +325,27 @@ def _layer_norm_pair(
     w00 = ad.div(ad.add(s_ii, root), denom)
     w11 = ad.div(ad.add(s_rr, root), denom)
     w01 = ad.div(ad.mul(s_ri, -1.0), denom)
-    tr_ = ad.add(ad.mul(w00, cr), ad.mul(w01, ci))
-    ti_ = ad.add(ad.mul(w01, cr), ad.mul(w11, ci))
-    g00, g01, g10, g11 = _scalar_entries(gamma, 4)
+    # out_r + i out_i = [1, i] (gamma W (cr, ci) + beta), with W the 2x2 whitening
+    c0, c1 = _scalar_entries(ad.matmul(np.array([1.0, 1j]), gamma), 2)
     b0, b1 = _scalar_entries(beta, 2)
-    out_r = ad.add(ad.add(ad.mul(g00, tr_), ad.mul(g01, ti_)), b0)
-    out_i = ad.add(ad.add(ad.mul(g10, tr_), ad.mul(g11, ti_)), b1)
-    return out_r, out_i
+    a_r = ad.add(ad.mul(c0, w00), ad.mul(c1, w01))
+    a_i = ad.add(ad.mul(c0, w01), ad.mul(c1, w11))
+    return ad.add(ad.add(ad.mul(a_r, cr), ad.mul(a_i, ci)), ad.add(b0, ad.mul(b1, 1j)))
 
 
-def _complex_relu_pair(X: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    mask = (X[0].value > 0).astype(float)
-    return ad.mul(X[0], mask), ad.mul(X[1], mask)
+def _diffuse(
+    X: Tensor, Z: Tensor, W1: Tensor, W2: Tensor, gamma: Tensor, beta: Tensor,
+    structure: IncidenceStructure, config: ModelConfig,
+) -> Tensor:
+    """``layernorm(Q_N (I_n (x) W1) X W2 [+ X])``: one layer before its rectifier."""
+    n, d, f = structure.n, config.stalk_dim, config.hidden_width
+    H = ad.matmul(W1, X) if config.left_projection else X
+    Y = _apply_signless(Z, ad.matmul(H, W2), structure, config)
+    if config.residual:
+        Y = ad.add(Y, X)
+    if config.use_layer_norm:
+        Y = ad.reshape(_layer_norm_pair(Y, gamma, beta, n * d, f), (n, d, f))
+    return Y
 
 
 # --- forward ----------------------------------------------------------------
@@ -407,15 +355,13 @@ def _complex_relu_pair(X: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
 class ForwardAux:
     """Per-layer operator ingredients captured for diagnostics."""
 
-    layer_factors: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
+    layer_factors: list[np.ndarray] = field(default_factory=list)  # each layer's ``Z``
     map_values: list[np.ndarray] = field(default_factory=list)
 
     def factor(self, config: ModelConfig, layer: int) -> np.ndarray:
-        """Complex factor blocks ``Z_k`` ``(I, d, d)`` of one layer, from the captured factors."""
-        M, cw, sw = self.layer_factors[layer]
-        if config.map_shape == "diagonal":
-            M = M[:, :, None] * np.eye(config.stalk_dim)
-        return (cw + 1j * sw)[:, None, None] * M
+        """Complex factor blocks ``Z_k`` ``(I, d, d)`` of one layer."""
+        Z = self.layer_factors[layer]
+        return Z[:, :, None] * np.eye(config.stalk_dim) if Z.ndim == 2 else Z
 
     def dense_signless(self, structure: IncidenceStructure, config: ModelConfig, layer: int) -> np.ndarray:
         """Dense ``Q_N`` of one layer, rebuilt from the captured factors."""
@@ -449,10 +395,7 @@ def _forward_tape(
         for name, value in state.params.items()
     }
     feats = tape.tensor(np.asarray(features, dtype=float))
-    proj = ad.add(ad.matmul(feats, P["proj_W"]), P["proj_b"])
-    xr = ad.reshape(proj, (n, d, f))
-    xi = tape.tensor(np.zeros((n, d, f)))
-    X = _pair(xr, xi)
+    X = ad.reshape(ad.add(ad.matmul(feats, P["proj_W"]), P["proj_b"]), (n, d, f))
     aux = ForwardAux()
 
     maps_cache: Tensor | None = None
@@ -464,8 +407,8 @@ def _forward_tape(
         elif config.dynamic_sheaf or maps_cache is None:
             # light mode detaches the operator: the frozen predictor then
             # reads a detached signal, so nothing of it is recorded
-            source = (_detach(X[0]), _detach(X[1])) if config.light_mode else X
-            maps = _predict_maps(tape, source, structure, phi, config)
+            source = tape.tensor(X.value) if config.light_mode else X
+            maps = _predict_maps(source, structure, phi, config)
             if training and config.sheaf_dropout and config.dropout_rate > 0.0:
                 if dropout_rng is None:
                     raise ValueError("sheaf dropout requires a generator during training")
@@ -478,29 +421,18 @@ def _forward_tape(
         else:
             maps = maps_cache
 
-        M, cw, sw = _operator_blocks(maps, structure, config)
+        Z = _operator_blocks(maps, structure, config)
         if collect_aux:
-            aux.layer_factors.append((M.value.copy(), cw.reshape(-1).copy(), sw.reshape(-1).copy()))
+            aux.layer_factors.append(Z.value.copy())
             aux.map_values.append(maps.value.copy())
+        Y = _diffuse(
+            X, Z, P[f"W1_{layer}"], P[f"W2_{layer}"], P[f"ln{layer}_gamma"], P[f"ln{layer}_beta"],
+            structure, config,
+        )
+        X = ad.mul(Y, Y.value.real > 0)  # the complex rectifier
 
-        if config.left_projection:
-            hr = ad.matmul(P[f"W1_{layer}"], X[0])
-            hi = ad.matmul(P[f"W1_{layer}"], X[1])
-        else:
-            hr, hi = X
-        hr = ad.matmul(hr, P[f"W2_{layer}"])
-        hi = ad.matmul(hi, P[f"W2_{layer}"])
-        Y = _apply_signless(M, cw, sw, _pair(hr, hi), structure, config)
-        if config.residual:
-            Y = _pair(ad.add(Y[0], X[0]), ad.add(Y[1], X[1]))
-        if config.use_layer_norm:
-            Yr, Yi = _layer_norm_pair(Y, P[f"ln{layer}_gamma"], P[f"ln{layer}_beta"], n * d, f)
-            Y = _pair(ad.reshape(Yr, (n, d, f)), ad.reshape(Yi, (n, d, f)))
-        X = _complex_relu_pair(Y)
-
-    flat_r = ad.reshape(X[0], (n, d * f))
-    flat_i = ad.reshape(X[1], (n, d * f))
-    unwound = ad.concat([flat_r, flat_i], axis=1)
+    flat = ad.reshape(X, (n, d * f))
+    unwound = ad.concat([ad.real(flat), ad.imag(flat)], axis=1)
     hidden = ad.relu(ad.add(ad.matmul(unwound, P["cls1_W"]), P["cls1_b"]))
     logits = ad.add(ad.matmul(hidden, P["cls2_W"]), P["cls2_b"])
     return logits, aux, P
@@ -561,29 +493,13 @@ def diffusion_layer(
     if config.map_shape == "diagonal":
         F = np.diagonal(F, axis1=1, axis2=2).copy()
     tape = Tape()
-    maps = tape.tensor(F)
-    M, cw, sw = _operator_blocks(maps, structure, config)
-    Xc = np.asarray(X, dtype=complex).reshape(n, d, f)
-    pair = (tape.tensor(Xc.real), tape.tensor(Xc.imag))
-    if left_projection:
-        hr = ad.matmul(tape.tensor(np.asarray(W1, dtype=float)), pair[0])
-        hi = ad.matmul(tape.tensor(np.asarray(W1, dtype=float)), pair[1])
-    else:
-        hr, hi = pair
-    hr = ad.matmul(hr, tape.tensor(np.asarray(W2, dtype=float)))
-    hi = ad.matmul(hi, tape.tensor(np.asarray(W2, dtype=float)))
-    Y = _apply_signless(M, cw, sw, (hr, hi), structure, config)
-    if residual:
-        Y = (ad.add(Y[0], pair[0]), ad.add(Y[1], pair[1]))
-    if gamma is not None:
-        Yr, Yi = _layer_norm_pair(
-            Y, tape.tensor(np.asarray(gamma, dtype=float)), tape.tensor(np.asarray(beta, dtype=float)), n * d, f
-        )
-        Y = (ad.reshape(Yr, (n, d, f)), ad.reshape(Yi, (n, d, f)))
+    Z = _operator_blocks(tape.tensor(F), structure, config)
+    W1, W2, gamma, beta = (None if v is None else tape.tensor(v) for v in (W1, W2, gamma, beta))
+    X = tape.tensor(np.asarray(X).reshape(n, d, f))
+    Y = _diffuse(X, Z, W1, W2, gamma, beta, structure, config).value
     if apply_activation:
-        Y = _complex_relu_pair(Y)
-    out = Y[0].value + 1j * Y[1].value
-    return out.reshape(n * d, f)
+        Y = complex_relu(Y)
+    return Y.reshape(n * d, f)
 
 
 def predict_sheaf(
@@ -603,12 +519,8 @@ def predict_sheaf(
     if X.shape != (n * d, f):
         raise ValueError(f"signal must have shape {(n * d, f)}, got {X.shape}")
     tape = Tape()
-    pair = (
-        tape.tensor(X.real.reshape(n, d, f)),
-        tape.tensor(X.imag.reshape(n, d, f)),
-    )
     phi = {k: tape.tensor(v) for k, v in phi_params.items()}
-    values = _predict_maps(tape, pair, structure, phi, config).value
+    values = _predict_maps(tape.tensor(X.reshape(n, d, f)), structure, phi, config).value
     maps, roles = {}, {}
     for k, (u, e) in enumerate(zip(structure.inc_node, structure.inc_edge)):
         entry = values[k]
@@ -677,6 +589,10 @@ class TrainingBudget:
     eigencheck_every: int = 0  # 0 disables the periodic spectral safety probe
 
     def __post_init__(self):
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
         if self.eigencheck_every < 0:
             raise ValueError("eigencheck_every must be >= 0 (0 disables the probe)")
 
@@ -725,20 +641,15 @@ def operator_lambda_max(
 ) -> float:
     """Largest eigenvalue of one layer's normalized signless operator.
 
-    Exact (via the Hermitian eigensolver) for small operators.  Above the
-    dense cap, Lanczos on ``Z^dagger Z`` with full reorthogonalisation from a
-    seeded random start, stopped once the top Ritz pair's residual norm is at
-    most ``LANCZOS_TOL``.  The Ritz value is a Rayleigh quotient, so it never
+    Lanczos on ``Z^dagger Z`` with full reorthogonalisation from a seeded
+    random start, stopped once the top Ritz pair's residual norm is at most
+    ``LANCZOS_TOL``; within ``n d`` steps the Krylov space is exhausted and the
+    residual vanishes.  The Ritz value is a Rayleigh quotient, so it never
     exceeds ``lambda_max``, and an eigenvalue lies within the residual of it.
     """
-    from .spectral import hermitian_eigenvalues
-
     d = config.stalk_dim
     nd = structure.n * d
-    if nd <= 256:
-        Q = aux.dense_signless(structure, config, layer)
-        return float(hermitian_eigenvalues(Q)[-1])
-    Z = aux.factor(config, layer)
+    Z = aux.layer_factors[layer]
     rng = np.random.default_rng(0)
     q = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
     basis = [q / np.linalg.norm(q)]

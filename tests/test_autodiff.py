@@ -192,3 +192,47 @@ def test_finite_difference_check_passes_and_fails():
 
     with pytest.raises(AssertionError, match="gradient mismatch"):
         ad.finite_difference_check(wrong, params, n_probes=3)
+
+
+def test_complex_ops_match_finite_differences():
+    # complex operands are built on the tape from real (re, im) inputs, so
+    # the finite differences probe real coordinates only
+    rng = np.random.default_rng(6)
+    shapes = {
+        "ar": (4, 2, 3), "ai": (4, 2, 3), "cr": (2, 3), "ci": (2, 3), "br": (3, 5), "bi": (3, 5),
+        "r": (2, 3), "w": (2, 2), "v": (3, 5), "s": (4, 3, 5), "t": (4, 2, 3),
+    }
+    params = {name: rng.uniform(0.5, 1.5, size=shape) for name, shape in shapes.items()}
+    weights = [rng.standard_normal(2) for _ in range(10)]
+
+    def build_loss(p):
+        tape = Tape()
+        T = {name: tape.tensor(value, requires_grad=True) for name, value in p.items()}
+        a = ad.add(T["ar"], ad.mul(T["ai"], 1j))
+        c = ad.add(T["cr"], ad.mul(T["ci"], 1j))
+        b = ad.add(T["br"], ad.mul(T["bi"], 1j))
+        outputs = [
+            ad.mul(a, T["r"]), ad.mul(a, c), ad.div(a, T["r"]), ad.div(T["r"], c), ad.div(a, c),
+            ad.matmul(T["w"], a), ad.matmul(a, T["v"]), ad.matmul(a, b), ad.matmul(T["t"], b),
+            ad.matmul(a, T["s"]),
+        ]
+        loss = tape.tensor(0.0)
+        for out, (wr, wi) in zip(outputs, weights):
+            # quadratic in the imaginary part, so its gradient is not constant
+            part = ad.add(ad.mul(ad.real(out), wr), ad.mul(ad.mul(ad.imag(out), ad.imag(out)), wi))
+            loss = ad.add(loss, ad.reduce_sum(part))
+        tape.backward(loss)
+        return float(loss.value), {name: t.grad for name, t in T.items()}
+
+    worst = ad.finite_difference_check(build_loss, params, n_probes=12, rel_tol=1e-6)
+    assert set(worst) == set(shapes)
+
+
+def test_real_tensor_keeps_real_gradient():
+    tape = Tape()
+    x = tape.tensor(np.array([1.0, 2.0]), requires_grad=True)
+    z = ad.mul(x, np.array([1j, 2.0 - 1.0j]))
+    assert z.value.dtype == complex
+    tape.backward(ad.reduce_sum(ad.imag(z)))
+    assert x.grad.dtype == float
+    np.testing.assert_array_equal(x.grad, [1.0, -1.0])

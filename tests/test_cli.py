@@ -146,6 +146,26 @@ def test_negative_eigencheck_interval_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "q-sweep"])
+@pytest.mark.parametrize("flag, value, field", [
+    ("--hidden", "0", "hidden_width"),
+    ("--classifier-width", "0", "classifier_width"),
+    ("--epochs", "-1", "max_epochs"),
+    ("--patience", "-1", "patience"),
+])
+def test_bad_model_size_is_usage_error(tmp_path, capsys, command, flag, value, field):
+    prefix = gen_small(tmp_path)
+    out = tmp_path / "out.csv"
+    code = run([
+        command, "--data", str(prefix), flag, value,
+        "--metrics-out" if command == "train" else "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
 def test_train_replay_is_bit_identical(tmp_path):
     prefix = gen_small(tmp_path)
     argv = [

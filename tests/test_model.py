@@ -201,43 +201,44 @@ def test_full_layer_matches_dense_recomputation():
 
 
 def signless_node_case(shape, seed=25, f=3):
-    """Blocks ``M``, phases and a signal on a small hypergraph at ``q != 0``."""
+    """Raw maps and a complex signal on a small hypergraph at ``q != 0``."""
     rng = np.random.default_rng(seed)
     structure = IncidenceStructure.build(small_dataset(seed=seed, n=12).hypergraph)
     config = ModelConfig(num_layers=1, stalk_dim=2, hidden_width=f, q=0.2, map_shape=shape)
     d, num_inc = config.stalk_dim, len(structure.inc_node)
     maps = rng.standard_normal((num_inc, d) if shape == "diagonal" else (num_inc, d, d))
-    M, cw, sw = _operator_blocks(Tape().tensor(maps), structure, config)
     X = rng.standard_normal((structure.n, d, f)) + 1j * rng.standard_normal((structure.n, d, f))
-    return structure, config, M.value, cw, sw, X
+    return structure, config, maps, X
 
 
 @pytest.mark.parametrize("shape", ["diagonal", "full"])
 def test_signless_node_matches_dense_operator(shape):
-    structure, config, M, cw, sw, X = signless_node_case(shape)
+    structure, config, maps, X = signless_node_case(shape)
+    Z = _operator_blocks(Tape().tensor(maps), structure, config).value
     tape = Tape()
-    xr = tape.tensor(X.real, requires_grad=True)
-    xi = tape.tensor(X.imag, requires_grad=True)
-    Y = _apply_signless(tape.tensor(M, requires_grad=True), cw, sw, (xr, xi), structure, config)
-    assert len(tape.nodes) <= 3
-    aux = ForwardAux(layer_factors=[(M, cw.reshape(-1), sw.reshape(-1))])
+    Y = _apply_signless(tape.tensor(Z, requires_grad=True), tape.tensor(X, requires_grad=True), structure, config)
+    assert len(tape.nodes) <= 1
+    aux = ForwardAux(layer_factors=[Z])
     expected = aux.dense_signless(structure, config, 0) @ X.reshape(-1, X.shape[2])
-    out = (Y[0].value + 1j * Y[1].value).reshape(expected.shape)
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Y.value.reshape(expected.shape), expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", ["diagonal", "full"])
 def test_signless_node_gradients_match_finite_differences(shape):
-    structure, config, M, cw, sw, X = signless_node_case(shape)
+    # from the raw maps, so the degree roots (Newton-Schulz for full maps)
+    # and the phase product are differentiated too
+    structure, config, maps, X = signless_node_case(shape)
     rng = np.random.default_rng(26)
     wr = rng.standard_normal(X.shape)
     wi = rng.standard_normal(X.shape)
-    params = {"M": M.copy(), "xr": X.real.copy(), "xi": X.imag.copy()}
+    params = {"maps": maps.copy(), "xr": X.real.copy(), "xi": X.imag.copy()}
 
     def build_loss(p):
         tape = Tape()
         T = {name: tape.tensor(value, requires_grad=True) for name, value in p.items()}
-        yr, yi = _apply_signless(T["M"], cw, sw, (T["xr"], T["xi"]), structure, config)
+        x = ad.add(T["xr"], ad.mul(T["xi"], 1j))
+        Y = _apply_signless(_operator_blocks(T["maps"], structure, config), x, structure, config)
+        yr, yi = ad.real(Y), ad.imag(Y)
         # quadratic in the output, so the signal gradient is not constant
         loss = ad.add(ad.reduce_sum(ad.mul(yr, wr)), ad.reduce_sum(ad.mul(ad.mul(yi, yi), wi)))
         tape.backward(loss)
@@ -486,6 +487,20 @@ def test_train_matches_reference_loop(case):
         assert len(history) < budget.max_epochs
 
 
+@pytest.mark.parametrize("field", ["hidden_width", "classifier_width"])
+def test_model_widths_must_be_positive(field):
+    with pytest.raises(ValueError, match=field):
+        ModelConfig(**{field: 0})
+    assert getattr(ModelConfig(**{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize("field", ["max_epochs", "patience"])
+def test_negative_budget_is_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        TrainingBudget(**{field: -1})
+    assert getattr(TrainingBudget(**{field: 0}), field) == 0
+
+
 def test_negative_eigencheck_interval_is_rejected():
     with pytest.raises(ValueError, match="eigencheck_every"):
         TrainingBudget(eigencheck_every=-2)
@@ -502,15 +517,15 @@ def test_spectral_safety_probe_is_bounded():
 
 
 @pytest.mark.parametrize("shape", ["diagonal", "full"])
-@pytest.mark.parametrize("seed", [30, 32])
-def test_lambda_max_above_dense_threshold(seed, shape):
+@pytest.mark.parametrize("n, seed", [(150, 30), (150, 32), (60, 33)])
+def test_lambda_max_matches_eigvalsh(n, seed, shape):
     # seed 30 clusters the top of the spectrum just below 1, where a fixed
-    # number of power steps stopped about 1e-3 short
+    # number of power steps stopped about 1e-3 short; at n = 60 (n d = 120)
+    # Lanczos exhausts the whole Krylov space
     ds = generate_synthetic(SyntheticConfig(
-        n=150, classes=3, h_min=2, h_max=4, intra_per_class=20, inter_per_pair=10, seed=seed
+        n=n, classes=3, h_min=2, h_max=4, intra_per_class=20 * n // 150, inter_per_pair=10 * n // 150, seed=seed
     ))
     config = ModelConfig(num_layers=1, stalk_dim=2, hidden_width=4, seed=seed, map_shape=shape)
-    assert ds.hypergraph.num_vertices * config.stalk_dim > 256  # past the dense branch
     structure = IncidenceStructure.build(ds.hypergraph)
     state = init_state(config, ds.features.shape[1], 3)
     _, aux, _ = _forward_tape(Tape(), ds.features, structure, state, config, collect_aux=True)
