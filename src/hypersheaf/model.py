@@ -52,7 +52,6 @@ __all__ = [
 
 LAYER_NORM_EPS = 1e-5
 DEGREE_EPS = 1e-8
-NEWTON_SCHULZ_ITERS = 45
 LANCZOS_TOL = 1e-10
 
 
@@ -243,24 +242,24 @@ def _predict_maps(
     return h
 
 
-def _newton_schulz_inverse_sqrt(D: Tensor, d: int, iters: int = NEWTON_SCHULZ_ITERS) -> Tensor:
-    """Batched inverse square root of SPD blocks, differentiable end to end.
+def _inverse_sqrt(D: Tensor) -> Tensor:
+    """Inverse square roots of SPD blocks ``(n, d, d)``, as one tape node.
 
-    Trace normalization puts every spectrum in (0, 1]; the coupled iteration
-    then converges to ``(D / tr)^{-1/2}``.
+    The forward is one batched ``eigh``, ``D = V diag(w) V^T``, and returns
+    ``V diag(w^{-1/2}) V^T``.  The backward is the Daleckii-Krein formula
+    ``V ((V^T G V) o F) V^T`` with ``F_ij = -1 / (s_i s_j (s_i + s_j))`` and
+    ``s = sqrt(w)``: the divided difference of ``w^{-1/2}``, whose diagonal
+    is the derivative ``-w^{-3/2} / 2``, so equal eigenvalues need no limit.
     """
-    eye = np.eye(d)
-    diag_mask = eye[None, :, :]
-    tr = ad.reduce_sum(ad.mul(D, diag_mask), axis=(1, 2), keepdims=True)
-    A = ad.div(D, tr)
-    Y = A
-    Z = None
-    for _ in range(iters):
-        ZY = Y if Z is None else ad.matmul(Z, Y)
-        T = ad.mul(ad.sub(3.0 * diag_mask, ZY), 0.5)
-        Y = ad.matmul(Y, T)
-        Z = T if Z is None else ad.matmul(T, Z)
-    return ad.div(Z, ad.sqrt(tr))
+    w, V = np.linalg.eigh(D.value)
+    s = np.sqrt(w)
+    Vt = np.swapaxes(V, 1, 2)
+
+    def backward(G):
+        F = -1.0 / (s[:, :, None] * s[:, None, :] * (s[:, :, None] + s[:, None, :]))
+        D.accumulate(V @ ((Vt @ G @ V) * F) @ Vt)
+
+    return ad.record(D.tape, (V / s[:, None, :]) @ Vt, (D,), backward)
 
 
 def _operator_blocks(maps: Tensor, structure: IncidenceStructure, config: ModelConfig) -> Tensor:
@@ -268,7 +267,8 @@ def _operator_blocks(maps: Tensor, structure: IncidenceStructure, config: ModelC
 
     ``M_k = F_k D_{u_k}^{-1/2}`` is real; the phase ``S_k`` and the weight
     ``delta_e^{-1/2}`` are constants, so ``M``'s gradient is the real part
-    of ``conj(S_k) delta_e^{-1/2}`` times ``Z``'s.
+    of ``conj(S_k) delta_e^{-1/2}`` times ``Z``'s.  Full degree blocks take
+    their roots ``D_u^{-1/2}`` from one :func:`_inverse_sqrt` node.
     """
     d = config.stalk_dim
     if config.map_shape == "diagonal":
@@ -280,7 +280,7 @@ def _operator_blocks(maps: Tensor, structure: IncidenceStructure, config: ModelC
         gram = ad.matmul(ad.transpose(maps, (0, 2, 1)), maps)
         D = ad.segment_sum(gram, structure.node_plan)
         D = ad.add(D, DEGREE_EPS * np.eye(d)[None, :, :])
-        dinv = _newton_schulz_inverse_sqrt(D, d)
+        dinv = _inverse_sqrt(D)
         M = ad.matmul(maps, ad.gather(dinv, structure.inc_node))
     s = structure.phases(config.q) / np.sqrt(structure.delta[structure.inc_edge])
     return ad.mul(M, s.reshape((-1,) + (1,) * (len(M.shape) - 1)))
@@ -398,13 +398,14 @@ def _forward_tape(
     X = ad.reshape(ad.add(ad.matmul(feats, P["proj_W"]), P["proj_b"]), (n, d, f))
     aux = ForwardAux()
 
-    maps_cache: Tensor | None = None
+    cache: tuple[Tensor, Tensor] | None = None  # a static sheaf's maps and factor
     for layer in range(config.num_layers):
         phi = {k.split("_", 1)[1]: v for k, v in P.items() if k.startswith(f"phi{layer}_")}
         if fixed_maps is not None:
             # probe mode: the operator is pinned to externally supplied values
             maps = tape.tensor(fixed_maps[layer])
-        elif config.dynamic_sheaf or maps_cache is None:
+            Z = _operator_blocks(maps, structure, config)
+        elif config.dynamic_sheaf or cache is None:
             # light mode detaches the operator: the frozen predictor then
             # reads a detached signal, so nothing of it is recorded
             source = tape.tensor(X.value) if config.light_mode else X
@@ -416,12 +417,12 @@ def _forward_tape(
                 mask = (dropout_rng.random(len(structure.inc_node)) < keep) / keep
                 shape = (len(structure.inc_node),) + (1,) * (len(maps.shape) - 1)
                 maps = ad.mul(maps, mask.reshape(shape))
+            Z = _operator_blocks(maps, structure, config)
             if not config.dynamic_sheaf:
-                maps_cache = maps
+                cache = maps, Z
         else:
-            maps = maps_cache
+            maps, Z = cache
 
-        Z = _operator_blocks(maps, structure, config)
         if collect_aux:
             aux.layer_factors.append(Z.value.copy())
             aux.map_values.append(maps.value.copy())
@@ -474,11 +475,11 @@ def diffusion_layer(
     everything optional disabled this is exactly ``(I - L_N) X``.
     """
     structure = structure or IncidenceStructure.build(H)
-    d = sheaf.config.d
-    f = np.asarray(X).shape[1]
-    n = structure.n
-    if np.asarray(X).shape != (n * d, f):
-        raise ValueError(f"signal must have shape {(n * d, f)}")
+    d, n = sheaf.config.d, structure.n
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[0] != n * d:
+        raise ValueError(f"signal must have shape ({n * d}, f), got {X.shape}")
+    f = X.shape[1]
     config = ModelConfig(
         num_layers=1,
         stalk_dim=d,
@@ -495,7 +496,7 @@ def diffusion_layer(
     tape = Tape()
     Z = _operator_blocks(tape.tensor(F), structure, config)
     W1, W2, gamma, beta = (None if v is None else tape.tensor(v) for v in (W1, W2, gamma, beta))
-    X = tape.tensor(np.asarray(X).reshape(n, d, f))
+    X = tape.tensor(X.reshape(n, d, f))
     Y = _diffuse(X, Z, W1, W2, gamma, beta, structure, config).value
     if apply_activation:
         Y = complex_relu(Y)
@@ -589,12 +590,10 @@ class TrainingBudget:
     eigencheck_every: int = 0  # 0 disables the periodic spectral safety probe
 
     def __post_init__(self):
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
-        if self.eigencheck_every < 0:
-            raise ValueError("eigencheck_every must be >= 0 (0 disables the probe)")
+        for name in ("max_epochs", "patience", "learning_rate", "weight_decay", "eigencheck_every"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

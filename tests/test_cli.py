@@ -152,6 +152,9 @@ def test_negative_eigencheck_interval_is_usage_error(tmp_path, capsys):
     ("--classifier-width", "0", "classifier_width"),
     ("--epochs", "-1", "max_epochs"),
     ("--patience", "-1", "patience"),
+    ("--lr", "-0.5", "learning_rate"),
+    ("--lr", "nan", "learning_rate"),
+    ("--wd", "-1", "weight_decay"),
 ])
 def test_bad_model_size_is_usage_error(tmp_path, capsys, command, flag, value, field):
     prefix = gen_small(tmp_path)
