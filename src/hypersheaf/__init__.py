@@ -14,9 +14,7 @@ from .sheaf import (
     SheafAssignment,
     SheafConfig,
     build_fixed_sheaf,
-    directed_restriction,
     directional_coefficient,
-    phase_product,
 )
 from .blockmatrix import BlockComplexMatrix
 from .laplacian import (

@@ -67,14 +67,8 @@ class BlockComplexMatrix:
 
     # --- algebra ---------------------------------------------------------
 
-    def conjugate_transpose(self) -> "BlockComplexMatrix":
-        return BlockComplexMatrix(
-            self.block_cols,
-            self.block_rows,
-            self.block_dim,
-            ((j, i, arr.conj().T) for (i, j), arr in self.entries.items()),
-        )
-
+    # No package caller is left; kept because the benchmark's span tracer
+    # (perfbench/layertrace.py) names it as a target.
     def matmul(self, other: "BlockComplexMatrix") -> "BlockComplexMatrix":
         """Block-sparse product; cost scales with matching inner blocks."""
         if self.block_cols != other.block_rows or self.block_dim != other.block_dim:

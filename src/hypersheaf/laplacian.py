@@ -8,20 +8,21 @@ Every incidence ``k = (u, e)`` carries one complex ``d x d`` factor block
 the bracketed root only in the normalized case).  Stacked, the blocks form
 the factor ``Z`` of the signless operator, and
 
-    Q = Z^dagger Z     L   = D_V - Q          (unnormalized)
-    Q_N = Z^dagger Z   L_N = I - Q_N          (normalized)
+    L   = D_V - Z^dagger Z     (unnormalized)
+    L_N = I - Z^dagger Z       (normalized)
 
-:class:`IncidenceStructure` fixes the canonical incidence order once per
-hypergraph; :func:`signless_apply` is the one vectorised ``Z^dagger Z``
-kernel and :func:`dense_factor` the one dense export of ``Z``.  The
-assembled ``BlockComplexMatrix`` forms are conjugate products of ``Z``, so
-they are Hermitian to rounding error by construction.  The spectral
-guarantees assume unit hyperedge weights, so a hypergraph with any other
-weight is rejected rather than silently treated as unweighted.
+``Z`` is the operator's only stored form.  :class:`IncidenceStructure` fixes
+the canonical incidence order once per hypergraph; :func:`signless_apply` is
+the one vectorised ``Z^dagger Z`` kernel and :func:`dense_factor` the one
+dense export of ``Z``.  ``LaplacianBundle.L`` assembles the block-sparse
+``L`` from conjugate products of ``Z`` when first read, so it is Hermitian
+to rounding error by construction.  The spectral guarantees assume unit
+hyperedge weights; any other weight is rejected, not silently ignored.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,12 +148,6 @@ def dense_factor(structure: IncidenceStructure, Z: np.ndarray) -> np.ndarray:
     return out.reshape(structure.m * d, structure.n * d)
 
 
-def _incidence_matrix(structure: IncidenceStructure, blocks: np.ndarray) -> BlockComplexMatrix:
-    """The ``m x n`` block matrix holding each incidence's block at ``(e, u)``."""
-    items = zip(structure.inc_edge.tolist(), structure.inc_node.tolist(), blocks)
-    return BlockComplexMatrix(structure.m, structure.n, blocks.shape[1], items)
-
-
 def _degree_blocks(structure: IncidenceStructure, F: np.ndarray) -> np.ndarray:
     return structure.node_plan.apply(np.swapaxes(F, 1, 2) @ F)
 
@@ -160,8 +155,9 @@ def _degree_blocks(structure: IncidenceStructure, F: np.ndarray) -> np.ndarray:
 def build_incidence(H: DirectedHypergraph, A: SheafAssignment) -> BlockComplexMatrix:
     """Block incidence matrix: block ``(e, u)`` is ``S * F`` for each incidence."""
     structure = IncidenceStructure.build(H)
-    F = incidence_maps(structure, A)
-    return _incidence_matrix(structure, structure.phases(A.config.q)[:, None, None] * F)
+    blocks = structure.phases(A.config.q)[:, None, None] * incidence_maps(structure, A)
+    items = zip(structure.inc_edge.tolist(), structure.inc_node.tolist(), blocks)
+    return BlockComplexMatrix(structure.m, structure.n, A.config.d, items)
 
 
 def build_degree_matrices(
@@ -211,14 +207,12 @@ def _spd_inverse_sqrt(
 
 @dataclass
 class LaplacianBundle:
-    """An assembled Laplacian with its factor ``Z`` for matrix-free application."""
+    """The Laplacian kept as its factor ``Z``; ``L`` is assembled on first access only."""
 
     hypergraph: DirectedHypergraph
     sheaf: SheafAssignment
     structure: IncidenceStructure
     Z: np.ndarray
-    L: BlockComplexMatrix
-    Q: BlockComplexMatrix
     D_V: np.ndarray
     normalized: bool
     dv_inv_sqrt: np.ndarray | None = None
@@ -235,6 +229,24 @@ class LaplacianBundle:
     def d(self) -> int:
         return self.sheaf.config.d
 
+    @functools.cached_property
+    def L(self) -> BlockComplexMatrix:
+        """Block-sparse ``diag - Z^dagger Z``, assembled on first access.
+
+        Block ``(u, v)`` sums ``conj(Z_k)^T Z_l`` over every ordered pair of
+        incidences ``k = (u, e)``, ``l = (v, e)`` of one hyperedge; canonical
+        order keeps those of ``e`` contiguous from ``edge_plan.starts``.
+        """
+        s, n, d = self.structure, self.n, self.d
+        first = s.edge_plan.starts[s.inc_edge]
+        size = np.diff(s.edge_plan.starts, append=len(s.inc_edge))[s.inc_edge]
+        left = np.repeat(np.arange(len(size)), size)
+        right = np.arange(len(left)) + np.repeat(first - np.cumsum(size) + size, size)
+        blocks = -(np.conj(np.swapaxes(self.Z[left], 1, 2)) @ self.Z[right])
+        diag = np.broadcast_to(np.eye(d), (n, d, d)) if self.normalized else self.D_V
+        pairs = zip(s.inc_node[left].tolist(), s.inc_node[right].tolist(), blocks)
+        return BlockComplexMatrix(n, n, d, [*pairs, *zip(range(n), range(n), diag)])
+
 
 def build_laplacian(
     H: DirectedHypergraph,
@@ -244,11 +256,10 @@ def build_laplacian(
     strict: bool = True,
     jitter: float = DEGREE_JITTER,
 ) -> LaplacianBundle:
-    """Assemble ``L = D_V - Q`` or its normalized form ``L_N = I - Q_N``."""
+    """Factor ``L = D_V - Z^dagger Z`` or its normalized form ``L_N = I - Z^dagger Z``."""
     structure = IncidenceStructure.build(H)
     F = incidence_maps(structure, A)
     D_V = _degree_blocks(structure, F)
-    d, n = A.config.d, H.num_vertices
 
     scale = structure.phases(A.config.q) / np.sqrt(structure.delta[structure.inc_edge])
     Z = scale[:, None, None] * F
@@ -256,20 +267,13 @@ def build_laplacian(
     if normalized:
         dv_inv_sqrt = _spd_inverse_sqrt(D_V, A.config.map_shape, strict=strict, jitter=jitter)
         Z = Z @ dv_inv_sqrt[structure.inc_node]
-    W = _incidence_matrix(structure, Z)
-    Q = W.conjugate_transpose().matmul(W)
-
-    diag = np.broadcast_to(np.eye(d), (n, d, d)) if normalized else D_V
-    items = [(i, j, -arr) for i, j, arr in Q]
-    items.extend((u, u, diag[u]) for u in range(n))
-    L = BlockComplexMatrix(n, n, d, items)
-    return LaplacianBundle(H, A, structure, Z, L, Q, D_V, normalized, dv_inv_sqrt)
+    return LaplacianBundle(H, A, structure, Z, D_V, normalized, dv_inv_sqrt)
 
 
 def apply_laplacian(bundle: LaplacianBundle, x: NodeSignal) -> NodeSignal:
     """Matrix-free ``L x = D_V x - Z^dagger Z x`` (``x - Z^dagger Z x`` when normalized).
 
-    Never touches the assembled matrix: the factor goes through
+    Never assembles ``bundle.L``: the factor goes through
     :func:`signless_apply`.
     """
     n, d = bundle.n, bundle.d

@@ -20,9 +20,7 @@ __all__ = [
     "SheafConfig",
     "SheafAssignment",
     "directional_coefficient",
-    "phase_product",
     "build_fixed_sheaf",
-    "directed_restriction",
     "tail_coefficient",
 ]
 
@@ -127,20 +125,6 @@ def directional_coefficient(H: DirectedHypergraph, u: int, e: int, q: float) -> 
     return 0.0 + 0.0j
 
 
-def phase_product(role_u: str, role_v: str, q: float) -> complex:
-    """Phase ``conj(S_v) * S_u`` of an off-diagonal interaction.
-
-    Same-role pairs give 1; ``(role_u=head, role_v=tail)`` gives
-    ``exp(+2*pi*i*q)`` and the opposite ordering its conjugate.
-    """
-    for r in (role_u, role_v):
-        if r not in ("tail", "head"):
-            raise ValueError(f"role must be 'tail' or 'head', got {r!r}")
-    s_u = tail_coefficient(q) if role_u == "tail" else 1.0 + 0.0j
-    s_v = tail_coefficient(q) if role_v == "tail" else 1.0 + 0.0j
-    return s_v.conjugate() * s_u
-
-
 def build_fixed_sheaf(H: DirectedHypergraph, config: SheafConfig, rng_seed: int = 0) -> SheafAssignment:
     """Sample a non-learned sheaf: identity maps, or entries uniform on [-1, 1].
 
@@ -161,8 +145,3 @@ def build_fixed_sheaf(H: DirectedHypergraph, config: SheafConfig, rng_seed: int 
         maps[(u, e)] = F
         roles[(u, e)] = role
     return SheafAssignment(config, maps, roles)
-
-
-def directed_restriction(A: SheafAssignment, u: int, e: int) -> np.ndarray:
-    """Complex directed restriction map ``S * F`` for incidence ``(u, e)``."""
-    return A.coefficient(u, e) * A.map_for(u, e)

@@ -33,12 +33,6 @@ def test_rejects_bad_blocks():
         BlockComplexMatrix(1, 1, 2, [(0, 0, np.eye(3))])
 
 
-def test_conjugate_transpose_matches_dense():
-    rng = np.random.default_rng(0)
-    M = random_block_matrix(rng, 3, 4, 2)
-    np.testing.assert_allclose(M.conjugate_transpose().to_dense(), M.to_dense().conj().T)
-
-
 def test_matmul_matches_dense():
     rng = np.random.default_rng(1)
     A = random_block_matrix(rng, 3, 4, 2)

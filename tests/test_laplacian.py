@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersheaf.blockmatrix import BlockComplexMatrix
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.laplacian import (
     IncidenceStructure,
@@ -110,9 +111,48 @@ def test_appendix_laplacian_matches_hand_values():
 def test_directed_edge_offdiagonal_is_half_phase():
     H = DirectedHypergraph(2, (Hyperedge((0,), (1,)),))
     A = build_fixed_sheaf(H, SheafConfig(q=0.25, d=1))
-    Q = build_laplacian(H, A).Q.to_dense()
-    assert Q[0, 1] == pytest.approx(0.5 * np.exp(2j * np.pi * 0.25))
-    assert Q[1, 0] == pytest.approx(0.5 * np.exp(-2j * np.pi * 0.25))
+    L = build_laplacian(H, A).L.to_dense()
+    assert -L[0, 1] == pytest.approx(0.5 * np.exp(2j * np.pi * 0.25))
+    assert -L[1, 0] == pytest.approx(0.5 * np.exp(-2j * np.pi * 0.25))
+
+
+def block_diag(blocks):
+    n, d, _ = blocks.shape
+    out = np.zeros((n * d, n * d))
+    for u in range(n):
+        out[u * d : (u + 1) * d, u * d : (u + 1) * d] = blocks[u]
+    return out
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_build_and_apply_assemble_no_block_matrix(monkeypatch, normalized):
+    calls = []
+    init = BlockComplexMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockComplexMatrix, "__init__", counting_init)
+    rng = np.random.default_rng(20)
+    H, A = random_instance(rng, n_range=(6, 10), d_choices=(2, 3), map_shapes=("full",))
+    bundle = build_laplacian(H, A, normalized=normalized)
+    apply_laplacian(bundle, np.ones(bundle.n * bundle.d))
+    assert calls == []
+    # assembled once, on first access
+    assert bundle.L is bundle.L
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_laplacian_stores_exactly_the_neighbourhood_blocks(normalized):
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        H, A = random_instance(rng, n_range=(4, 14), m_range=(1, 8))
+        expected = {(u, u) for u in range(H.num_vertices)}
+        for e in H.hyperedges:
+            expected.update((u, v) for u in e.members for v in e.members)
+        assert set(build_laplacian(H, A, normalized=normalized).L.entries) == expected
 
 
 @pytest.mark.parametrize("normalized", [False, True])
@@ -273,7 +313,8 @@ def test_kernel_assembly_and_oracle_agree(instance, normalized):
     oracle = dense_laplacian_oracle(H, A, normalized=normalized)
     np.testing.assert_allclose(free, oracle @ x, rtol=0, atol=1e-10 + 1e-15 * cond)
     Z = dense_factor(bundle.structure, bundle.Z)
-    np.testing.assert_allclose(Z.conj().T @ Z, bundle.Q.to_dense(), rtol=0, atol=1e-10)
+    diag = np.eye(k) if normalized else block_diag(bundle.D_V)
+    np.testing.assert_allclose(diag - Z.conj().T @ Z, bundle.L.to_dense(), rtol=0, atol=1e-10)
 
 
 def test_non_unit_weight_is_rejected():

@@ -7,9 +7,7 @@ from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.sheaf import (
     SheafConfig,
     build_fixed_sheaf,
-    directed_restriction,
     directional_coefficient,
-    phase_product,
 )
 
 
@@ -24,6 +22,9 @@ def test_directional_coefficient_cases():
     # a quarter charge turns tails into the -i phase
     assert directional_coefficient(H, 0, 0, 0.25) == pytest.approx(-1j)
     assert directional_coefficient(H, 2, 0, 0.1) == pytest.approx(1)
+    A = build_fixed_sheaf(H, SheafConfig(q=0.25, d=1))
+    assert A.coefficient(0, 0) == pytest.approx(-1j)
+    assert A.coefficient(1, 0) == 1
 
 
 def test_directional_coefficient_zero_off_edge():
@@ -38,25 +39,6 @@ def test_coefficient_unit_modulus(q):
     H = one_directed_edge()
     for u in (0, 1):
         assert abs(directional_coefficient(H, u, 0, q)) == pytest.approx(1.0)
-
-
-def test_phase_product_table():
-    assert phase_product("head", "head", 0.17) == pytest.approx(1)
-    assert phase_product("tail", "tail", 0.23) == pytest.approx(1)
-    # u head, v tail at quarter charge: +i
-    assert phase_product("head", "tail", 0.25) == pytest.approx(1j)
-    # u tail, v head at q = 0.1: exp(-0.2 pi i)
-    assert phase_product("tail", "head", 0.1) == pytest.approx(np.exp(-0.2j * np.pi))
-
-
-@given(
-    q=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-    ru=st.sampled_from(["tail", "head"]),
-    rv=st.sampled_from(["tail", "head"]),
-)
-def test_phase_product_conjugate_symmetry(q, ru, rv):
-    assert phase_product(ru, rv, q) == pytest.approx(np.conj(phase_product(rv, ru, q)))
-    assert abs(phase_product(ru, rv, q)) == pytest.approx(1.0)
 
 
 def test_trivial_sheaf_is_identity():
@@ -83,26 +65,17 @@ def test_fixed_sheaf_deterministic_in_seed():
     assert any(not np.array_equal(a.maps[k], c.maps[k]) for k in a.maps)
 
 
-def test_directed_restriction_applies_phase():
-    H = one_directed_edge()
-    A = build_fixed_sheaf(H, SheafConfig(q=0.25, d=1))
-    np.testing.assert_allclose(directed_restriction(A, 0, 0), [[-1j]])
-    np.testing.assert_allclose(directed_restriction(A, 1, 0), [[1.0]])
-    with pytest.raises(ValueError):
-        directed_restriction(A, 2, 1)
-
-
 def test_restriction_at_q0_is_the_plain_map():
     H = one_directed_edge()
     A = build_fixed_sheaf(H, SheafConfig(q=0.0, d=2, map_shape="full"), rng_seed=1)
-    np.testing.assert_array_equal(directed_restriction(A, 0, 0), A.map_for(0, 0))
+    np.testing.assert_array_equal(A.coefficient(0, 0) * A.map_for(0, 0), A.map_for(0, 0))
 
 
 def test_phases_cancel_in_gram_product():
     # conj(R)^T R equals F^T F exactly, which keeps the degree blocks real
     H = one_directed_edge()
     A = build_fixed_sheaf(H, SheafConfig(q=0.13, d=3, map_shape="full"), rng_seed=5)
-    R = directed_restriction(A, 0, 0)
+    R = A.coefficient(0, 0) * A.map_for(0, 0)
     F = A.map_for(0, 0)
     np.testing.assert_allclose(np.conj(R).T @ R, F.T @ F, atol=1e-15)
 
@@ -114,6 +87,8 @@ def test_assignment_validates_coverage():
     bigger = DirectedHypergraph(3, (Hyperedge((0,), (1, 2)), Hyperedge((1, 2)),))
     with pytest.raises(ValueError, match="mismatch"):
         A.validate_against(bigger)
+    with pytest.raises(ValueError, match="not incident"):
+        A.coefficient(2, 1)
 
 
 def test_config_rejects_bad_values():

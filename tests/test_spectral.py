@@ -5,7 +5,8 @@ from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.jacobi import jacobi_eigh
 from hypersheaf.laplacian import build_laplacian
 from hypersheaf.reference import reference_laplacian
-from hypersheaf.sheaf import SheafConfig, build_fixed_sheaf
+from hypersheaf import spectral
+from hypersheaf.sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf
 from hypersheaf.spectral import (
     dirichlet_energy,
     hermitian_eigenvalues,
@@ -129,6 +130,35 @@ def test_verify_suite_passes_on_random_instances():
         assert rep.passed, rep.failures
         assert rep.max_eig <= 1 + 1e-8
         assert rep.min_eig >= -1e-8
+
+
+def near_singular_instance():
+    """A draw whose degree blocks reach condition number 3.5e9."""
+    rng = np.random.default_rng(1357497524)
+    return random_instance(
+        rng, n_range=(11, 11), m_range=(4, 4), d_choices=(4,), q_choices=(0.0,), map_shapes=("full",)
+    )
+
+
+def test_dirichlet_tolerance_scales_with_degree_conditioning():
+    H, A = near_singular_instance()
+    cond = np.linalg.cond(build_laplacian(H, A, normalized=True).D_V).max()
+    assert cond > 1e9
+    rep = verify_spectral_suite(H, A)
+    assert rep.passed, rep.failures
+    # the rounding gap exceeds the flat floor; the scaled bound covers it
+    assert 1e-9 < rep.dirichlet_gap <= np.finfo(float).eps * cond
+
+
+def test_dirichlet_check_still_catches_a_dropped_phase(monkeypatch):
+    # the operator is built without its directional phases while the sum
+    # form keeps them; the scaled tolerance must not hide that
+    H, A = near_singular_instance()
+    charged = SheafAssignment(SheafConfig(q=0.25, d=4, map_shape="full"), A.maps, A.roles)
+    monkeypatch.setattr(spectral, "build_laplacian", lambda H, _A, **kw: build_laplacian(H, A, **kw))
+    rep = verify_spectral_suite(H, charged)
+    gaps = [f for f in rep.failures if f.startswith("dirichlet: energy form gap")]
+    assert gaps and "tolerance" in gaps[0], rep.failures
 
 
 def test_verify_suite_serializes_failures():
