@@ -14,9 +14,9 @@ from hypersheaf import (
     DirectedHypergraph,
     Hyperedge,
     from_directed_graph,
+    incidence_counts,
     read_hypergraph,
     validate,
-    vertex_degree,
     write_hypergraph,
 )
 
@@ -35,8 +35,8 @@ for j, e in enumerate(H.hyperedges):
     kind = "undirected" if e.is_undirected else "directed"
     print(f"  e{j}: tail={e.tail} head={e.head} ({kind}, degree {e.degree})")
 
-print("\nvertex degrees (number of incident edges, unit weights):")
-print(" ", [vertex_degree(H, u) for u in range(5)])
+print("\nvertex degrees (number of incident edges):")
+print(" ", incidence_counts(H).tolist())
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "example.hg"

@@ -5,9 +5,9 @@ from .hypergraph import (
     DirectedHypergraph,
     Hyperedge,
     from_directed_graph,
+    incidence_counts,
     read_hypergraph,
     validate,
-    vertex_degree,
     write_hypergraph,
 )
 from .sheaf import (
@@ -55,7 +55,6 @@ from .model import (
     loss_and_gradients,
     predict_sheaf,
     train,
-    unwind,
 )
 
 __version__ = "0.1.0"

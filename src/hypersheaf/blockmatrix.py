@@ -7,7 +7,7 @@ several hyperedges contribute to the same vertex pair.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class BlockComplexMatrix:
 
     def block(self, i: int, j: int) -> np.ndarray | None:
         return self.entries.get((i, j))
-
-    def __iter__(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        for (i, j), arr in sorted(self.entries.items()):
-            yield i, j, arr
 
     # --- algebra ---------------------------------------------------------
 

@@ -68,11 +68,6 @@ class SyntheticConfig:
                 f"[{self.h_min}, {self.h_max}] with class size {class_size}"
             )
 
-    @property
-    def expected_num_hyperedges(self) -> int:
-        pairs = self.classes * (self.classes - 1) // 2
-        return self.classes * self.intra_per_class + pairs * self.inter_per_pair
-
 
 @dataclass
 class LabeledDataset:

@@ -19,7 +19,7 @@ __all__ = [
     "DirectedHypergraph",
     "DirectedGraph",
     "validate",
-    "vertex_degree",
+    "incidence_counts",
     "from_directed_graph",
     "read_hypergraph",
     "format_hypergraph",
@@ -57,36 +57,19 @@ class Hyperedge:
     def is_undirected(self) -> bool:
         return len(self.head) == 0
 
-    def role_of(self, u: int) -> str:
-        """Return ``"tail"`` or ``"head"``; raises if ``u`` is not a member."""
-        if u in self.tail:
-            return "tail"
-        if u in self.head:
-            return "head"
-        raise ValueError(f"vertex {u} is not a member of this hyperedge")
-
 
 @dataclass(frozen=True)
 class DirectedHypergraph:
-    """A vertex count plus an ordered multiset of weighted hyperedges."""
+    """A vertex count plus an ordered multiset of unit-weight hyperedges."""
 
     num_vertices: int
     hyperedges: tuple[Hyperedge, ...] = ()
-    weights: tuple[float, ...] = ()
 
     def __post_init__(self):
         edges = tuple(
             e if isinstance(e, Hyperedge) else Hyperedge(*e) for e in self.hyperedges
         )
         object.__setattr__(self, "hyperedges", edges)
-        if len(self.weights) == 0:
-            object.__setattr__(self, "weights", (1.0,) * len(edges))
-        else:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.weights) != len(edges):
-            raise ValueError(
-                f"{len(self.weights)} weights for {len(edges)} hyperedges"
-            )
 
     @property
     def num_hyperedges(self) -> int:
@@ -147,17 +130,8 @@ def validate(H: DirectedHypergraph) -> None:
             )
 
 
-def vertex_degree(H: DirectedHypergraph, u: int) -> float:
-    """Sum of ``|w_e|`` over hyperedges containing ``u``."""
-    if not (0 <= u < H.num_vertices):
-        raise ValueError(f"vertex {u} out of range for n={H.num_vertices}")
-    return float(
-        sum(abs(w) for e, w in zip(H.hyperedges, H.weights) if u in e.members)
-    )
-
-
 def incidence_counts(H: DirectedHypergraph) -> np.ndarray:
-    """Number of hyperedges containing each vertex (unit-weight degrees)."""
+    """Number of hyperedges containing each vertex: the vertex degrees."""
     counts = np.zeros(H.num_vertices, dtype=np.int64)
     for e in H.hyperedges:
         for u in e.members:
@@ -185,6 +159,7 @@ def from_directed_graph(G: DirectedGraph) -> DirectedHypergraph:
 #
 # Hypergraph file:     line 1 "n m", then m lines
 #                      "e <weight> : <tail...> | <head...>"   (1-based indices;
+#                      the weight is always 1 and any other value is refused;
 #                      an empty head marks an undirected edge; a line with an
 #                      empty tail and nonempty head is read as undirected and
 #                      canonicalized to all-tail).
@@ -192,16 +167,14 @@ def from_directed_graph(G: DirectedGraph) -> DirectedHypergraph:
 # Features file:       n lines of f decimal values.
 # Splits file:         three lines of 1-based vertex indices (train/val/test).
 
-_WEIGHT_FMT = "%.9g"  # round-trips decimal weights with <= 9 significant digits
-
 
 def format_hypergraph(H: DirectedHypergraph) -> str:
     """The hypergraph file text: the ``n m`` header and one line per hyperedge."""
     lines = [f"{H.num_vertices} {H.num_hyperedges}"]
-    for e, w in zip(H.hyperedges, H.weights):
+    for e in H.hyperedges:
         tail = " ".join(str(v + 1) for v in e.tail)
         head = " ".join(str(v + 1) for v in e.head)
-        lines.append(f"e {_WEIGHT_FMT % w} : {tail} | {head}".rstrip())
+        lines.append(f"e 1 : {tail} | {head}".rstrip())
     return "\n".join(lines)
 
 
@@ -221,7 +194,7 @@ def read_hypergraph(path: str | Path) -> DirectedHypergraph:
     n, m = int(header[0]), int(header[1])
     if len(lines) - 1 != m:
         raise ValueError(f"{path}: header promises {m} hyperedges, file has {len(lines) - 1}")
-    edges, weights = [], []
+    edges = []
     for k, ln in enumerate(lines[1:], start=1):
         try:
             tag, rest = ln.split(maxsplit=1)
@@ -234,11 +207,15 @@ def read_hypergraph(path: str | Path) -> DirectedHypergraph:
             head = [int(t) - 1 for t in head_part.split()]
         except ValueError as exc:
             raise ValueError(f"{path}: malformed hyperedge line {k}: {ln!r}") from exc
+        if weight != 1.0:
+            raise ValueError(
+                f"{path}: hyperedge line {k} has weight {weight_part.strip()}; "
+                "only unit weights are supported"
+            )
         if not tail and head:
             tail, head = head, []
         edges.append(Hyperedge(tuple(tail), tuple(head)))
-        weights.append(weight)
-    H = DirectedHypergraph(n, tuple(edges), tuple(weights))
+    H = DirectedHypergraph(n, tuple(edges))
     validate(H)
     return H
 

@@ -16,8 +16,8 @@ the canonical incidence order once per hypergraph; :func:`signless_apply` is
 the one vectorised ``Z^dagger Z`` kernel and :func:`dense_factor` the one
 dense export of ``Z``.  ``LaplacianBundle.L`` assembles the block-sparse
 ``L`` from conjugate products of ``Z`` when first read, so it is Hermitian
-to rounding error by construction.  The spectral guarantees assume unit
-hyperedge weights; any other weight is rejected, not silently ignored.
+to rounding error by construction.  Hyperedges carry unit weight, the
+only weight the spectral guarantees cover (see :mod:`.hypergraph`).
 """
 
 from __future__ import annotations
@@ -78,11 +78,6 @@ class IncidenceStructure:
 
     @classmethod
     def build(cls, H: DirectedHypergraph) -> "IncidenceStructure":
-        for j, w in enumerate(H.weights):
-            if w != 1.0:
-                raise ValueError(
-                    f"hyperedge {j} has weight {w:g}; the operator is defined for unit weights only"
-                )
         nodes, edges, tails = [], [], []
         for u, e, role in H.incidences():
             nodes.append(u)
@@ -216,10 +211,6 @@ class LaplacianBundle:
     D_V: np.ndarray
     normalized: bool
     dv_inv_sqrt: np.ndarray | None = None
-
-    @property
-    def D_E(self) -> np.ndarray:
-        return self.structure.delta
 
     @property
     def n(self) -> int:

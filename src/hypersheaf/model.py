@@ -37,7 +37,6 @@ __all__ = [
     "TrainingBudget",
     "TrainResult",
     "TrainingDiverged",
-    "unwind",
     "complex_relu",
     "complex_layer_norm",
     "predict_sheaf",
@@ -56,12 +55,6 @@ LANCZOS_TOL = 1e-10
 
 
 # --- plain complex helpers ----------------------------------------------------
-
-
-def unwind(X: np.ndarray) -> np.ndarray:
-    """Concatenate real and imaginary parts along the feature axis."""
-    X = np.asarray(X)
-    return np.concatenate([X.real, X.imag], axis=-1)
 
 
 def complex_relu(x: np.ndarray) -> np.ndarray:
@@ -115,8 +108,7 @@ class ModelConfig:
     map_shape: str = "diagonal"
     residual: bool = True
     light_mode: bool = False
-    sheaf_dropout: bool = False
-    dropout_rate: float = 0.2
+    dropout_rate: float = 0.0  # sheaf dropout on the incidence maps; 0 disables it
     hyperedge_aggregation: str = "mean"
     classifier_width: int = 32
     seed: int = 0
@@ -410,7 +402,7 @@ def _forward_tape(
             # reads a detached signal, so nothing of it is recorded
             source = tape.tensor(X.value) if config.light_mode else X
             maps = _predict_maps(source, structure, phi, config)
-            if training and config.sheaf_dropout and config.dropout_rate > 0.0:
+            if training and config.dropout_rate > 0.0:
                 if dropout_rng is None:
                     raise ValueError("sheaf dropout requires a generator during training")
                 keep = 1.0 - config.dropout_rate
@@ -719,7 +711,7 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
     since_best = 0
     # Without sheaf dropout a training forward equals the evaluation forward,
     # so the next step's logits are this step's validation logits.
-    reuse_step = not (config.sheaf_dropout and config.dropout_rate > 0.0)
+    reuse_step = not (config.dropout_rate > 0.0)
     next_step = None
 
     def step():

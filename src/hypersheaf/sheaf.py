@@ -96,10 +96,6 @@ class SheafAssignment:
             return tail_coefficient(self.config.q)
         return 1.0 + 0.0j
 
-    def validate_against(self, H: DirectedHypergraph) -> None:
-        """Check the assignment covers exactly the incidences of ``H``."""
-        self.check_roles({(u, j): role for u, j, role in H.incidences()})
-
     def check_roles(self, expected: Mapping[tuple[int, int], str]) -> None:
         """Check the assignment covers exactly ``expected``, a map from incidence to role."""
         if set(self.maps) != set(expected):

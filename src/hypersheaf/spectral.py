@@ -27,6 +27,8 @@ __all__ = [
     "dirichlet_energy",
     "verify_spectral_suite",
     "SpectralCheckReport",
+    "CHECK_NAMES",
+    "random_hypergraph",
     "random_instance",
 ]
 
@@ -34,6 +36,8 @@ HERMITIAN_INPUT_TOL = 1e-8
 PSD_TOL = 1e-8
 SPECTRUM_BOUND_TOL = 1e-8
 PAIRING_TOL = 1e-9
+# The guarantees checked by verify_spectral_suite; realness applies at q = 0 only.
+CHECK_NAMES = ("hermitian", "pairing", "psd", "bound", "dirichlet", "realness")
 
 
 def hermitian_defect(M: np.ndarray) -> float:
@@ -162,6 +166,8 @@ class SpectralCheckReport:
     q: float
     failures: list[str] = field(default_factory=list)
     instance_dump: str | None = None
+    # pass/fail of each check in CHECK_NAMES that applies to the instance
+    checks: dict[str, bool] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -196,38 +202,43 @@ def verify_spectral_suite(
     bundle = build_laplacian(H, A, normalized=True)
     dense = bundle.L.to_dense()
     failures: list[str] = []
+    checks = {c: True for c in CHECK_NAMES if c != "realness" or A.config.q == 0.0}
+
+    def fail(check: str, detail: str) -> None:
+        checks[check] = False
+        failures.append(f"{check}: {detail}")
 
     defect = hermitian_defect(dense)
     if defect > 1e-10:
-        failures.append(f"hermitian: defect {defect:.3e} > 1e-10")
+        fail("hermitian", f"defect {defect:.3e} > 1e-10")
 
     doubled = jacobi_eigh(real_embedding(dense))
     pairing_gap = float(np.max(np.abs(doubled[::2] - doubled[1::2]))) if dense.size else 0.0
     if pairing_gap > PAIRING_TOL:
-        failures.append(f"pairing: embedded spectrum gap {pairing_gap:.3e} > {PAIRING_TOL:g}")
+        fail("pairing", f"embedded spectrum gap {pairing_gap:.3e} > {PAIRING_TOL:g}")
     eigs = doubled[::2]
 
     min_eig = float(eigs[0])
     max_eig = float(eigs[-1])
     if min_eig < -PSD_TOL:
-        failures.append(f"psd: min eigenvalue {min_eig:.3e} < -{PSD_TOL:g}")
+        fail("psd", f"min eigenvalue {min_eig:.3e} < -{PSD_TOL:g}")
     if max_eig > 1.0 + SPECTRUM_BOUND_TOL:
-        failures.append(f"bound: max eigenvalue {max_eig:.10f} > 1 + {SPECTRUM_BOUND_TOL:g}")
+        fail("bound", f"max eigenvalue {max_eig:.10f} > 1 + {SPECTRUM_BOUND_TOL:g}")
 
     x = rng.standard_normal(dense.shape[0]) + 1j * rng.standard_normal(dense.shape[0])
     energy = dirichlet_energy(H, A, bundle, x)
     energy_tol = max(1e-9, np.finfo(float).eps * float(np.linalg.cond(bundle.D_V).max()))
     if energy.relative_gap > energy_tol:
         gap = f"energy form gap {energy.relative_gap:.3e}"
-        failures.append(f"dirichlet: {gap} > tolerance max(1e-9, eps * cond(D_u)) = {energy_tol:.3g}")
+        fail("dirichlet", f"{gap} > tolerance max(1e-9, eps * cond(D_u)) = {energy_tol:.3g}")
     if energy.quadratic_form < -1e-9:
-        failures.append(f"dirichlet: energy {energy.quadratic_form:.3e} is negative")
+        fail("dirichlet", f"energy {energy.quadratic_form:.3e} is negative")
 
     max_imag = None
-    if A.config.q == 0.0:
+    if "realness" in checks:
         max_imag = bundle.L.max_abs_imag()
         if max_imag > 1e-12:
-            failures.append(f"realness: q=0 imaginary part {max_imag:.3e} > 1e-12")
+            fail("realness", f"q=0 imaginary part {max_imag:.3e} > 1e-12")
 
     return SpectralCheckReport(
         hermitian_defect=defect,
@@ -239,21 +250,19 @@ def verify_spectral_suite(
         q=A.config.q,
         failures=failures,
         instance_dump=serialize_instance(H, A) if failures else None,
+        checks=checks,
     )
 
 
-def random_instance(
+def random_hypergraph(
     rng: np.random.Generator,
-    *,
-    n_range: tuple[int, int] = (4, 16),
-    m_range: tuple[int, int] = (2, 12),
-    d_choices: tuple[int, ...] = (1, 2, 3, 4),
-    q_choices: tuple[float, ...] = (0.0, 0.05, 0.1, 0.25),
-    map_shapes: tuple[str, ...] = ("trivial", "diagonal", "full"),
-    directed_fraction: float = 0.6,
-) -> tuple[DirectedHypergraph, SheafAssignment]:
-    """Sample a random directed hypergraph with a random sheaf on top.
+    n_range: tuple[int, int],
+    m_range: tuple[int, int],
+    directed_fraction: float,
+) -> DirectedHypergraph:
+    """Sample a random hypergraph with hyperedges of 2 to 6 members.
 
+    Each hyperedge is directed with probability ``directed_fraction``.
     Every vertex is guaranteed at least one incidence (isolated vertices
     would make the normalized operator undefined).
     """
@@ -262,14 +271,12 @@ def random_instance(
     edges = []
     for _ in range(m):
         directed = rng.random() < directed_fraction and n >= 2
+        size = int(rng.integers(2, min(n, 6) + 1))
+        members = rng.choice(n, size=size, replace=False)
         if directed:
-            size = int(rng.integers(2, min(n, 6) + 1))
-            members = rng.choice(n, size=size, replace=False)
             cut = int(rng.integers(1, size))
             edges.append(Hyperedge(tuple(members[:cut]), tuple(members[cut:])))
         else:
-            size = int(rng.integers(2, min(n, 6) + 1))
-            members = rng.choice(n, size=size, replace=False)
             edges.append(Hyperedge(tuple(members)))
     covered = set()
     for e in edges:
@@ -282,7 +289,21 @@ def random_instance(
                 edges[j] = Hyperedge(e.tail + (u,), e.head)
             else:
                 edges[j] = Hyperedge(e.tail, e.head + (u,))
-    H = DirectedHypergraph(n, tuple(edges))
+    return DirectedHypergraph(n, tuple(edges))
+
+
+def random_instance(
+    rng: np.random.Generator,
+    *,
+    n_range: tuple[int, int] = (4, 16),
+    m_range: tuple[int, int] = (2, 12),
+    d_choices: tuple[int, ...] = (1, 2, 3, 4),
+    q_choices: tuple[float, ...] = (0.0, 0.05, 0.1, 0.25),
+    map_shapes: tuple[str, ...] = ("trivial", "diagonal", "full"),
+    directed_fraction: float = 0.6,
+) -> tuple[DirectedHypergraph, SheafAssignment]:
+    """Sample a :func:`random_hypergraph` with a random sheaf on top."""
+    H = random_hypergraph(rng, n_range, m_range, directed_fraction)
     config = SheafConfig(
         q=float(rng.choice(q_choices)),
         d=int(rng.choice(d_choices)),

@@ -9,7 +9,7 @@ where it loses positive semidefiniteness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .hypergraph import DirectedHypergraph, Hyperedge
 from .laplacian import build_laplacian
 from .reference import reference_laplacian
 from .sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf
-from .spectral import hermitian_eigenvalues
+from .spectral import hermitian_eigenvalues, random_hypergraph
 
 __all__ = [
     "TheoremResult",
@@ -41,7 +41,6 @@ class TheoremResult:
     trials: int
     max_deviation: float
     tolerance: float = MATRIX_EQUALITY_TOL
-    notes: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -136,29 +135,6 @@ def check_magnetic_reduction(
     return TheoremResult("magnetic / sign-magnetic reduction (2-uniform mixed)", trials, worst)
 
 
-def _random_covered_hypergraph(rng, n_max=10, directed=True):
-    n = int(rng.integers(4, n_max + 1))
-    m = int(rng.integers(2, 9))
-    edges = []
-    for _ in range(m):
-        size = int(rng.integers(2, min(n, 5) + 1))
-        members = [int(v) for v in rng.choice(n, size=size, replace=False)]
-        if directed and rng.random() < 0.6 and size >= 2:
-            cut = int(rng.integers(1, size))
-            edges.append(Hyperedge(tuple(members[:cut]), tuple(members[cut:])))
-        else:
-            edges.append(Hyperedge(tuple(members)))
-    covered = set()
-    for e in edges:
-        covered.update(e.members)
-    missing = [u for u in range(n) if u not in covered]
-    for u in missing:
-        j = int(rng.integers(0, len(edges)))
-        e = edges[j]
-        edges[j] = Hyperedge(e.tail + (u,), e.head)
-    return DirectedHypergraph(n, tuple(edges))
-
-
 def check_zhou_reduction(trials: int = 50, seed: int = 0) -> TheoremResult:
     """Trivial sheaf: the normalized operator equals the classical normalized
     hypergraph Laplacian (q = 0 on directed instances; any q once direction
@@ -167,7 +143,7 @@ def check_zhou_reduction(trials: int = 50, seed: int = 0) -> TheoremResult:
     worst = 0.0
     for t in range(trials):
         directed = t % 2 == 0
-        H = _random_covered_hypergraph(rng, directed=directed)
+        H = random_hypergraph(rng, (4, 10), (2, 8), 0.6 if directed else 0.0)
         q = 0.0 if directed else float(rng.uniform(0.0, 0.25))
         sheaf = build_fixed_sheaf(H, SheafConfig(q=q, d=1, map_shape="trivial"))
         ours = build_laplacian(H, sheaf, normalized=True).L.to_dense()
@@ -182,7 +158,7 @@ def check_gedi_reduction(trials: int = 50, seed: int = 0) -> TheoremResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        H = _random_covered_hypergraph(rng, directed=True)
+        H = random_hypergraph(rng, (4, 10), (2, 8), 0.6)
         sheaf = build_fixed_sheaf(H, SheafConfig(q=0.25, d=1, map_shape="trivial"))
         ours = build_laplacian(H, sheaf, normalized=True).L.to_dense()
         ref = reference_laplacian("gedi", hypergraph=H)
@@ -242,7 +218,7 @@ def flipped_sign_psd_failures(trials: int = 100, seed: int = 0) -> tuple[int, in
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(trials):
-        H = _random_covered_hypergraph(rng, directed=False)
+        H = random_hypergraph(rng, (4, 10), (2, 8), 0.0)
         sheaf = build_fixed_sheaf(
             H, SheafConfig(q=0.0, d=1, map_shape="trivial"), rng_seed=int(rng.integers(2**31))
         )

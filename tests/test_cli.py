@@ -82,6 +82,17 @@ def test_pipeline_closure_transform_build_laplacian(tmp_path):
     assert np.max(np.abs(L - L.conj().T)) < 1e-12
 
 
+def test_non_unit_weight_file_is_usage_error(tmp_path, capsys):
+    hg = tmp_path / "weighted.hg"
+    hg.write_text("3 2\ne 1 : 1 2 |\ne 2.5 : 2 | 3\n")
+    out = tmp_path / "L.txt"
+    assert run(["build-laplacian", "--in", str(hg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {hg}: hyperedge line 2 has weight 2.5;")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_spectral_report(tmp_path):
     report = tmp_path / "report.txt"
     code = run(["verify-spectral", "--trials", "10", "--seed", "1", "--report", str(report)])
@@ -155,6 +166,7 @@ def test_negative_eigencheck_interval_is_usage_error(tmp_path, capsys):
     ("--lr", "-0.5", "learning_rate"),
     ("--lr", "nan", "learning_rate"),
     ("--wd", "-1", "weight_decay"),
+    ("--dropout", "-0.5", "dropout_rate"),
 ])
 def test_bad_model_size_is_usage_error(tmp_path, capsys, command, flag, value, field):
     prefix = gen_small(tmp_path)

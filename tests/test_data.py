@@ -15,7 +15,6 @@ from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 
 def test_paper_scale_hyperedge_count():
     cfg = SyntheticConfig(n=500, classes=5, h_min=3, h_max=10, intra_per_class=30, inter_per_pair=30, seed=0)
-    assert cfg.expected_num_hyperedges == 450
     ds = generate_synthetic(cfg)
     assert ds.hypergraph.num_hyperedges == 450
 

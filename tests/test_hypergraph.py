@@ -5,9 +5,9 @@ from hypersheaf.hypergraph import (
     DirectedHypergraph,
     Hyperedge,
     from_directed_graph,
+    incidence_counts,
     read_hypergraph,
     validate,
-    vertex_degree,
     write_hypergraph,
 )
 
@@ -23,9 +23,6 @@ def test_hyperedge_normalizes_sorted_unique():
     assert e.head == (2,)
     assert e.degree == 3
     assert e.members == (1, 2, 3)
-    assert e.role_of(2) == "head"
-    with pytest.raises(ValueError):
-        e.role_of(9)
 
 
 def test_validate_accepts_forward_directed_edge():
@@ -53,18 +50,7 @@ def test_validate_rejects_out_of_range_vertex():
 
 def test_vertex_degree_counts_incidences_with_unit_weights():
     H = appendix_pair()
-    assert vertex_degree(H, 1) == 2
-    assert vertex_degree(H, 0) == 1
-
-
-def test_vertex_degree_sums_absolute_weights():
-    H = DirectedHypergraph(
-        4, (Hyperedge((0, 1, 2)), Hyperedge((1, 2, 3))), weights=(0.5, 2.0)
-    )
-    # vertex 2 sits in both edges: |0.5| + |2.0|
-    assert vertex_degree(H, 2) == pytest.approx(2.5)
-    with pytest.raises(ValueError):
-        vertex_degree(H, 4)
+    assert incidence_counts(H).tolist() == [1, 2, 2, 1]
 
 
 def test_from_directed_graph_star():
@@ -108,14 +94,23 @@ def test_round_trip_preserves_structure_and_weights(tmp_path):
     H = DirectedHypergraph(
         5,
         (Hyperedge((0, 1, 2)), Hyperedge((1,), (3, 4)), Hyperedge((2, 4))),
-        weights=(1.0, 0.123456789, 3.5),
     )
     path = tmp_path / "rt.txt"
     write_hypergraph(H, path)
+    # every hyperedge is written with the unit weight
+    assert path.read_text() == "5 3\ne 1 : 1 2 3 |\ne 1 : 2 | 4 5\ne 1 : 3 5 |\n"
     back = read_hypergraph(path)
-    assert back.num_vertices == H.num_vertices
-    assert back.hyperedges == H.hyperedges
-    assert back.weights == H.weights
+    assert back == H
+
+
+@pytest.mark.parametrize("weight", ["2.5", "0.5", "-1", "0", "nan"])
+def test_read_rejects_non_unit_weight(tmp_path, weight):
+    # the operator is defined for unit weights only, and the file is where
+    # other weights could enter
+    path = tmp_path / "weighted.hg"
+    path.write_text(f"3 2\ne 1.0 : 1 2 |\ne {weight} : 2 | 3\n")
+    with pytest.raises(ValueError, match=f"weighted.hg: hyperedge line 2 has weight {weight};"):
+        read_hypergraph(path)
 
 
 def test_read_rejects_out_of_range_vertex(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypersheaf.blockmatrix import BlockComplexMatrix
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.laplacian import (
-    IncidenceStructure,
     apply_laplacian,
     build_degree_matrices,
     build_incidence,
@@ -315,14 +314,6 @@ def test_kernel_assembly_and_oracle_agree(instance, normalized):
     Z = dense_factor(bundle.structure, bundle.Z)
     diag = np.eye(k) if normalized else block_diag(bundle.D_V)
     np.testing.assert_allclose(diag - Z.conj().T @ Z, bundle.L.to_dense(), rtol=0, atol=1e-10)
-
-
-def test_non_unit_weight_is_rejected():
-    H = DirectedHypergraph(3, (Hyperedge((0, 1)), Hyperedge((1,), (2,))), weights=(1.0, 2.5))
-    A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=1))
-    for build in (IncidenceStructure.build, lambda H: build_laplacian(H, A)):
-        with pytest.raises(ValueError, match="hyperedge 1 has weight 2.5"):
-            build(H)
 
 
 def test_apply_is_linear():

@@ -26,7 +26,6 @@ from hypersheaf.model import (
     predict_sheaf,
     synthetic_benchmark_config,
     train,
-    unwind,
     _adam_step,
     _apply_signless,
     _forward_tape,
@@ -50,24 +49,7 @@ def small_dataset(seed=0, n=20, classes=2):
     return generate_synthetic(cfg)
 
 
-# --- unwind / relu / layer norm -------------------------------------------------
-
-
-def test_unwind_definition():
-    X = np.array([[1 + 2j]])
-    np.testing.assert_array_equal(unwind(X), [[1.0, 2.0]])
-    real = np.array([[3.0, -1.0]])
-    out = unwind(real.astype(complex))
-    np.testing.assert_array_equal(out[:, 2:], np.zeros((1, 2)))
-
-
-def test_unwind_is_injective():
-    rng = np.random.default_rng(0)
-    seen = set()
-    for _ in range(50):
-        X = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        seen.add(unwind(X).tobytes())
-    assert len(seen) == 50
+# --- relu / layer norm ----------------------------------------------------------
 
 
 def test_complex_relu_cases():
@@ -451,7 +433,7 @@ def test_zero_learning_rate_leaves_parameters_unchanged():
 
 def test_training_is_deterministic():
     ds = small_dataset(seed=19)
-    config = ModelConfig(num_layers=2, stalk_dim=2, hidden_width=4, seed=19, sheaf_dropout=True, dropout_rate=0.3)
+    config = ModelConfig(num_layers=2, stalk_dim=2, hidden_width=4, seed=19, dropout_rate=0.3)
     budget = TrainingBudget(max_epochs=5, patience=10, learning_rate=0.01)
     r1 = train(ds, config, budget)
     r2 = train(ds, config, budget)
@@ -523,7 +505,7 @@ TRAIN_CASES = {
         TrainingBudget(max_epochs=40, patience=2, learning_rate=0.05),
     ),
     "dropout": (
-        ModelConfig(num_layers=2, stalk_dim=2, hidden_width=4, seed=30, sheaf_dropout=True, dropout_rate=0.3),
+        ModelConfig(num_layers=2, stalk_dim=2, hidden_width=4, seed=30, dropout_rate=0.3),
         TrainingBudget(max_epochs=5, patience=5, learning_rate=0.02),
     ),
     "no-epochs": (
@@ -608,16 +590,6 @@ def test_lambda_max_matches_eigvalsh(n, seed, shape):
     lam = operator_lambda_max(structure, config, aux, 0)
     # a Ritz value never exceeds lambda_max; the residual stop puts it within 1e-8
     assert exact - 1e-8 <= lam <= exact + 1e-10
-
-
-def test_training_refuses_non_unit_weights():
-    ds = small_dataset(seed=24)
-    H = ds.hypergraph
-    weights = (1.0,) * (H.num_hyperedges - 1) + (0.5,)
-    ds = dataclasses.replace(ds, hypergraph=DirectedHypergraph(H.num_vertices, H.hyperedges, weights))
-    config = ModelConfig(num_layers=1, stalk_dim=2, hidden_width=4, seed=24)
-    with pytest.raises(ValueError, match=f"hyperedge {H.num_hyperedges - 1} has weight 0.5"):
-        train(ds, config, TrainingBudget(max_epochs=1))
 
 
 def test_divergence_raises_with_epoch_index():

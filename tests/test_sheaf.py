@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
+from hypersheaf.laplacian import build_laplacian
 from hypersheaf.sheaf import (
     SheafConfig,
     build_fixed_sheaf,
@@ -83,12 +84,16 @@ def test_phases_cancel_in_gram_product():
 def test_assignment_validates_coverage():
     H = one_directed_edge()
     A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=1))
-    A.validate_against(H)
+    build_laplacian(H, A)
     bigger = DirectedHypergraph(3, (Hyperedge((0,), (1, 2)), Hyperedge((1, 2)),))
     with pytest.raises(ValueError, match="mismatch"):
-        A.validate_against(bigger)
+        build_laplacian(bigger, A)
     with pytest.raises(ValueError, match="not incident"):
         A.coefficient(2, 1)
+    # the same incidences with tail and head swapped
+    reversed_edge = DirectedHypergraph(3, (Hyperedge((1, 2), (0,)),))
+    with pytest.raises(ValueError, match=r"incidence \(1, 0\) stored as head, hypergraph says tail"):
+        build_laplacian(reversed_edge, A)
 
 
 def test_config_rejects_bad_values():

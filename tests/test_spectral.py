@@ -8,6 +8,7 @@ from hypersheaf.reference import reference_laplacian
 from hypersheaf import spectral
 from hypersheaf.sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf
 from hypersheaf.spectral import (
+    CHECK_NAMES,
     dirichlet_energy,
     hermitian_eigenvalues,
     random_instance,
@@ -146,6 +147,7 @@ def test_dirichlet_tolerance_scales_with_degree_conditioning():
     assert cond > 1e9
     rep = verify_spectral_suite(H, A)
     assert rep.passed, rep.failures
+    assert rep.checks == dict.fromkeys(CHECK_NAMES, True)  # realness applies at q = 0
     # the rounding gap exceeds the flat floor; the scaled bound covers it
     assert 1e-9 < rep.dirichlet_gap <= np.finfo(float).eps * cond
 
@@ -159,6 +161,7 @@ def test_dirichlet_check_still_catches_a_dropped_phase(monkeypatch):
     rep = verify_spectral_suite(H, charged)
     gaps = [f for f in rep.failures if f.startswith("dirichlet: energy form gap")]
     assert gaps and "tolerance" in gaps[0], rep.failures
+    assert rep.checks == {name: name != "dirichlet" for name in CHECK_NAMES if name != "realness"}
 
 
 def test_verify_suite_serializes_failures():
