@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SyntheticConfig, generate_synthetic, read_dataset, write_dataset
+from .data import DATASET_SUFFIXES, SyntheticConfig, generate_synthetic, read_dataset, write_dataset
 from .hypergraph import DirectedGraph, from_directed_graph, read_hypergraph, write_hypergraph
-from .laplacian import build_laplacian, format_dense_matrix
+from .laplacian import DEGREE_EPS, build_laplacian, format_dense_matrix
 from .model import ModelConfig, TrainingBudget, TrainingDiverged, train
 from .sheaf import SheafConfig, build_fixed_sheaf
 from .spectral import CHECK_NAMES, random_instance, verify_spectral_suite
@@ -73,17 +73,20 @@ def manifest_argv(path: str | Path) -> list[str]:
 
 def read_arc_list(path: str | Path) -> DirectedGraph:
     """Arc-list file: first line ``n``, then one ``u v`` arc per line (1-based)."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [(k, ln) for k, ln in enumerate(Path(path).read_text().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty arc list")
-    n = int(lines[0])
-    arcs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: malformed arc line {ln!r}")
-        arcs.append((int(parts[0]) - 1, int(parts[1]) - 1))
-    return DirectedGraph(n, tuple(arcs))
+    rows = []
+    for k, ln in lines:
+        try:
+            row = [int(t) for t in ln.split()]
+        except ValueError:
+            row = []
+        if len(row) != (2 if rows else 1):
+            raise ValueError(f"{path}: malformed line {k}: {ln!r}")
+        rows.append(row)
+    (n,), *arcs = rows
+    return DirectedGraph(n, tuple((u - 1, v - 1) for u, v in arcs))
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -146,7 +149,7 @@ def cmd_build_laplacian(args, argv) -> int:
     H = read_hypergraph(args.input)
     config = SheafConfig(q=args.q, d=args.stalk_dim, map_shape=args.sheaf)
     sheaf = build_fixed_sheaf(H, config, rng_seed=args.seed)
-    bundle = build_laplacian(H, sheaf, normalized=args.normalized, strict=not args.jitter)
+    bundle = build_laplacian(H, sheaf, normalized=args.normalized, jitter=args.jitter)
     Path(args.out).write_text(format_dense_matrix(bundle.L.to_dense()))
     write_manifest(
         _manifest_path(args, Path(args.out)),
@@ -264,8 +267,6 @@ def _write_metrics(path: Path, result, eigencheck: bool) -> None:
 
 
 def _dataset_input_paths(prefix: str) -> list[Path]:
-    from .data import DATASET_SUFFIXES
-
     p = Path(prefix)
     return [p.with_name(p.name + s) for s in DATASET_SUFFIXES.values()]
 
@@ -372,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sheaf", choices=("trivial", "diagonal", "full"), default="trivial")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normalized", action="store_true")
-    p.add_argument("--jitter", action="store_true", help="regularize singular degree blocks")
+    p.add_argument("--jitter", action="store_const", const=DEGREE_EPS, default=0.0,
+                   help="add 1e-8 to every degree block, so singular ones invert")
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_build_laplacian)

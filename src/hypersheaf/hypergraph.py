@@ -188,10 +188,10 @@ def read_hypergraph(path: str | Path) -> DirectedHypergraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty hypergraph file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: header must be 'n m', got {lines[0]!r}")
-    n, m = int(header[0]), int(header[1])
+    try:
+        n, m = (int(t) for t in lines[0].split())
+    except ValueError:
+        raise ValueError(f"{path}: header line 1 must be 'n m', got {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise ValueError(f"{path}: header promises {m} hyperedges, file has {len(lines) - 1}")
     edges = []
@@ -227,14 +227,16 @@ def write_labels(labels: Sequence[int], path: str | Path) -> None:
 
 def read_labels(path: str | Path, num_vertices: int) -> np.ndarray:
     labels = np.full(num_vertices, -1, dtype=np.int64)
-    for ln in Path(path).read_text().splitlines():
+    for k, ln in enumerate(Path(path).read_text().splitlines(), start=1):
         if not ln.strip():
             continue
-        u_str, c_str = ln.split()
-        u = int(u_str) - 1
-        if not (0 <= u < num_vertices):
-            raise ValueError(f"{path}: vertex {u + 1} out of range")
-        labels[u] = int(c_str)
+        try:
+            u, c = (int(t) for t in ln.split())
+        except ValueError:
+            raise ValueError(f"{path}: malformed label line {k}: {ln!r}") from None
+        if not (1 <= u <= num_vertices):
+            raise ValueError(f"{path}: vertex {u} out of range on line {k}")
+        labels[u - 1] = c
     if (labels < 0).any():
         missing = int(np.argmin(labels)) + 1
         raise ValueError(f"{path}: no label for vertex {missing}")
@@ -251,9 +253,12 @@ def write_features(features: np.ndarray, path: str | Path) -> None:
 
 def read_features(path: str | Path) -> np.ndarray:
     rows = []
-    for ln in Path(path).read_text().splitlines():
-        if ln.strip():
-            rows.append([float(t) for t in ln.split()])
+    for k, ln in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            if ln.strip():
+                rows.append([float(t) for t in ln.split()])
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric feature on line {k}: {ln!r}") from None
     if not rows:
         raise ValueError(f"{path}: empty feature file")
     widths = {len(r) for r in rows}
@@ -277,12 +282,15 @@ def read_splits(path: str | Path, num_vertices: int) -> tuple[np.ndarray, np.nda
     if len(lines) < 3:
         raise ValueError(f"{path}: expected three split lines")
     masks = []
-    for ln in lines[:3]:
+    for k, ln in enumerate(lines[:3], start=1):
         mask = np.zeros(num_vertices, dtype=bool)
-        for t in ln.split():
-            u = int(t) - 1
-            if not (0 <= u < num_vertices):
-                raise ValueError(f"{path}: vertex {u + 1} out of range")
-            mask[u] = True
+        try:
+            idx = np.array([int(t) for t in ln.split()], dtype=np.int64)
+        except ValueError:
+            raise ValueError(f"{path}: non-integer vertex on split line {k}: {ln!r}") from None
+        bad = idx[(idx < 1) | (idx > num_vertices)]
+        if bad.size:
+            raise ValueError(f"{path}: vertex {bad[0]} out of range on line {k}")
+        mask[idx - 1] = True
         masks.append(mask)
     return masks[0], masks[1], masks[2]

@@ -5,8 +5,8 @@ Every incidence ``k = (u, e)`` carries one complex ``d x d`` factor block
     Z_k = delta_e^{-1/2} S_k F_k [D_u^{-1/2}]
 
 (``S_k`` the directional phase, ``D_u = sum_e F^T F`` the real degree block,
-the bracketed root only in the normalized case).  Stacked, the blocks form
-the factor ``Z`` of the signless operator, and
+the bracketed root only in the normalized case, shared with the model in
+:func:`_spd_inverse_sqrt`).  Stacked, the blocks form the factor ``Z``, and
 
     L   = D_V - Z^dagger Z     (unnormalized)
     L_N = I - Z^dagger Z       (normalized)
@@ -30,7 +30,8 @@ import numpy as np
 from .autodiff import SegmentPlan
 from .blockmatrix import BlockComplexMatrix
 from .hypergraph import DirectedHypergraph
-from .jacobi import jacobi_eigh
+# read as laplacian.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it
+from .jacobi import jacobi_eigh  # noqa: F401
 from .sheaf import SheafAssignment, tail_coefficient
 
 __all__ = [
@@ -54,12 +55,7 @@ __all__ = [
 # A node signal is a complex array of shape (n*d,) or (n*d, f).
 NodeSignal = np.ndarray
 
-DEGREE_JITTER = 1e-8
-# Off-diagonal stopping tolerance of the Jacobi solve behind D_V^{-1/2}.  Its
-# error in the inverse square root grows like tol * cond(D_u), so the
-# solver's looser default (1e-12) would cost up to 1e-8 relative at
-# cond 1e4; one more quadratically converging sweep brings it to rounding.
-INV_SQRT_TOL = 1e-14
+DEGREE_EPS = 1e-8  # degree-block jitter that keeps an isolated vertex's root finite
 
 
 @dataclass
@@ -167,37 +163,20 @@ def build_degree_matrices(
     return _degree_blocks(structure, incidence_maps(structure, A)), structure.delta
 
 
-def _spd_inverse_sqrt(
-    D_V: np.ndarray, map_shape: str, *, strict: bool, jitter: float
-) -> np.ndarray:
-    """Inverse square roots of the symmetric PSD degree blocks.
+def _spd_inverse_sqrt(D: np.ndarray, *, jitter: float = 0.0) -> tuple[np.ndarray, ...]:
+    """Inverse square roots ``V diag(w^{-1/2}) V^T`` of symmetric PSD blocks ``(n, d, d)``.
 
-    Diagonal and trivial sheaves use element-wise roots; full maps go through
-    a symmetric eigendecomposition.  In strict mode a singular block raises
-    with the vertex index; otherwise ``jitter`` is added to every diagonal
-    before inversion.
+    One batched ``eigh`` of ``D + jitter I = V diag(w) V^T``; returns the roots,
+    ``w`` and ``V``.  A block with ``w <= 0`` (at ``jitter == 0``, a singular
+    one) raises, naming the lowest such vertex.
     """
-    n, d, _ = D_V.shape
-    out = np.zeros_like(D_V)
-    for u in range(n):
-        block = D_V[u]
-        if not strict:
-            block = block + jitter * np.eye(d)
-        if map_shape in ("trivial", "diagonal"):
-            diag = np.diag(block).copy()
-            if strict and np.any(diag <= 0.0):
-                raise ValueError(
-                    f"degree block of vertex {u} is singular; enable jitter or fix the instance"
-                )
-            out[u] = np.diag(1.0 / np.sqrt(diag))
-        else:
-            w, V = jacobi_eigh(block, compute_vectors=True, tol=INV_SQRT_TOL)
-            if strict and np.any(w <= 0.0):
-                raise ValueError(
-                    f"degree block of vertex {u} is singular; enable jitter or fix the instance"
-                )
-            out[u] = (V / np.sqrt(w)) @ V.T
-    return out
+    w, V = np.linalg.eigh(D + jitter * np.eye(D.shape[-1]))
+    singular = np.flatnonzero(np.any(w <= 0.0, axis=1))
+    if singular.size:
+        raise ValueError(
+            f"degree block of vertex {singular[0]} is singular; enable jitter or fix the instance"
+        )
+    return (V / np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2), w, V
 
 
 @dataclass
@@ -244,10 +223,13 @@ def build_laplacian(
     A: SheafAssignment,
     normalized: bool = False,
     *,
-    strict: bool = True,
-    jitter: float = DEGREE_JITTER,
+    jitter: float = 0.0,
 ) -> LaplacianBundle:
-    """Factor ``L = D_V - Z^dagger Z`` or its normalized form ``L_N = I - Z^dagger Z``."""
+    """Factor ``L = D_V - Z^dagger Z`` or its normalized form ``L_N = I - Z^dagger Z``.
+
+    ``jitter >= 0`` is added to every degree block before its inverse root."""
+    if not (np.isfinite(jitter) and jitter >= 0.0):
+        raise ValueError(f"jitter must be finite and non-negative, got {jitter}")
     structure = IncidenceStructure.build(H)
     F = incidence_maps(structure, A)
     D_V = _degree_blocks(structure, F)
@@ -256,7 +238,7 @@ def build_laplacian(
     Z = scale[:, None, None] * F
     dv_inv_sqrt = None
     if normalized:
-        dv_inv_sqrt = _spd_inverse_sqrt(D_V, A.config.map_shape, strict=strict, jitter=jitter)
+        dv_inv_sqrt = _spd_inverse_sqrt(D_V, jitter=jitter)[0]
         Z = Z @ dv_inv_sqrt[structure.inc_node]
     return LaplacianBundle(H, A, structure, Z, D_V, normalized, dv_inv_sqrt)
 

@@ -22,7 +22,9 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .hypergraph import DirectedHypergraph
 from .laplacian import (
+    DEGREE_EPS,
     IncidenceStructure,
+    _spd_inverse_sqrt,
     dense_factor,
     factor_adjoint_apply,
     factor_apply,
@@ -50,7 +52,6 @@ __all__ = [
 ]
 
 LAYER_NORM_EPS = 1e-5
-DEGREE_EPS = 1e-8
 LANCZOS_TOL = 1e-10
 
 
@@ -237,13 +238,13 @@ def _predict_maps(
 def _inverse_sqrt(D: Tensor) -> Tensor:
     """Inverse square roots of SPD blocks ``(n, d, d)``, as one tape node.
 
-    The forward is one batched ``eigh``, ``D = V diag(w) V^T``, and returns
-    ``V diag(w^{-1/2}) V^T``.  The backward is the Daleckii-Krein formula
+    The forward is assembly's :func:`_spd_inverse_sqrt`, which keeps
+    ``D = V diag(w) V^T``.  The backward is the Daleckii-Krein formula
     ``V ((V^T G V) o F) V^T`` with ``F_ij = -1 / (s_i s_j (s_i + s_j))`` and
     ``s = sqrt(w)``: the divided difference of ``w^{-1/2}``, whose diagonal
     is the derivative ``-w^{-3/2} / 2``, so equal eigenvalues need no limit.
     """
-    w, V = np.linalg.eigh(D.value)
+    root, w, V = _spd_inverse_sqrt(D.value)
     s = np.sqrt(w)
     Vt = np.swapaxes(V, 1, 2)
 
@@ -251,7 +252,7 @@ def _inverse_sqrt(D: Tensor) -> Tensor:
         F = -1.0 / (s[:, :, None] * s[:, None, :] * (s[:, :, None] + s[:, None, :]))
         D.accumulate(V @ ((Vt @ G @ V) * F) @ Vt)
 
-    return ad.record(D.tape, (V / s[:, None, :]) @ Vt, (D,), backward)
+    return ad.record(D.tape, root, (D,), backward)
 
 
 def _operator_blocks(maps: Tensor, structure: IncidenceStructure, config: ModelConfig) -> Tensor:

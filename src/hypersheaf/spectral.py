@@ -15,7 +15,7 @@ import numpy as np
 from .blockmatrix import DENSE_EXPORT_CAP
 from .hypergraph import DirectedHypergraph, Hyperedge, format_hypergraph
 from .jacobi import jacobi_eigh
-from .laplacian import LaplacianBundle, build_laplacian
+from .laplacian import LaplacianBundle, apply_laplacian, build_laplacian
 from .sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf
 
 __all__ = [
@@ -132,7 +132,7 @@ def dirichlet_energy(
         raise ValueError("Dirichlet energy is defined for the normalized Laplacian")
     n, d = bundle.n, bundle.d
     x = np.asarray(x, dtype=complex).reshape(n * d)
-    quad = np.vdot(x, bundle.L.apply(x))
+    quad = np.vdot(x, apply_laplacian(bundle, x))
     xs = x.reshape(n, d)
     scaled = np.einsum("uab,ub->ua", bundle.dv_inv_sqrt, xs)
     total = 0.0

@@ -284,7 +284,7 @@ def test_criterion_7_identity_layer_reduction():
         n = H.num_vertices
         X = rng.standard_normal((n * d, 2)) + 1j * rng.standard_normal((n * d, 2))
         out = diffusion_layer(X, H, A, np.eye(d), np.eye(2))
-        bundle = build_laplacian(H, A, normalized=True, strict=False, jitter=DEGREE_EPS)
+        bundle = build_laplacian(H, A, normalized=True, jitter=DEGREE_EPS)
         expected = X - bundle.L.to_dense() @ X
         worst = max(worst, float(np.max(np.abs(out - expected))))
     ok = worst < 1e-10

@@ -61,9 +61,14 @@ def test_transform_output_is_forward_directed(tmp_path):
 
 def test_read_arc_list_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.txt"
-    bad.write_text("3\n1 2 3\n")
-    with pytest.raises(ValueError, match="malformed"):
-        read_arc_list(bad)
+    for text, match in [
+        ("3\n1 2 3\n", "malformed line 2"),
+        ("3\n\n1 2\n1 b\n", "malformed line 4"),
+        ("three\n1 2\n", "malformed line 1"),
+    ]:
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"^{bad}: {match}"):
+            read_arc_list(bad)
 
 
 def test_pipeline_closure_transform_build_laplacian(tmp_path):
@@ -80,6 +85,25 @@ def test_pipeline_closure_transform_build_laplacian(tmp_path):
     L = parse_dense_matrix(out.read_text())
     assert L.shape == (4, 4)
     assert np.max(np.abs(L - L.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("suffix, text, command, match", [
+    ("", "2\n1 x\n", "transform-graph", "malformed line 2"),
+    ("", "a 2\n", "build-laplacian", "header line 1"),
+    (".labels", "1 0\n2 1 7\n", "train", "malformed label line 2"),
+], ids=["arcs", "hypergraph", "labels"])
+def test_malformed_input_file_is_usage_error_naming_its_line(tmp_path, capsys, suffix, text, command, match):
+    if suffix:  # one file of a generated dataset
+        source, path = ["--data", str(gen_small(tmp_path))], tmp_path / ("toy" + suffix)
+    else:
+        path = tmp_path / "bad.txt"
+        source = ["--in", str(path)]
+    path.write_text(text)
+    out = ["--metrics-out"] if command == "train" else ["--out"]
+    assert run([command, *source, *out, str(tmp_path / "out.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {match}")
+    assert "Traceback" not in err
 
 
 def test_non_unit_weight_file_is_usage_error(tmp_path, capsys):

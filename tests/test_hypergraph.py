@@ -6,7 +6,10 @@ from hypersheaf.hypergraph import (
     Hyperedge,
     from_directed_graph,
     incidence_counts,
+    read_features,
     read_hypergraph,
+    read_labels,
+    read_splits,
     validate,
     write_hypergraph,
 )
@@ -132,3 +135,20 @@ def test_read_rejects_wrong_edge_count(tmp_path):
     path.write_text("2 2\ne 1 : 1 2 |\n")
     with pytest.raises(ValueError, match="promises"):
         read_hypergraph(path)
+
+
+@pytest.mark.parametrize("reader, text, match", [
+    (read_hypergraph, "a 2\ne 1 : 1 2 |\ne 1 : 2 | 3\n", "header line 1 must be 'n m'"),
+    (read_labels, "1 0\n\n2 1 7\n", "malformed label line 3"),
+    (read_labels, "x 1\n", "malformed label line 1"),
+    (read_labels, "1 0\n5 1\n", "vertex 5 out of range on line 2"),
+    (read_features, "0.5 1\n0.5 one\n", "non-numeric feature on line 2"),
+    (read_splits, "1\n2 x\n3\n", "non-integer vertex on split line 2"),
+    (read_splits, "1\n2\n3 0\n", "vertex 0 out of range on line 3"),
+], ids=["header", "labels-width", "labels-token", "labels-range", "features", "splits-token", "splits-range"])
+def test_readers_name_the_file_and_line(tmp_path, reader, text, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    args = (path,) if reader in (read_hypergraph, read_features) else (path, 3)
+    with pytest.raises(ValueError, match=f"^{path}: {match}"):
+        reader(*args)

