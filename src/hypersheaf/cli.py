@@ -1,15 +1,18 @@
 """Command-line entry point for reproducible experiment runs.
 
 Every subcommand honors ``--seed``, emits exactly one ``key=value`` manifest
-recording its arguments, input digests, output paths and duration, and is
-bit-reproducible from that manifest.  Exit codes: 0 success, 1 check
-failure, 2 usage error, 3 numeric divergence.
+recording its arguments, input digests, output paths, duration, the Python
+and numpy versions and the BLAS thread settings, and is bit-reproducible
+from that manifest.  Exit codes: 0 success, 1 check failure, 2 usage error,
+3 numeric divergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import platform
 import shlex
 import sys
 import time
@@ -36,6 +39,10 @@ EXIT_DIVERGENCE = 3
 # --- manifests ----------------------------------------------------------------
 
 
+# the thread-count settings honoured by the BLAS builds numpy ships with
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -53,6 +60,9 @@ def write_manifest(
         f"subcommand={subcommand}",
         "argv=" + shlex.join(argv),
         f"duration_s={duration:.3f}",
+        f"python={platform.python_version()}",
+        f"numpy={np.__version__}",
+        "blas_threads=" + ",".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS),
     ]
     for p in inputs:
         lines.append(f"input.{p}={_digest(Path(p))}")
@@ -189,12 +199,13 @@ def cmd_verify_spectral(args, argv) -> int:
     else:
         sys.stdout.write(text)
     anchor = Path(args.report) if args.report else Path("verify-spectral.out")
+    code = EXIT_OK if not failures else EXIT_CHECK_FAILURE
     write_manifest(
         _manifest_path(args, anchor), "verify-spectral", argv, [], outputs,
-        time.time() - t0, {"trials": args.trials, "failures": len(failures)},
+        time.time() - t0, {"trials": args.trials, "failures": len(failures), "exit_code": code},
     )
     print(f"{args.trials} instances checked, {len(failures)} failures")
-    return EXIT_OK if not failures else EXIT_CHECK_FAILURE
+    return code
 
 
 def cmd_theorem_check(args, argv) -> int:

@@ -1,6 +1,10 @@
+import dataclasses
+import platform
+
 import numpy as np
 import pytest
 
+from hypersheaf import cli
 from hypersheaf.cli import main, manifest_argv, read_arc_list
 from hypersheaf.hypergraph import read_hypergraph
 from hypersheaf.laplacian import parse_dense_matrix
@@ -122,6 +126,42 @@ def test_verify_spectral_report(tmp_path):
     code = run(["verify-spectral", "--trials", "10", "--seed", "1", "--report", str(report)])
     assert code == 0
     assert "failures=0" in report.read_text()
+
+
+def test_verify_spectral_manifest_records_environment_and_replays(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    argv = [
+        "verify-spectral", "--trials", "5", "--seed", "7",
+        "--report", str(tmp_path / "r1.txt"), "--manifest", str(tmp_path / "m1.manifest"),
+    ]
+    assert run(argv) == 0
+    lines = (tmp_path / "m1.manifest").read_text().splitlines()
+    assert f"python={platform.python_version()}" in lines
+    assert f"numpy={np.__version__}" in lines
+    assert "blas_threads=OPENBLAS_NUM_THREADS=1,OMP_NUM_THREADS=unset,MKL_NUM_THREADS=unset" in lines
+    assert "exit_code=0" in lines
+    replay = manifest_argv(tmp_path / "m1.manifest")
+    assert replay == argv
+    replay[replay.index(str(tmp_path / "r1.txt"))] = str(tmp_path / "r2.txt")
+    replay[replay.index(str(tmp_path / "m1.manifest"))] = str(tmp_path / "m2.manifest")
+    assert run(replay) == 0
+    assert (tmp_path / "r1.txt").read_bytes() == (tmp_path / "r2.txt").read_bytes()
+
+
+def test_verify_spectral_manifest_records_a_failing_exit(tmp_path, monkeypatch):
+    suite = cli.verify_spectral_suite
+
+    def failing_suite(H, A, *, rng):
+        return dataclasses.replace(suite(H, A, rng=rng), failures=["bound: injected"])
+
+    monkeypatch.setattr(cli, "verify_spectral_suite", failing_suite)
+    manifest = tmp_path / "m.manifest"
+    argv = ["verify-spectral", "--trials", "2", "--report", str(tmp_path / "r.txt"), "--manifest", str(manifest)]
+    assert run(argv) == 1
+    lines = manifest.read_text().splitlines()
+    assert "failures=2" in lines and "exit_code=1" in lines
 
 
 def test_theorem_check_passes(tmp_path, capsys):

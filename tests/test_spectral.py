@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypersheaf.blockmatrix import BlockComplexMatrix
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.jacobi import jacobi_eigh
 from hypersheaf.laplacian import build_laplacian
@@ -123,7 +124,12 @@ def test_dirichlet_two_forms_agree():
         assert rep.quadratic_form >= -1e-9
 
 
-def test_verify_suite_passes_on_random_instances():
+def test_verify_suite_passes_on_random_instances(monkeypatch):
+    # the suite takes its spectrum from LAPACK, never from the Jacobi solver
+    def no_jacobi(*args, **kwargs):
+        raise AssertionError("verify_spectral_suite called jacobi_eigh")
+
+    monkeypatch.setattr(spectral, "jacobi_eigh", no_jacobi)
     rng = np.random.default_rng(6)
     for _ in range(25):
         H, A = random_instance(rng)
@@ -131,6 +137,44 @@ def test_verify_suite_passes_on_random_instances():
         assert rep.passed, rep.failures
         assert rep.max_eig <= 1 + 1e-8
         assert rep.min_eig >= -1e-8
+        # oracle: LAPACK on the complex matrix itself, not on the real embedding
+        eigs = np.linalg.eigvalsh(build_laplacian(H, A, normalized=True).L.to_dense())
+        assert abs(rep.min_eig - eigs[0]) <= 1e-12
+        assert abs(rep.max_eig - eigs[-1]) <= 1e-12
+        assert rep.pairing_gap <= spectral.PAIRING_TOL
+
+
+def scaled_by_one_and_a_half(blocks, n, d):
+    return [(i, j, 1.5 * blk) for i, j, blk in blocks]
+
+
+def shifted_by_minus_half(blocks, n, d):
+    return blocks + [(u, u, -0.5 * np.eye(d)) for u in range(n)]  # duplicate blocks sum
+
+
+@pytest.mark.parametrize(
+    "mutate, broken", [(scaled_by_one_and_a_half, "bound"), (shifted_by_minus_half, "psd")]
+)
+def test_verify_suite_catches_a_wrong_spectrum(monkeypatch, mutate, broken):
+    # only the cached L is altered; Z, and with it the Dirichlet forms, stay intact
+    def mutated_build(H, A, **kw):
+        bundle = build_laplacian(H, A, **kw)
+        blocks = [(i, j, blk) for (i, j), blk in bundle.L.entries.items()]
+        n, d = bundle.n, bundle.d
+        bundle.__dict__["L"] = BlockComplexMatrix(n, n, d, mutate(blocks, n, d))
+        return bundle
+
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        H, A = random_instance(rng)
+        intact = verify_spectral_suite(H, A, rng=np.random.default_rng(0))
+        assert intact.passed and intact.max_eig > 1 / 1.5
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "build_laplacian", mutated_build)
+            rep = verify_spectral_suite(H, A, rng=np.random.default_rng(0))
+        applicable = [name for name in CHECK_NAMES if name != "realness" or A.config.q == 0.0]
+        assert rep.checks == {name: name != broken for name in applicable}, rep.failures
+        assert len(rep.failures) == 1 and rep.failures[0].startswith(f"{broken}: "), rep.failures
 
 
 def near_singular_instance():
