@@ -185,7 +185,7 @@ def div(a, b):
 
 def _float_view(x: np.ndarray) -> np.ndarray:
     """A complex array's last axis as interleaved (re, im) floats."""
-    return np.ascontiguousarray(x).view(float)
+    return np.ascontiguousarray(x).view(x.real.dtype)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Every subcommand honors ``--seed``, emits exactly one ``key=value`` manifest
 recording its arguments, input digests, output paths, duration, the Python
-and numpy versions and the BLAS thread settings, and is bit-reproducible
-from that manifest.  Exit codes: 0 success, 1 check failure, 2 usage error,
-3 numeric divergence.
+and numpy versions, the BLAS library and thread settings, and its exit code
+with the reason for a non-zero one, and is bit-reproducible from that
+manifest.  Exit codes: 0 success, 1 check failure, 2 usage error, 3 numeric
+divergence.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 
 
+def _exit_code(exc: Exception) -> int:
+    """The exit code of a run stopped by ``exc``: divergence, else a usage error."""
+    return EXIT_DIVERGENCE if isinstance(exc, TrainingDiverged) else EXIT_USAGE
+
+
 # --- manifests ----------------------------------------------------------------
 
 
@@ -47,6 +53,15 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def blas_library() -> str:
+    """Name and version of the BLAS numpy was built against, or ``unknown``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy without a dict build report
+        return "unknown"
+    return " ".join(str(blas[key]) for key in ("name", "version") if blas.get(key)) or "unknown"
+
+
 def write_manifest(
     path: Path,
     subcommand: str,
@@ -55,13 +70,18 @@ def write_manifest(
     outputs: list[Path],
     duration: float,
     extra: dict | None = None,
+    *,
+    exit_code: int = EXIT_OK,
+    reason: str | None = None,
 ) -> None:
+    """Write the run's manifest; ``reason`` says why ``exit_code`` is non-zero."""
     lines = [
         f"subcommand={subcommand}",
         "argv=" + shlex.join(argv),
         f"duration_s={duration:.3f}",
         f"python={platform.python_version()}",
         f"numpy={np.__version__}",
+        f"blas={blas_library()}",
         "blas_threads=" + ",".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS),
     ]
     for p in inputs:
@@ -70,6 +90,9 @@ def write_manifest(
         lines.append(f"output.{p}={_digest(Path(p))}")
     for key, value in (extra or {}).items():
         lines.append(f"{key}={value}")
+    lines.append(f"exit_code={exit_code}")
+    if reason is not None:
+        lines.append("reason=" + " ".join(reason.split()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -200,9 +223,11 @@ def cmd_verify_spectral(args, argv) -> int:
         sys.stdout.write(text)
     anchor = Path(args.report) if args.report else Path("verify-spectral.out")
     code = EXIT_OK if not failures else EXIT_CHECK_FAILURE
+    reason = f"{len(failures)} of {args.trials} instances failed a spectral check" if failures else None
     write_manifest(
         _manifest_path(args, anchor), "verify-spectral", argv, [], outputs,
-        time.time() - t0, {"trials": args.trials, "failures": len(failures), "exit_code": code},
+        time.time() - t0, {"trials": args.trials, "failures": len(failures)},
+        exit_code=code, reason=reason,
     )
     print(f"{args.trials} instances checked, {len(failures)} failures")
     return code
@@ -212,7 +237,7 @@ def cmd_theorem_check(args, argv) -> int:
     t0 = time.time()
     results = run_all_theorem_checks(trials=args.trials, seed=args.seed)
     lines = [r.summary() for r in results]
-    ok = all(r.passed for r in results)
+    failed = [r.name for r in results if not r.passed]
     if args.trials > 0:
         ce = check_counterexample()
         status = "PASS" if ce.reproduces_non_psd else "FAIL"
@@ -220,7 +245,8 @@ def cmd_theorem_check(args, argv) -> int:
             f"{status} flipped-sign counterexample: matrix deviation "
             f"{ce.matrix_deviation:.3e}, min eigenvalue {ce.min_eig:.6f} (not PSD)"
         )
-        ok = ok and ce.reproduces_non_psd
+        if not ce.reproduces_non_psd:
+            failed.append("flipped-sign counterexample")
     text = "\n".join(lines) + ("\n" if lines else "")
     outputs = []
     if args.report:
@@ -228,11 +254,13 @@ def cmd_theorem_check(args, argv) -> int:
         outputs.append(Path(args.report))
     sys.stdout.write(text)
     anchor = Path(args.report) if args.report else Path("theorem-check.out")
+    code = EXIT_CHECK_FAILURE if failed else EXIT_OK
     write_manifest(
         _manifest_path(args, anchor), "theorem-check", argv, [], outputs,
-        time.time() - t0, {"trials": args.trials, "passed": ok},
+        time.time() - t0, {"trials": args.trials, "passed": not failed},
+        exit_code=code, reason="failed: " + "; ".join(failed) if failed else None,
     )
-    return EXIT_OK if ok else EXIT_CHECK_FAILURE
+    return code
 
 
 def _model_config_from_args(args, q=None, seed=None) -> ModelConfig:
@@ -287,12 +315,19 @@ def cmd_train(args, argv) -> int:
     _check_q_range(args.q)
     config, budget = _model_config_from_args(args), _budget_from_args(args)
     dataset = read_dataset(args.data)
-    result = train(dataset, config, budget)
     out = Path(args.metrics_out)
+    inputs = _dataset_input_paths(args.data)
+    try:
+        result = train(dataset, config, budget)
+    except (TrainingDiverged, ValueError) as exc:
+        write_manifest(
+            _manifest_path(args, out), "train", argv, inputs, [], time.time() - t0,
+            exit_code=_exit_code(exc), reason=str(exc),
+        )
+        raise
     _write_metrics(out, result, budget.eigencheck_every > 0)
     write_manifest(
-        _manifest_path(args, out), "train", argv, _dataset_input_paths(args.data), [out],
-        time.time() - t0,
+        _manifest_path(args, out), "train", argv, inputs, [out], time.time() - t0,
         {"test_acc": f"{result.test_acc:.17g}", "best_epoch": result.best_epoch},
     )
     print(f"best val {result.best_val_acc:.4f} at epoch {result.best_epoch}; "
@@ -310,18 +345,23 @@ def cmd_q_sweep(args, argv) -> int:
     dataset = read_dataset(args.data)
     out = Path(args.out)
     rows = ["q,test_acc"]
-    try:
-        for q, config in zip(grid, configs):
+    code, reason = EXIT_OK, None
+    for q, config in zip(grid, configs):
+        try:
             result = train(dataset, config, budget)
-            rows.append(f"{q:.17g},{result.test_acc:.17g}")
-            print(f"q={q:g}: test accuracy {result.test_acc:.4f}")
-    finally:
-        out.write_text("\n".join(rows) + "\n")
-        write_manifest(
-            _manifest_path(args, out), "q-sweep", argv, _dataset_input_paths(args.data),
-            [out], time.time() - t0, {"grid": args.grid},
-        )
-    return EXIT_OK
+        except (TrainingDiverged, ValueError) as exc:
+            # the table keeps the charges that finished
+            code, reason = _exit_code(exc), f"q={q:g}: {exc}"
+            print(f"error: {reason}", file=sys.stderr)
+            break
+        rows.append(f"{q:.17g},{result.test_acc:.17g}")
+        print(f"q={q:g}: test accuracy {result.test_acc:.4f}")
+    out.write_text("\n".join(rows) + "\n")
+    write_manifest(
+        _manifest_path(args, out), "q-sweep", argv, _dataset_input_paths(args.data),
+        [out], time.time() - t0, {"grid": args.grid}, exit_code=code, reason=reason,
+    )
+    return code
 
 
 # --- parser ----------------------------------------------------------------
@@ -460,12 +500,9 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         return args.func(args, argv)
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -2,22 +2,27 @@
 
 Every incidence ``k = (u, e)`` carries one complex ``d x d`` factor block
 
-    Z_k = delta_e^{-1/2} S_k F_k [D_u^{-1/2}]
+    Z_k = w_k M_k,   w_k = S_k delta_e^{-1/2},   M_k = F_k [D_u^{-1/2}]
 
-(``S_k`` the directional phase, ``D_u = sum_e F^T F`` the real degree block,
-the bracketed root only in the normalized case, shared with the model in
-:func:`_spd_inverse_sqrt`).  Stacked, the blocks form the factor ``Z``, and
+(``S_k`` the unit-modulus directional phase, ``F_k`` the real restriction
+map, ``D_u = sum_e F^T F`` the real degree block, the bracketed root only in
+the normalized case, shared with the model in :func:`_spd_inverse_sqrt`).
+Stacked, the blocks form the factor ``Z``, and
 
     L   = D_V - Z^dagger Z     (unnormalized)
     L_N = I - Z^dagger Z       (normalized)
 
-``Z`` is the operator's only stored form.  :class:`IncidenceStructure` fixes
-the canonical incidence order once per hypergraph; :func:`signless_apply` is
-the one vectorised ``Z^dagger Z`` kernel and :func:`dense_factor` the one
-dense export of ``Z``.  ``LaplacianBundle.L`` assembles the block-sparse
-``L`` from conjugate products of ``Z`` when first read, so it is Hermitian
-to rounding error by construction.  Hyperedges carry unit weight, the
-only weight the spectral guarantees cover (see :mod:`.hypergraph`).
+The operator is stored as its real blocks ``M`` alone; the scalar weights
+``w`` come from :meth:`IncidenceStructure.weights`.  :class:`IncidenceStructure`
+fixes the canonical incidence order once per hypergraph, and
+:func:`signless_apply` is the one vectorised ``Z^dagger Z`` kernel: full
+blocks run as real batched products on the float view of the signal, scaled
+by ``w`` per incidence.  The complex ``Z`` is formed only by
+:func:`_factor_blocks`, for the dense export :func:`dense_factor` and for
+``LaplacianBundle.L``, which assembles the block-sparse ``L`` from
+conjugate products of ``Z`` when first read, so it is Hermitian to rounding
+error by construction.  Hyperedges carry unit weight, the only weight the
+spectral guarantees cover (see :mod:`.hypergraph`).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import SegmentPlan
+from .autodiff import SegmentPlan, _product
 from .blockmatrix import BlockComplexMatrix
 from .hypergraph import DirectedHypergraph
 # read as laplacian.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it
@@ -96,6 +101,10 @@ class IncidenceStructure:
         """Per-incidence directional coefficient ``S_k`` (complex, unit modulus)."""
         return np.where(self.inc_is_tail, tail_coefficient(q), 1.0 + 0.0j)
 
+    def weights(self, q: float) -> np.ndarray:
+        """Per-incidence complex weight ``w_k = S_k delta_e^{-1/2}``, so ``Z_k = w_k M_k``."""
+        return self.phases(q) / np.sqrt(self.delta[self.inc_edge])
+
 
 def incidence_maps(structure: IncidenceStructure, A: SheafAssignment) -> np.ndarray:
     """``A``'s real restriction maps as an ``(I, d, d)`` array in canonical order."""
@@ -105,37 +114,64 @@ def incidence_maps(structure: IncidenceStructure, A: SheafAssignment) -> np.ndar
     return np.asarray([A.maps[k] for k in keys], dtype=float).reshape(-1, d, d)
 
 
-def _block_apply(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Per-incidence ``Z_k X_k``; ``Z`` ``(I, d)`` holds diagonal blocks."""
-    return Z[:, :, None] * X if Z.ndim == 2 else Z @ X
+def _block_apply(w: np.ndarray, M: np.ndarray, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Per-incidence ``w_k M_k X_k``, or ``conj(w_k) M_k^T X_k`` when ``adjoint``.
 
-
-def factor_apply(structure: IncidenceStructure, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The edge half ``Z X`` ``(m, d, f)`` of :func:`signless_apply`."""
-    return structure.edge_plan.apply(_block_apply(Z, X[structure.inc_node]))
-
-
-def factor_adjoint_apply(structure: IncidenceStructure, Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The node half ``Z^dagger Y`` ``(n, d, f)`` of :func:`signless_apply`."""
-    Zh = np.conj(Z) if Z.ndim == 2 else np.conj(np.swapaxes(Z, 1, 2))
-    return structure.node_plan.apply(_block_apply(Zh, Y[structure.inc_edge]))
-
-
-def signless_apply(structure: IncidenceStructure, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``Z^dagger Z X`` for factor blocks ``Z`` and a signal ``X`` ``(n, d, f)``.
-
-    ``Z`` is ``(I, d, d)``, or ``(I, d)`` for diagonal blocks, which are then
-    applied elementwise.  Gather, per-incidence ``Z``, edge segment-sum,
-    gather, per-incidence ``Z^H``, node segment-sum.
+    Diagonal blocks ``(I, d)`` apply ``w M`` elementwise.  Full blocks run one
+    real batched product (on the float view of a complex ``X``), then scale
+    by ``w``.
     """
-    return factor_adjoint_apply(structure, Z, factor_apply(structure, Z, X))
+    if M.ndim == 2:
+        Z = w[:, None] * M
+        return (np.conj(Z) if adjoint else Z)[:, :, None] * X
+    if adjoint:
+        w, M = np.conj(w), np.swapaxes(M, 1, 2)
+    out = _product(M, X)
+    if out.dtype.kind != "c":
+        return w[:, None, None] * out
+    out *= w[:, None, None]  # in place: no second signal-sized temporary
+    return out
 
 
-def dense_factor(structure: IncidenceStructure, Z: np.ndarray) -> np.ndarray:
+def _factor_blocks(w: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The complex factor blocks ``Z_k = w_k M_k`` ``(I, d, d)``; diagonal ``M`` is expanded."""
+    if M.ndim == 2:
+        return (w[:, None] * M)[:, :, None] * np.eye(M.shape[1])
+    return w[:, None, None] * M
+
+
+def factor_apply(
+    structure: IncidenceStructure, w: np.ndarray, M: np.ndarray, X: np.ndarray
+) -> np.ndarray:
+    """The edge half ``Z X`` ``(m, d, f)`` of :func:`signless_apply`."""
+    return structure.edge_plan.apply(_block_apply(w, M, X[structure.inc_node]))
+
+
+def factor_adjoint_apply(
+    structure: IncidenceStructure, w: np.ndarray, M: np.ndarray, Y: np.ndarray
+) -> np.ndarray:
+    """The node half ``Z^dagger Y`` ``(n, d, f)`` of :func:`signless_apply`."""
+    return structure.node_plan.apply(_block_apply(w, M, Y[structure.inc_edge], adjoint=True))
+
+
+def signless_apply(
+    structure: IncidenceStructure, w: np.ndarray, M: np.ndarray, X: np.ndarray
+) -> np.ndarray:
+    """``Z^dagger Z X`` for factor blocks ``Z_k = w_k M_k`` and a signal ``X`` ``(n, d, f)``.
+
+    ``w`` is the ``(I,)`` complex weight of :meth:`IncidenceStructure.weights`;
+    ``M`` is real, ``(I, d, d)``, or ``(I, d)`` for diagonal blocks.  ``X`` is
+    real or complex.  Gather, per-incidence ``Z``, edge segment-sum, gather,
+    per-incidence ``Z^H``, node segment-sum.
+    """
+    return factor_adjoint_apply(structure, w, M, factor_apply(structure, w, M, X))
+
+
+def dense_factor(structure: IncidenceStructure, w: np.ndarray, M: np.ndarray) -> np.ndarray:
     """``Z`` as a dense ``(m d) x (n d)`` matrix; every ``(e, u)`` pair occurs once."""
-    d = Z.shape[1]
+    d = M.shape[1]
     out = np.zeros((structure.m, d, structure.n, d), dtype=complex)
-    out[structure.inc_edge, :, structure.inc_node, :] = Z
+    out[structure.inc_edge, :, structure.inc_node, :] = _factor_blocks(w, M)
     return out.reshape(structure.m * d, structure.n * d)
 
 
@@ -181,12 +217,13 @@ def _spd_inverse_sqrt(D: np.ndarray, *, jitter: float = 0.0) -> tuple[np.ndarray
 
 @dataclass
 class LaplacianBundle:
-    """The Laplacian kept as its factor ``Z``; ``L`` is assembled on first access only."""
+    """The Laplacian kept as the real factor blocks ``M`` of ``Z = w M``; ``L`` is
+    assembled on first access only."""
 
     hypergraph: DirectedHypergraph
     sheaf: SheafAssignment
     structure: IncidenceStructure
-    Z: np.ndarray
+    M: np.ndarray
     D_V: np.ndarray
     normalized: bool
     dv_inv_sqrt: np.ndarray | None = None
@@ -198,6 +235,11 @@ class LaplacianBundle:
     @property
     def d(self) -> int:
         return self.sheaf.config.d
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        """Per-incidence complex weights of the factor, ``Z_k = w_k M_k``."""
+        return self.structure.weights(self.sheaf.config.q)
 
     @functools.cached_property
     def L(self) -> BlockComplexMatrix:
@@ -212,7 +254,8 @@ class LaplacianBundle:
         size = np.diff(s.edge_plan.starts, append=len(s.inc_edge))[s.inc_edge]
         left = np.repeat(np.arange(len(size)), size)
         right = np.arange(len(left)) + np.repeat(first - np.cumsum(size) + size, size)
-        blocks = -(np.conj(np.swapaxes(self.Z[left], 1, 2)) @ self.Z[right])
+        Z = _factor_blocks(self.w, self.M)
+        blocks = -(np.conj(np.swapaxes(Z[left], 1, 2)) @ Z[right])
         diag = np.broadcast_to(np.eye(d), (n, d, d)) if self.normalized else self.D_V
         pairs = zip(s.inc_node[left].tolist(), s.inc_node[right].tolist(), blocks)
         return BlockComplexMatrix(n, n, d, [*pairs, *zip(range(n), range(n), diag)])
@@ -234,13 +277,11 @@ def build_laplacian(
     F = incidence_maps(structure, A)
     D_V = _degree_blocks(structure, F)
 
-    scale = structure.phases(A.config.q) / np.sqrt(structure.delta[structure.inc_edge])
-    Z = scale[:, None, None] * F
-    dv_inv_sqrt = None
+    M, dv_inv_sqrt = F, None
     if normalized:
         dv_inv_sqrt = _spd_inverse_sqrt(D_V, jitter=jitter)[0]
-        Z = Z @ dv_inv_sqrt[structure.inc_node]
-    return LaplacianBundle(H, A, structure, Z, D_V, normalized, dv_inv_sqrt)
+        M = F @ dv_inv_sqrt[structure.inc_node]
+    return LaplacianBundle(H, A, structure, M, D_V, normalized, dv_inv_sqrt)
 
 
 def apply_laplacian(bundle: LaplacianBundle, x: NodeSignal) -> NodeSignal:
@@ -258,7 +299,7 @@ def apply_laplacian(bundle: LaplacianBundle, x: NodeSignal) -> NodeSignal:
         raise ValueError(f"signal has {arr.shape[0]} rows, expected {n * d}")
     xs = arr.reshape(n, d, -1)
     diag = xs if bundle.normalized else bundle.D_V @ xs
-    result = (diag - signless_apply(bundle.structure, bundle.Z, xs)).reshape(n * d, -1)
+    result = (diag - signless_apply(bundle.structure, bundle.w, bundle.M, xs)).reshape(n * d, -1)
     return result[:, 0] if flat_input else result
 
 

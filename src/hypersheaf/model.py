@@ -2,7 +2,8 @@
 
 Each layer predicts per-incidence restriction maps from the current signal,
 assembles the normalized signless operator ``Q_N = Z^dagger Z`` with
-``Z = D_E^{-1/2} B D_V^{-1/2}``, and applies
+``Z = D_E^{-1/2} B D_V^{-1/2}``, kept as real blocks ``M`` with ``Z_k = w_k M_k``
+(see :mod:`.laplacian`), and applies
 
     X_{t+1} = crelu(layernorm(Q_N (I_n (x) W1) X_t W2 [+ X_t]))
 
@@ -256,52 +257,59 @@ def _inverse_sqrt(D: Tensor) -> Tensor:
 
 
 def _operator_blocks(maps: Tensor, structure: IncidenceStructure, config: ModelConfig) -> Tensor:
-    """Normalized per-incidence factor blocks ``Z_k = delta_e^{-1/2} S_k M_k``.
+    """Real normalized factor blocks ``M_k = F_k D_{u_k}^{-1/2}``, so ``Z_k = w_k M_k``.
 
-    ``M_k = F_k D_{u_k}^{-1/2}`` is real; the phase ``S_k`` and the weight
-    ``delta_e^{-1/2}`` are constants, so ``M``'s gradient is the real part
-    of ``conj(S_k) delta_e^{-1/2}`` times ``Z``'s.  Full degree blocks take
-    their roots ``D_u^{-1/2}`` from one :func:`_inverse_sqrt` node.
+    The complex weight ``w_k = S_k delta_e^{-1/2}`` is a constant that
+    :func:`_apply_signless` applies.  Full degree blocks take their roots
+    ``D_u^{-1/2}`` from one :func:`_inverse_sqrt` node.
     """
     d = config.stalk_dim
     if config.map_shape == "diagonal":
         gram = ad.mul(maps, maps)
         D = ad.segment_sum(gram, structure.node_plan)
         dinv = ad.div(1.0, ad.sqrt(ad.add(D, DEGREE_EPS)))
-        M = ad.mul(maps, ad.gather(dinv, structure.inc_node))
+        return ad.mul(maps, ad.gather(dinv, structure.inc_node))
+    gram = ad.matmul(ad.transpose(maps, (0, 2, 1)), maps)
+    D = ad.segment_sum(gram, structure.node_plan)
+    D = ad.add(D, DEGREE_EPS * np.eye(d)[None, :, :])
+    dinv = _inverse_sqrt(D)
+    return ad.matmul(maps, ad.gather(dinv, structure.inc_node))
+
+
+def _real_outer(a: np.ndarray, b: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Per-incidence ``Re(a b^H)`` of ``(I, d, f)`` arrays, as real products of float views.
+
+    Returns ``(I, d, d)``, or its diagonal ``(I, d)`` when ``diagonal``.  A real
+    ``b`` pairs with ``Re(a)`` instead of the float view of ``a``.
+    """
+    if b.dtype.kind == "c":
+        a, b = ad._float_view(a), ad._float_view(b)
     else:
-        gram = ad.matmul(ad.transpose(maps, (0, 2, 1)), maps)
-        D = ad.segment_sum(gram, structure.node_plan)
-        D = ad.add(D, DEGREE_EPS * np.eye(d)[None, :, :])
-        dinv = _inverse_sqrt(D)
-        M = ad.matmul(maps, ad.gather(dinv, structure.inc_node))
-    s = structure.phases(config.q) / np.sqrt(structure.delta[structure.inc_edge])
-    return ad.mul(M, s.reshape((-1,) + (1,) * (len(M.shape) - 1)))
+        a = a.real
+    return (a * b).sum(axis=-1) if diagonal else a @ np.swapaxes(b, 1, 2)
 
 
-def _apply_signless(Z: Tensor, X: Tensor, structure: IncidenceStructure, config: ModelConfig) -> Tensor:
-    """Apply ``Q_N = Z^dagger Z`` to a signal ``X`` ``(n, d, f)``, as one tape node.
+def _apply_signless(M: Tensor, X: Tensor, structure: IncidenceStructure, config: ModelConfig) -> Tensor:
+    """Apply ``Q_N = Z^dagger Z``, ``Z_k = w_k M_k``, to a signal ``X`` ``(n, d, f)``, as one tape node.
 
     ``Q_N`` is Hermitian, so the signal's gradient is ``Q_N G`` for the
-    output gradient ``G``.  The blocks' gradient is ``U_e G_u^H + V_e X_u^H``
-    with the edge halves ``U = Z X`` (kept from the forward) and ``V = Z G``.
+    output gradient ``G``.  The real blocks' gradient is
+    ``Re(conj(w_k) (U_e G_u^H + V_e X_u^H))`` with the edge halves ``U = Z X``
+    (kept from the forward) and ``V = Z G``, two real batched products.
     """
-    z, x = Z.value, X.value
-    U = factor_apply(structure, z, x)
+    w, m, x = structure.weights(config.q), M.value, X.value
+    U = factor_apply(structure, w, m, x)
 
     def backward(G):
-        V = factor_apply(structure, z, G)
+        V = factor_apply(structure, w, m, G)
         if X.requires_grad:
-            X.accumulate(factor_adjoint_apply(structure, z, V))
-        if Z.requires_grad:
-            u, e = structure.inc_node, structure.inc_edge
-            if config.map_shape == "diagonal":
-                C = (U[e] * np.conj(G[u])).sum(axis=-1) + (V[e] * np.conj(x[u])).sum(axis=-1)
-            else:
-                C = U[e] @ np.conj(np.swapaxes(G[u], 1, 2)) + V[e] @ np.conj(np.swapaxes(x[u], 1, 2))
-            Z.accumulate(C)
+            X.accumulate(factor_adjoint_apply(structure, w, m, V))
+        if M.requires_grad:
+            u, e, cw = structure.inc_node, structure.inc_edge, np.conj(w)[:, None, None]
+            diagonal = m.ndim == 2
+            M.accumulate(_real_outer(cw * U[e], G[u], diagonal) + _real_outer(cw * V[e], x[u], diagonal))
 
-    return ad.record(X.tape, factor_adjoint_apply(structure, z, U), (Z, X), backward)
+    return ad.record(X.tape, factor_adjoint_apply(structure, w, m, U), (M, X), backward)
 
 
 def _layer_norm_pair(X: Tensor, gamma: Tensor, beta: Tensor, n_rows: int, f: int) -> Tensor:
@@ -327,13 +335,13 @@ def _layer_norm_pair(X: Tensor, gamma: Tensor, beta: Tensor, n_rows: int, f: int
 
 
 def _diffuse(
-    X: Tensor, Z: Tensor, W1: Tensor, W2: Tensor, gamma: Tensor, beta: Tensor,
+    X: Tensor, M: Tensor, W1: Tensor, W2: Tensor, gamma: Tensor, beta: Tensor,
     structure: IncidenceStructure, config: ModelConfig,
 ) -> Tensor:
     """``layernorm(Q_N (I_n (x) W1) X W2 [+ X])``: one layer before its rectifier."""
     n, d, f = structure.n, config.stalk_dim, config.hidden_width
     H = ad.matmul(W1, X) if config.left_projection else X
-    Y = _apply_signless(Z, ad.matmul(H, W2), structure, config)
+    Y = _apply_signless(M, ad.matmul(H, W2), structure, config)
     if config.residual:
         Y = ad.add(Y, X)
     if config.use_layer_norm:
@@ -348,17 +356,12 @@ def _diffuse(
 class ForwardAux:
     """Per-layer operator ingredients captured for diagnostics."""
 
-    layer_factors: list[np.ndarray] = field(default_factory=list)  # each layer's ``Z``
+    layer_blocks: list[np.ndarray] = field(default_factory=list)  # each layer's real ``M``
     map_values: list[np.ndarray] = field(default_factory=list)
 
-    def factor(self, config: ModelConfig, layer: int) -> np.ndarray:
-        """Complex factor blocks ``Z_k`` ``(I, d, d)`` of one layer."""
-        Z = self.layer_factors[layer]
-        return Z[:, :, None] * np.eye(config.stalk_dim) if Z.ndim == 2 else Z
-
     def dense_signless(self, structure: IncidenceStructure, config: ModelConfig, layer: int) -> np.ndarray:
-        """Dense ``Q_N`` of one layer, rebuilt from the captured factors."""
-        Z = dense_factor(structure, self.factor(config, layer))
+        """Dense ``Q_N`` of one layer, rebuilt from the captured blocks."""
+        Z = dense_factor(structure, structure.weights(config.q), self.layer_blocks[layer])
         return Z.conj().T @ Z
 
 
@@ -391,13 +394,13 @@ def _forward_tape(
     X = ad.reshape(ad.add(ad.matmul(feats, P["proj_W"]), P["proj_b"]), (n, d, f))
     aux = ForwardAux()
 
-    cache: tuple[Tensor, Tensor] | None = None  # a static sheaf's maps and factor
+    cache: tuple[Tensor, Tensor] | None = None  # a static sheaf's maps and factor blocks
     for layer in range(config.num_layers):
         phi = {k.split("_", 1)[1]: v for k, v in P.items() if k.startswith(f"phi{layer}_")}
         if fixed_maps is not None:
             # probe mode: the operator is pinned to externally supplied values
             maps = tape.tensor(fixed_maps[layer])
-            Z = _operator_blocks(maps, structure, config)
+            M = _operator_blocks(maps, structure, config)
         elif config.dynamic_sheaf or cache is None:
             # light mode detaches the operator: the frozen predictor then
             # reads a detached signal, so nothing of it is recorded
@@ -410,17 +413,17 @@ def _forward_tape(
                 mask = (dropout_rng.random(len(structure.inc_node)) < keep) / keep
                 shape = (len(structure.inc_node),) + (1,) * (len(maps.shape) - 1)
                 maps = ad.mul(maps, mask.reshape(shape))
-            Z = _operator_blocks(maps, structure, config)
+            M = _operator_blocks(maps, structure, config)
             if not config.dynamic_sheaf:
-                cache = maps, Z
+                cache = maps, M
         else:
-            maps, Z = cache
+            maps, M = cache
 
         if collect_aux:
-            aux.layer_factors.append(Z.value.copy())
+            aux.layer_blocks.append(M.value.copy())
             aux.map_values.append(maps.value.copy())
         Y = _diffuse(
-            X, Z, P[f"W1_{layer}"], P[f"W2_{layer}"], P[f"ln{layer}_gamma"], P[f"ln{layer}_beta"],
+            X, M, P[f"W1_{layer}"], P[f"W2_{layer}"], P[f"ln{layer}_gamma"], P[f"ln{layer}_beta"],
             structure, config,
         )
         X = ad.mul(Y, Y.value.real > 0)  # the complex rectifier
@@ -487,10 +490,10 @@ def diffusion_layer(
     if config.map_shape == "diagonal":
         F = np.diagonal(F, axis1=1, axis2=2).copy()
     tape = Tape()
-    Z = _operator_blocks(tape.tensor(F), structure, config)
+    M = _operator_blocks(tape.tensor(F), structure, config)
     W1, W2, gamma, beta = (None if v is None else tape.tensor(v) for v in (W1, W2, gamma, beta))
     X = tape.tensor(X.reshape(n, d, f))
-    Y = _diffuse(X, Z, W1, W2, gamma, beta, structure, config).value
+    Y = _diffuse(X, M, W1, W2, gamma, beta, structure, config).value
     if apply_activation:
         Y = complex_relu(Y)
     return Y.reshape(n * d, f)
@@ -633,7 +636,7 @@ def operator_lambda_max(
 ) -> float:
     """Largest eigenvalue of one layer's normalized signless operator.
 
-    Lanczos on ``Z^dagger Z`` with full reorthogonalisation from a seeded
+    Lanczos on the ``Z^dagger Z`` kernel with full reorthogonalisation from a seeded
     random start, stopped once the top Ritz pair's residual norm is at most
     ``LANCZOS_TOL``; within ``n d`` steps the Krylov space is exhausted and the
     residual vanishes.  The Ritz value is a Rayleigh quotient, so it never
@@ -641,25 +644,25 @@ def operator_lambda_max(
     """
     d = config.stalk_dim
     nd = structure.n * d
-    Z = aux.layer_factors[layer]
+    w, M = structure.weights(config.q), aux.layer_blocks[layer]
     rng = np.random.default_rng(0)
     q = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
     basis = [q / np.linalg.norm(q)]
     alpha: list[float] = []
     beta: list[float] = []
     for _ in range(nd):
-        w = signless_apply(structure, Z, basis[-1].reshape(structure.n, d, 1)).reshape(-1)
-        alpha.append(float(np.vdot(basis[-1], w).real))
+        r = signless_apply(structure, w, M, basis[-1].reshape(structure.n, d, 1)).reshape(-1)
+        alpha.append(float(np.vdot(basis[-1], r).real))
         B = np.asarray(basis)
         for _ in range(2):  # twice is enough for orthogonality to rounding error
-            w = w - B.T @ (B.conj() @ w)
-        b = float(np.linalg.norm(w))
+            r = r - B.T @ (B.conj() @ r)
+        b = float(np.linalg.norm(r))
         T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
         theta, S = np.linalg.eigh(T)
         if b * abs(S[-1, -1]) <= LANCZOS_TOL:
             break
         beta.append(b)
-        basis.append(w / b)
+        basis.append(r / b)
     return float(theta[-1])
 
 

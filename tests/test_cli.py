@@ -140,6 +140,7 @@ def test_verify_spectral_manifest_records_environment_and_replays(tmp_path, monk
     lines = (tmp_path / "m1.manifest").read_text().splitlines()
     assert f"python={platform.python_version()}" in lines
     assert f"numpy={np.__version__}" in lines
+    assert f"blas={cli.blas_library()}" in lines
     assert "blas_threads=OPENBLAS_NUM_THREADS=1,OMP_NUM_THREADS=unset,MKL_NUM_THREADS=unset" in lines
     assert "exit_code=0" in lines
     replay = manifest_argv(tmp_path / "m1.manifest")
@@ -162,6 +163,104 @@ def test_verify_spectral_manifest_records_a_failing_exit(tmp_path, monkeypatch):
     assert run(argv) == 1
     lines = manifest.read_text().splitlines()
     assert "failures=2" in lines and "exit_code=1" in lines
+    assert "reason=2 of 2 instances failed a spectral check" in lines
+
+
+def test_blas_library_names_numpys_build_or_unknown(monkeypatch):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert cli.blas_library() == f"{blas['name']} {blas['version']}"
+
+    def old_show_config():  # a numpy without the ``mode`` argument
+        return None
+
+    monkeypatch.setattr(np, "show_config", old_show_config)
+    assert cli.blas_library() == "unknown"
+
+
+def manifest_lines(path):
+    return path.read_text().splitlines()
+
+
+def test_every_subcommand_records_its_exit_code(tmp_path):
+    prefix = gen_small(tmp_path)
+    arcs = tmp_path / "arcs.txt"
+    arcs.write_text("3\n1 2\n2 3\n")
+    runs = {
+        "gen-synthetic": ["--n", "10", "--classes", "2", "--hmin", "2", "--hmax", "3",
+                          "--intra", "2", "--inter", "2", "--out", str(tmp_path / "g")],
+        "transform-graph": ["--in", str(arcs), "--out", str(tmp_path / "t.hg")],
+        "build-laplacian": ["--in", str(prefix) + ".hg", "--out", str(tmp_path / "L.txt")],
+        "verify-spectral": ["--trials", "1", "--report", str(tmp_path / "v.txt")],
+        "theorem-check": ["--trials", "1"],
+        "train": ["--data", str(prefix), "--layers", "1", "--hidden", "2", "--epochs", "1",
+                  "--metrics-out", str(tmp_path / "metrics.csv")],
+        "q-sweep": ["--data", str(prefix), "--grid", "0", "--layers", "1", "--hidden", "2",
+                    "--epochs", "1", "--out", str(tmp_path / "sweep.csv")],
+    }
+    for subcommand, args in runs.items():
+        manifest = tmp_path / f"{subcommand}.manifest"
+        assert run([subcommand, *args, "--manifest", str(manifest)]) == 0
+        lines = manifest_lines(manifest)
+        assert lines[0] == f"subcommand={subcommand}"
+        assert "exit_code=0" in lines and f"blas={cli.blas_library()}" in lines
+        assert not any(line.startswith("reason=") for line in lines)
+
+
+def test_theorem_check_manifest_names_the_failed_suite(tmp_path, monkeypatch):
+    checks = cli.run_all_theorem_checks
+
+    def one_failing(trials, seed):
+        results = checks(trials=trials, seed=seed)
+        results[1] = dataclasses.replace(results[1], max_deviation=1.0)
+        return results
+
+    monkeypatch.setattr(cli, "run_all_theorem_checks", one_failing)
+    manifest = tmp_path / "m.manifest"
+    assert run(["theorem-check", "--trials", "1", "--manifest", str(manifest)]) == 1
+    lines = manifest_lines(manifest)
+    name = checks(trials=1, seed=0)[1].name
+    assert "passed=False" in lines and "exit_code=1" in lines
+    assert f"reason=failed: {name}" in lines
+
+
+def diverging_dataset(tmp_path):
+    """A dataset whose first feature is NaN, so the first epoch's loss is too."""
+    prefix = gen_small(tmp_path)
+    features = tmp_path / "toy.features"
+    rows = features.read_text().splitlines()
+    rows[0] = " ".join(["nan", *rows[0].split()[1:]])
+    features.write_text("\n".join(rows) + "\n")
+    return prefix
+
+
+def test_diverging_train_records_exit_code_and_reason(tmp_path, capsys):
+    prefix = diverging_dataset(tmp_path)
+    metrics, manifest = tmp_path / "metrics.csv", tmp_path / "m.manifest"
+    code = run([
+        "train", "--data", str(prefix), "--layers", "1", "--hidden", "2", "--epochs", "3",
+        "--metrics-out", str(metrics), "--manifest", str(manifest),
+    ])
+    assert code == 3
+    assert "error: non-finite loss nan at epoch 1" in capsys.readouterr().err
+    assert not metrics.exists()
+    lines = manifest_lines(manifest)
+    assert "exit_code=3" in lines and "reason=non-finite loss nan at epoch 1" in lines
+    assert not any(line.startswith("output.") for line in lines)
+
+
+def test_diverging_q_sweep_records_exit_code_and_reason(tmp_path, capsys):
+    prefix = diverging_dataset(tmp_path)
+    out, manifest = tmp_path / "sweep.csv", tmp_path / "m.manifest"
+    code = run([
+        "q-sweep", "--data", str(prefix), "--grid", "0.1,0.2", "--layers", "1", "--hidden", "2",
+        "--epochs", "3", "--out", str(out), "--manifest", str(manifest),
+    ])
+    assert code == 3
+    assert "error: q=0.1: non-finite loss nan at epoch 1" in capsys.readouterr().err
+    assert out.read_text() == "q,test_acc\n"
+    lines = manifest_lines(manifest)
+    assert "exit_code=3" in lines and "reason=q=0.1: non-finite loss nan at epoch 1" in lines
+    assert any(line.startswith(f"output.{out}=") for line in lines)
 
 
 def test_theorem_check_passes(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypersheaf.blockmatrix import BlockComplexMatrix
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.laplacian import (
     DEGREE_EPS,
+    IncidenceStructure,
     _spd_inverse_sqrt,
     apply_laplacian,
     build_degree_matrices,
@@ -14,8 +15,11 @@ from hypersheaf.laplacian import (
     build_laplacian,
     dense_factor,
     entrywise_block,
+    factor_adjoint_apply,
+    factor_apply,
     format_dense_matrix,
     parse_dense_matrix,
+    signless_apply,
 )
 from hypersheaf.sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf, directional_coefficient
 from hypersheaf.spectral import random_instance
@@ -265,6 +269,49 @@ def test_matrix_free_apply_matches_dense(normalized):
         assert np.max(np.abs(dense - free)) / scale < 1e-10
 
 
+@pytest.mark.parametrize("signal", ["real", "complex"])
+@pytest.mark.parametrize("q", [0.0, 0.1, 0.25])
+@pytest.mark.parametrize("shape", ["diagonal", "full"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_kernel_matches_dense_factor_products(d, shape, q, signal):
+    # the (w, M) kernel runs real products on float views for full blocks
+    # and elementwise products for diagonal ones; the dense Z = w M is the oracle
+    rng = np.random.default_rng(100 * d + int(100 * q) + (shape == "full"))
+    H, _ = random_instance(rng, n_range=(5, 9), m_range=(3, 7))
+    structure = IncidenceStructure.build(H)
+    num_inc, f = len(structure.inc_node), 3
+    w = structure.weights(q)
+    M = rng.standard_normal((num_inc, d) if shape == "diagonal" else (num_inc, d, d))
+    Z = dense_factor(structure, w, M)
+    X = rng.standard_normal((structure.n, d, f))
+    Y = rng.standard_normal((structure.m, d, f))
+    if signal == "complex":
+        X = X + 1j * rng.standard_normal(X.shape)
+        Y = Y + 1j * rng.standard_normal(Y.shape)
+    x, y = X.reshape(-1, f), Y.reshape(-1, f)
+    for got, expected in [
+        (factor_apply(structure, w, M, X), Z @ x),
+        (factor_adjoint_apply(structure, w, M, Y), Z.conj().T @ y),
+        (signless_apply(structure, w, M, X), Z.conj().T @ (Z @ x)),
+    ]:
+        np.testing.assert_allclose(got.reshape(expected.shape), expected, rtol=0, atol=1e-12)
+    if signal == "complex":  # a single-precision signal goes through its own float view
+        got = signless_apply(structure, w, M, X.astype(np.complex64)).reshape(-1, f)
+        np.testing.assert_allclose(got, Z.conj().T @ (Z @ x), rtol=0, atol=1e-5)
+
+
+def test_dense_factor_places_weighted_blocks():
+    # Z_k = S_k delta_e^{-1/2} M_k sits at block (e, u) of the dense factor
+    H, A = appendix_instance(d=2, q=0.1, shape="full", seed=3)
+    bundle = build_laplacian(H, A)
+    s, d = bundle.structure, bundle.d
+    Z = dense_factor(s, bundle.w, bundle.M)
+    for k, (u, e) in enumerate(zip(s.inc_node, s.inc_edge)):
+        coeff = directional_coefficient(H, u, e, A.config.q) / np.sqrt(H.hyperedges[e].degree)
+        block = Z[e * d:(e + 1) * d, u * d:(u + 1) * d]
+        np.testing.assert_allclose(block, coeff * A.map_for(u, e), rtol=0, atol=1e-15)
+
+
 @st.composite
 def hypergraph_instances(draw):
     """Small covered hypergraphs: all-tail, all-directed or mixed edges,
@@ -315,7 +362,7 @@ def test_kernel_assembly_and_oracle_agree(instance, normalized):
     cond = float(np.linalg.cond(bundle.D_V).max()) if normalized else 1.0
     oracle = dense_laplacian_oracle(H, A, normalized=normalized)
     np.testing.assert_allclose(free, oracle @ x, rtol=0, atol=1e-10 + 1e-15 * cond)
-    Z = dense_factor(bundle.structure, bundle.Z)
+    Z = dense_factor(bundle.structure, bundle.w, bundle.M)
     diag = np.eye(k) if normalized else block_diag(bundle.D_V)
     np.testing.assert_allclose(diag - Z.conj().T @ Z, bundle.L.to_dense(), rtol=0, atol=1e-10)
 

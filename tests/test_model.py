@@ -205,29 +205,32 @@ def signless_node_case(shape, seed=25, f=3):
 @pytest.mark.parametrize("shape", ["diagonal", "full"])
 def test_signless_node_matches_dense_operator(shape):
     structure, config, maps, X = signless_node_case(shape)
-    Z = _operator_blocks(Tape().tensor(maps), structure, config).value
+    M = _operator_blocks(Tape().tensor(maps), structure, config).value
+    assert M.dtype == float
     tape = Tape()
-    Y = _apply_signless(tape.tensor(Z, requires_grad=True), tape.tensor(X, requires_grad=True), structure, config)
+    Y = _apply_signless(tape.tensor(M, requires_grad=True), tape.tensor(X, requires_grad=True), structure, config)
     assert len(tape.nodes) <= 1
-    aux = ForwardAux(layer_factors=[Z])
+    aux = ForwardAux(layer_blocks=[M])
     expected = aux.dense_signless(structure, config, 0) @ X.reshape(-1, X.shape[2])
     np.testing.assert_allclose(Y.value.reshape(expected.shape), expected, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", ["diagonal", "full"])
-def test_signless_node_gradients_match_finite_differences(shape):
+def check_signless_node_gradients(shape, real_signal):
     # from the raw maps, so the degree roots (one eigh node for full maps)
-    # and the phase product are differentiated too
+    # are differentiated too; the real blocks M take the phase-weighted
+    # gradient inside the node
     structure, config, maps, X = signless_node_case(shape)
     rng = np.random.default_rng(26)
     wr = rng.standard_normal(X.shape)
     wi = rng.standard_normal(X.shape)
-    params = {"maps": maps.copy(), "xr": X.real.copy(), "xi": X.imag.copy()}
+    params = {"maps": maps.copy(), "xr": X.real.copy()}
+    if not real_signal:
+        params["xi"] = X.imag.copy()
 
     def build_loss(p):
         tape = Tape()
         T = {name: tape.tensor(value, requires_grad=True) for name, value in p.items()}
-        x = ad.add(T["xr"], ad.mul(T["xi"], 1j))
+        x = T["xr"] if real_signal else ad.add(T["xr"], ad.mul(T["xi"], 1j))
         Y = _apply_signless(_operator_blocks(T["maps"], structure, config), x, structure, config)
         yr, yi = ad.real(Y), ad.imag(Y)
         # quadratic in the output, so the signal gradient is not constant
@@ -238,6 +241,18 @@ def test_signless_node_gradients_match_finite_differences(shape):
     ad.finite_difference_check(
         build_loss, params, n_probes=32, rel_tol=1e-4, rng=np.random.default_rng(27)
     )
+
+
+@pytest.mark.parametrize("shape", ["diagonal", "full"])
+def test_signless_node_gradients_match_finite_differences(shape):
+    check_signless_node_gradients(shape, real_signal=False)
+
+
+@pytest.mark.parametrize("shape", ["diagonal", "full"])
+def test_signless_node_gradients_for_a_real_signal(shape):
+    # the first layer feeds the node a real signal, whose float view is
+    # half as wide as a complex one's
+    check_signless_node_gradients(shape, real_signal=True)
 
 
 def degree_blocks(d, seed):
@@ -294,6 +309,25 @@ def test_full_operator_blocks_record_few_tape_nodes():
     tape = Tape()
     _operator_blocks(tape.tensor(maps, requires_grad=True), structure, config)
     assert len(tape.nodes) <= 8
+
+
+@pytest.mark.parametrize("full, nodes", [(False, 127), (True, 151)])
+def test_training_step_records_a_fixed_number_of_tape_nodes(full, nodes):
+    # the benchmark's train-light and train-full configs; the node count does
+    # not depend on the data.  Full maps record the real blocks M and no phase
+    # product (152 nodes when the complex factor was on the tape).
+    ds = small_dataset(seed=5, n=30)
+    structure = IncidenceStructure.build(ds.hypergraph)
+    config, _ = synthetic_benchmark_config(seed=5)
+    if full:
+        config = dataclasses.replace(config, light_mode=False, map_shape="full")
+    state = init_state(config, ds.features.shape[1], 2)
+    tape = Tape()
+    logits, _, _ = _forward_tape(
+        tape, ds.features, structure, state, config, training=True, dropout_rng=np.random.default_rng(0)
+    )
+    ad.softmax_cross_entropy(logits, ds.labels, ds.masks[0])
+    assert len(tape.nodes) == nodes
 
 
 # --- forward ----------------------------------------------------------------
@@ -589,7 +623,7 @@ def test_lambda_max_matches_eigvalsh(n, seed, shape):
     Q = aux.dense_signless(structure, config, 0)
     x = np.random.default_rng(0).standard_normal((structure.n, 2, 3)) + 0j
     np.testing.assert_allclose(
-        signless_apply(structure, aux.factor(config, 0), x).reshape(-1, 3),
+        signless_apply(structure, structure.weights(config.q), aux.layer_blocks[0], x).reshape(-1, 3),
         Q @ x.reshape(-1, 3), rtol=0, atol=1e-12,
     )
     exact = np.linalg.eigvalsh(Q)[-1]
