@@ -8,6 +8,7 @@ format.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -82,6 +83,16 @@ class DirectedHypergraph:
                 yield u, j, "tail"
             for u in e.head:
                 yield u, j, "head"
+
+
+def _incidence_arrays(H: DirectedHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`DirectedHypergraph.incidences` as ``(inc_node, inc_edge, inc_is_tail)`` arrays."""
+    chain, edges = itertools.chain.from_iterable, H.hyperedges
+    inc_node = np.fromiter(chain(e.tail + e.head for e in edges), dtype=np.int64)
+    inc_edge = np.repeat(np.arange(len(edges)), np.array([e.degree for e in edges], dtype=np.int64))
+    roles = chain((True,) * len(e.tail) + (False,) * len(e.head) for e in edges)
+    inc_is_tail = np.fromiter(roles, dtype=bool)
+    return inc_node, inc_edge, inc_is_tail
 
 
 @dataclass(frozen=True)
@@ -236,6 +247,10 @@ def read_labels(path: str | Path, num_vertices: int) -> np.ndarray:
             raise ValueError(f"{path}: malformed label line {k}: {ln!r}") from None
         if not (1 <= u <= num_vertices):
             raise ValueError(f"{path}: vertex {u} out of range on line {k}")
+        if c < 0:
+            raise ValueError(f"{path}: negative class {c} on line {k}")
+        if labels[u - 1] >= 0:
+            raise ValueError(f"{path}: second label for vertex {u} on line {k}")
         labels[u - 1] = c
     if (labels < 0).any():
         missing = int(np.argmin(labels)) + 1

@@ -34,7 +34,7 @@ import numpy as np
 
 from .autodiff import SegmentPlan, _product
 from .blockmatrix import BlockComplexMatrix
-from .hypergraph import DirectedHypergraph
+from .hypergraph import DirectedHypergraph, _incidence_arrays
 # read as laplacian.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it
 from .jacobi import jacobi_eigh  # noqa: F401
 from .sheaf import SheafAssignment, tail_coefficient
@@ -79,19 +79,13 @@ class IncidenceStructure:
 
     @classmethod
     def build(cls, H: DirectedHypergraph) -> "IncidenceStructure":
-        nodes, edges, tails = [], [], []
-        for u, e, role in H.incidences():
-            nodes.append(u)
-            edges.append(e)
-            tails.append(role == "tail")
-        inc_node = np.asarray(nodes, dtype=np.int64)
-        inc_edge = np.asarray(edges, dtype=np.int64)
+        inc_node, inc_edge, inc_is_tail = _incidence_arrays(H)
         return cls(
             n=H.num_vertices,
             m=H.num_hyperedges,
             inc_node=inc_node,
             inc_edge=inc_edge,
-            inc_is_tail=np.asarray(tails, dtype=bool),
+            inc_is_tail=inc_is_tail,
             delta=np.array([float(e.degree) for e in H.hyperedges]),
             node_plan=SegmentPlan.build(inc_node, H.num_vertices),
             edge_plan=SegmentPlan.build(inc_edge, H.num_hyperedges),
@@ -107,11 +101,18 @@ class IncidenceStructure:
 
 
 def incidence_maps(structure: IncidenceStructure, A: SheafAssignment) -> np.ndarray:
-    """``A``'s real restriction maps as an ``(I, d, d)`` array in canonical order."""
-    keys = list(zip(structure.inc_node.tolist(), structure.inc_edge.tolist()))
-    A.check_roles(dict(zip(keys, np.where(structure.inc_is_tail, "tail", "head").tolist())))
-    d = A.config.d
-    return np.asarray([A.maps[k] for k in keys], dtype=float).reshape(-1, d, d)
+    """``A.maps`` as stored, once ``A`` is checked to cover exactly the incidences of
+    ``structure`` in their roles: both are in canonical order, so their arrays are equal."""
+    arrays = [(s.inc_node, s.inc_edge, s.inc_is_tail) for s in (A, structure)]
+    if all(map(np.array_equal, *arrays)):
+        return A.maps
+    ours, theirs = ({(u, e): t for u, e, t in zip(*(a.tolist() for a in s))} for s in arrays)
+    if ours.keys() != theirs.keys() or len(A.maps) != len(structure.inc_node):
+        extra, missing = sorted(ours.keys() - theirs.keys()), sorted(theirs.keys() - ours.keys())
+        raise ValueError(f"sheaf/hypergraph incidence mismatch: missing={missing[:4]} extra={extra[:4]}")
+    key = next(k for k, tail in theirs.items() if ours[k] != tail)
+    role = ("head", "tail")
+    raise ValueError(f"incidence {key} stored as {role[ours[key]]}, hypergraph says {role[theirs[key]]}")
 
 
 def _block_apply(w: np.ndarray, M: np.ndarray, X: np.ndarray, adjoint: bool = False) -> np.ndarray:

@@ -517,14 +517,14 @@ def predict_sheaf(
         raise ValueError(f"signal must have shape {(n * d, f)}, got {X.shape}")
     tape = Tape()
     phi = {k: tape.tensor(v) for k, v in phi_params.items()}
-    values = _predict_maps(tape.tensor(X.reshape(n, d, f)), structure, phi, config).value
-    maps, roles = {}, {}
-    for k, (u, e) in enumerate(zip(structure.inc_node, structure.inc_edge)):
-        entry = values[k]
-        maps[(int(u), int(e))] = np.diag(entry) if config.map_shape == "diagonal" else entry
-        roles[(int(u), int(e))] = "tail" if structure.inc_is_tail[k] else "head"
-    sheaf_config = SheafConfig(q=config.q, d=d, map_shape=config.map_shape)
-    return SheafAssignment(sheaf_config, maps, roles)
+    maps = _predict_maps(tape.tensor(X.reshape(n, d, f)), structure, phi, config).value
+    if config.map_shape == "diagonal":
+        diagonal, maps = maps, np.zeros((len(maps), d, d))
+        maps[:, np.arange(d), np.arange(d)] = diagonal
+    return SheafAssignment.from_arrays(
+        SheafConfig(q=config.q, d=d, map_shape=config.map_shape),
+        structure.inc_node, structure.inc_edge, structure.inc_is_tail, maps,
+    )
 
 
 # --- loss, gradients, training ----------------------------------------------------

@@ -8,13 +8,14 @@ and ``exp(-2*pi*i*q)`` on tail incidences; ``q = 0`` erases direction and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .hypergraph import DirectedHypergraph
+from .hypergraph import DirectedHypergraph, _incidence_arrays
 
 __all__ = [
     "SheafConfig",
@@ -48,10 +49,11 @@ class SheafConfig:
 
 
 class SheafAssignment:
-    """Immutable map from incidences ``(u, e)`` to real restriction maps.
+    """Immutable real restriction maps, kept as read-only per-incidence arrays.
 
-    ``roles`` records whether each incidence is a tail or a head, so the
-    complex directed map can be produced without re-resolving membership.
+    Rows are in canonical incidence order, that of :meth:`DirectedHypergraph.incidences`
+    (edge by edge, tails before heads, vertices ascending): ``inc_node``, ``inc_edge``,
+    ``inc_is_tail`` and the ``(I, d, d)`` stack ``maps`` that assembly reads as it is.
     """
 
     def __init__(
@@ -60,53 +62,77 @@ class SheafAssignment:
         maps: Mapping[tuple[int, int], np.ndarray],
         roles: Mapping[tuple[int, int], str],
     ):
+        """From ``(u, e)``-keyed maps and roles (``"tail"`` or ``"head"``) in any key order."""
         if set(maps) != set(roles):
             raise ValueError("maps and roles must cover the same incidences")
-        self.config = config
+        keys = sorted(maps, key=lambda k: (k[1], roles[k] != "tail", k[0]))
         d = config.d
-        frozen = {}
-        for key, F in maps.items():
-            arr = np.array(F, dtype=float)
-            if arr.shape != (d, d):
-                raise ValueError(f"map for incidence {key} has shape {arr.shape}, expected {(d, d)}")
-            if config.map_shape == "trivial" and not np.array_equal(arr, np.eye(d)):
-                raise ValueError(f"trivial sheaf requires identity maps, got {arr} at {key}")
-            if config.map_shape == "diagonal" and np.any(arr != np.diag(np.diag(arr))):
-                raise ValueError(f"diagonal sheaf has nonzero off-diagonal at {key}")
+        for k in keys:
+            if roles[k] not in ("tail", "head"):
+                raise ValueError(f"incidence {k} has role {roles[k]!r}, expected tail or head")
+            if np.shape(maps[k]) != (d, d):
+                raise ValueError(f"map for incidence {k} has shape {np.shape(maps[k])}, expected {(d, d)}")
+        inc = np.array(keys, dtype=np.int64).reshape(-1, 2)
+        stack = np.array([maps[k] for k in keys], dtype=float).reshape(-1, d, d)
+        self._store(config, inc[:, 0], inc[:, 1], [roles[k] == "tail" for k in keys], stack)
+
+    @classmethod
+    def from_arrays(cls, config: SheafConfig, inc_node, inc_edge, inc_is_tail, maps) -> "SheafAssignment":
+        """From per-incidence arrays already in canonical order."""
+        self = cls.__new__(cls)
+        self._store(config, inc_node, inc_edge, inc_is_tail, maps)
+        return self
+
+    def _store(self, config, inc_node, inc_edge, inc_is_tail, maps) -> None:
+        """Keep read-only copies, validated once on the stack."""
+        self.config, d, shape = config, config.d, config.map_shape
+        self.inc_node, self.inc_edge = (np.array(a, dtype=np.int64) for a in (inc_node, inc_edge))
+        self.inc_is_tail, self.maps = np.array(inc_is_tail, dtype=bool), np.array(maps, dtype=float)
+        rows = self.maps.shape[:1]
+        shapes = [a.shape for a in (self.inc_node, self.inc_edge, self.inc_is_tail, self.maps)]
+        if shapes != [rows] * 3 + [rows + (d, d)]:
+            raise ValueError(f"expected three (I,) incidence arrays and (I, {d}, {d}) maps, got {shapes}")
+        # canonical order: rows strictly increasing in (edge, is head, vertex)
+        order = (self.inc_edge, 1 - self.inc_is_tail, self.inc_node)
+        de, dh, du = (np.diff(a, prepend=-1) for a in order)
+        ascending = (de > 0) | (de == 0) & ((dh > 0) | (dh == 0) & (du > 0))
+        problems = {
+            "is repeated or out of canonical order": ~ascending,
+            "has a non-finite map": ~np.isfinite(self.maps).all(axis=(1, 2)),
+            "has a non-identity map in a trivial sheaf":
+                (shape == "trivial") & (self.maps != np.eye(d)).any(axis=(1, 2)),
+            "has a nonzero off-diagonal in a diagonal sheaf":
+                (shape == "diagonal") & self.maps[:, ~np.eye(d, dtype=bool)].any(axis=1),
+        }
+        for problem, bad in problems.items():
+            if bad.any():
+                k = np.argmax(bad)  # the first flagged row
+                raise ValueError(f"incidence {(int(self.inc_node[k]), int(self.inc_edge[k]))} {problem}")
+        for arr in (self.inc_node, self.inc_edge, self.inc_is_tail, self.maps):
             arr.setflags(write=False)
-            frozen[key] = arr
-        self.maps = frozen
-        self.roles = dict(roles)
+
+    @functools.cached_property
+    def _rows(self) -> dict[tuple[int, int], int]:
+        """Row of each incidence ``(u, e)``, built on the first keyed lookup."""
+        return {key: k for k, key in enumerate(zip(self.inc_node.tolist(), self.inc_edge.tolist()))}
+
+    def _row(self, u: int, e: int) -> int:
+        try:
+            return self._rows[(u, e)]
+        except KeyError:
+            raise ValueError(f"vertex {u} is not incident to hyperedge {e}") from None
 
     def map_for(self, u: int, e: int) -> np.ndarray:
-        try:
-            return self.maps[(u, e)]
-        except KeyError:
-            raise ValueError(f"vertex {u} is not incident to hyperedge {e}") from None
+        return self.maps[self._row(u, e)]
 
     def role_of(self, u: int, e: int) -> str:
-        try:
-            return self.roles[(u, e)]
-        except KeyError:
-            raise ValueError(f"vertex {u} is not incident to hyperedge {e}") from None
+        return "tail" if self.inc_is_tail[self._row(u, e)] else "head"
 
     def coefficient(self, u: int, e: int) -> complex:
         """Directional scalar for a covered incidence (1 for heads)."""
         if self.role_of(u, e) == "tail":
             return tail_coefficient(self.config.q)
         return 1.0 + 0.0j
-
-    def check_roles(self, expected: Mapping[tuple[int, int], str]) -> None:
-        """Check the assignment covers exactly ``expected``, a map from incidence to role."""
-        if set(self.maps) != set(expected):
-            extra = sorted(set(self.maps) - set(expected))
-            missing = sorted(set(expected) - set(self.maps))
-            raise ValueError(
-                f"sheaf/hypergraph incidence mismatch: missing={missing[:4]} extra={extra[:4]}"
-            )
-        for key, role in expected.items():
-            if self.roles[key] != role:
-                raise ValueError(f"incidence {key} stored as {self.roles[key]}, hypergraph says {role}")
 
 
 def directional_coefficient(H: DirectedHypergraph, u: int, e: int, q: float) -> complex:
@@ -124,20 +150,17 @@ def directional_coefficient(H: DirectedHypergraph, u: int, e: int, q: float) -> 
 def build_fixed_sheaf(H: DirectedHypergraph, config: SheafConfig, rng_seed: int = 0) -> SheafAssignment:
     """Sample a non-learned sheaf: identity maps, or entries uniform on [-1, 1].
 
-    Deterministic in ``rng_seed``; incidences are visited in the hypergraph's
-    canonical order (edge by edge, tails before heads).
+    Deterministic in ``rng_seed``; one draw fills the incidences in the
+    hypergraph's canonical order (edge by edge, tails before heads).
     """
-    rng = np.random.default_rng(rng_seed)
-    d = config.d
-    maps: dict[tuple[int, int], np.ndarray] = {}
-    roles: dict[tuple[int, int], str] = {}
-    for u, e, role in H.incidences():
-        if config.map_shape == "trivial":
-            F = np.eye(d)
-        elif config.map_shape == "diagonal":
-            F = np.diag(rng.uniform(-1.0, 1.0, size=d))
-        else:
-            F = rng.uniform(-1.0, 1.0, size=(d, d))
-        maps[(u, e)] = F
-        roles[(u, e)] = role
-    return SheafAssignment(config, maps, roles)
+    incidences = _incidence_arrays(H)
+    count, d = len(incidences[0]), config.d
+    draw = np.random.default_rng(rng_seed).uniform
+    if config.map_shape == "trivial":
+        maps = np.broadcast_to(np.eye(d), (count, d, d))
+    elif config.map_shape == "diagonal":
+        maps = np.zeros((count, d, d))  # +0.0 off the diagonal, as np.diag leaves it
+        maps[:, np.arange(d), np.arange(d)] = draw(-1.0, 1.0, size=(count, d))
+    else:
+        maps = draw(-1.0, 1.0, size=(count, d, d))
+    return SheafAssignment.from_arrays(config, *incidences, maps)

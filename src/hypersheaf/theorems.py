@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import DirectedHypergraph, Hyperedge
-from .laplacian import build_laplacian
+from .laplacian import IncidenceStructure, build_laplacian
 from .reference import reference_laplacian
 from .sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf
 from .spectral import hermitian_eigenvalues, random_hypergraph
@@ -108,12 +108,11 @@ def _random_mixed_simple_graph(rng, n_max=10):
 def _magnet_scaled_sheaf(H: DirectedHypergraph, q: float) -> SheafAssignment:
     # sqrt(2) on undirected incidences, 1 on directed: the scaling under which
     # the 2-uniform block Laplacian matches the phase-encoded graph operator.
-    maps, roles = {}, {}
-    for u, e, role in H.incidences():
-        scale = np.sqrt(2.0) if H.hyperedges[e].is_undirected else 1.0
-        maps[(u, e)] = np.array([[scale]])
-        roles[(u, e)] = role
-    return SheafAssignment(SheafConfig(q=q, d=1, map_shape="full"), maps, roles)
+    s = IncidenceStructure.build(H)
+    undirected = np.array([e.is_undirected for e in H.hyperedges], dtype=bool)[s.inc_edge]
+    maps = np.where(undirected, np.sqrt(2.0), 1.0).reshape(-1, 1, 1)
+    config = SheafConfig(q=q, d=1, map_shape="full")
+    return SheafAssignment.from_arrays(config, s.inc_node, s.inc_edge, s.inc_is_tail, maps)
 
 
 def check_magnetic_reduction(

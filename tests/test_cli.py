@@ -95,7 +95,9 @@ def test_pipeline_closure_transform_build_laplacian(tmp_path):
     ("", "2\n1 x\n", "transform-graph", "malformed line 2"),
     ("", "a 2\n", "build-laplacian", "header line 1"),
     (".labels", "1 0\n2 1 7\n", "train", "malformed label line 2"),
-], ids=["arcs", "hypergraph", "labels"])
+    (".labels", "1 -1\n", "train", "negative class -1 on line 1"),
+    (".labels", "1 0\n1 1\n", "q-sweep", "second label for vertex 1 on line 2"),
+], ids=["arcs", "hypergraph", "labels", "labels-negative", "labels-repeat"])
 def test_malformed_input_file_is_usage_error_naming_its_line(tmp_path, capsys, suffix, text, command, match):
     if suffix:  # one file of a generated dataset
         source, path = ["--data", str(gen_small(tmp_path))], tmp_path / ("toy" + suffix)

@@ -142,10 +142,13 @@ def test_read_rejects_wrong_edge_count(tmp_path):
     (read_labels, "1 0\n\n2 1 7\n", "malformed label line 3"),
     (read_labels, "x 1\n", "malformed label line 1"),
     (read_labels, "1 0\n5 1\n", "vertex 5 out of range on line 2"),
+    (read_labels, "1 -1\n2 0\n3 0\n", "negative class -1 on line 1"),
+    (read_labels, "1 0\n2 1\n1 1\n3 0\n", "second label for vertex 1 on line 3"),
     (read_features, "0.5 1\n0.5 one\n", "non-numeric feature on line 2"),
     (read_splits, "1\n2 x\n3\n", "non-integer vertex on split line 2"),
     (read_splits, "1\n2\n3 0\n", "vertex 0 out of range on line 3"),
-], ids=["header", "labels-width", "labels-token", "labels-range", "features", "splits-token", "splits-range"])
+], ids=["header", "labels-width", "labels-token", "labels-range", "labels-negative",
+        "labels-repeat", "features", "splits-token", "splits-range"])
 def test_readers_name_the_file_and_line(tmp_path, reader, text, match):
     path = tmp_path / "bad.txt"
     path.write_text(text)

@@ -4,12 +4,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
-from hypersheaf.laplacian import build_laplacian
+from hypersheaf.laplacian import (
+    DEGREE_EPS,
+    apply_laplacian,
+    build_degree_matrices,
+    build_incidence,
+    build_laplacian,
+)
+from hypersheaf.model import ModelConfig, diffusion_layer, init_state, predict_sheaf
 from hypersheaf.sheaf import (
+    SheafAssignment,
     SheafConfig,
     build_fixed_sheaf,
     directional_coefficient,
 )
+from hypersheaf.spectral import random_hypergraph
 
 
 def one_directed_edge():
@@ -45,25 +54,24 @@ def test_coefficient_unit_modulus(q):
 def test_trivial_sheaf_is_identity():
     H = one_directed_edge()
     A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=1))
-    for (u, e), F in A.maps.items():
-        assert np.array_equal(F, np.eye(1))
+    assert A.maps.shape == (3, 1, 1)
+    assert np.array_equal(A.maps, np.broadcast_to(np.eye(1), A.maps.shape))
 
 
 def test_diagonal_sheaf_has_zero_off_diagonals():
     H = one_directed_edge()
     A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=3, map_shape="diagonal"), rng_seed=3)
-    for F in A.maps.values():
-        assert np.array_equal(F, np.diag(np.diag(F)))
+    assert A.maps.shape == (3, 3, 3)
+    assert not A.maps[:, ~np.eye(3, dtype=bool)].any()
 
 
 def test_fixed_sheaf_deterministic_in_seed():
     H = one_directed_edge()
     a = build_fixed_sheaf(H, SheafConfig(q=0.2, d=2, map_shape="full"), rng_seed=7)
     b = build_fixed_sheaf(H, SheafConfig(q=0.2, d=2, map_shape="full"), rng_seed=7)
-    for key in a.maps:
-        assert np.array_equal(a.maps[key], b.maps[key])
+    assert np.array_equal(a.maps, b.maps)
     c = build_fixed_sheaf(H, SheafConfig(q=0.2, d=2, map_shape="full"), rng_seed=8)
-    assert any(not np.array_equal(a.maps[k], c.maps[k]) for k in a.maps)
+    assert not np.array_equal(a.maps, c.maps)
 
 
 def test_restriction_at_q0_is_the_plain_map():
@@ -103,3 +111,133 @@ def test_config_rejects_bad_values():
         SheafConfig(q=0.1, d=0)
     with pytest.raises(ValueError):
         SheafConfig(q=0.1, d=1, map_shape="banana")
+
+
+# --- the mapping constructor and the canonical stack --------------------------
+
+
+def one_edge_maps(F0, F1, F2, roles=("tail", "head", "head")):
+    """Mapping-constructor input for :func:`one_directed_edge`."""
+    keys = [(0, 0), (1, 0), (2, 0)]
+    return dict(zip(keys, (F0, F1, F2))), dict(zip(keys, roles))
+
+
+@pytest.mark.parametrize("shape, maps, match", [
+    ("full", (np.eye(2), np.eye(3), np.eye(2)), r"incidence \(1, 0\) has shape \(3, 3\), expected \(2, 2\)"),
+    ("full", (np.eye(2), np.ones(2), np.eye(2)), r"incidence \(1, 0\) has shape \(2,\), expected"),
+    ("trivial", (np.eye(2), np.eye(2), 2 * np.eye(2)), r"incidence \(2, 0\) has a non-identity map in a trivial sheaf"),
+    ("diagonal", (np.eye(2), [[1.0, 0.5], [0.0, 1.0]], np.eye(2)), r"incidence \(1, 0\) has a nonzero off-diagonal in a diagonal sheaf"),
+    ("full", (np.eye(2), np.eye(2), [[1.0, np.nan], [0.0, 1.0]]), r"incidence \(2, 0\) has a non-finite map"),
+    ("diagonal", (np.eye(2), np.diag([1.0, np.inf]), np.eye(2)), r"incidence \(1, 0\) has a non-finite map"),
+], ids=["shape", "rank", "trivial", "diagonal", "nan", "inf"])
+def test_constructor_rejects_a_bad_map(shape, maps, match):
+    with pytest.raises(ValueError, match=match):
+        SheafAssignment(SheafConfig(q=0.1, d=2, map_shape=shape), *one_edge_maps(*maps))
+
+
+def test_constructor_rejects_mismatched_keys_and_bad_roles():
+    config = SheafConfig(q=0.1, d=1)
+    maps, roles = one_edge_maps(*[np.eye(1)] * 3)
+    with pytest.raises(ValueError, match="maps and roles must cover the same incidences"):
+        SheafAssignment(config, maps, {**roles, (0, 1): "head"})
+    with pytest.raises(ValueError, match=r"incidence \(1, 0\) has role 'sideways'"):
+        SheafAssignment(config, *one_edge_maps(*[np.eye(1)] * 3, roles=("tail", "sideways", "head")))
+
+
+def test_non_finite_map_never_reaches_assembly():
+    H = one_directed_edge()
+    A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=1, map_shape="full"))
+    maps = np.array(A.maps)
+    maps[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"incidence \(1, 0\) has a non-finite map"):
+        SheafAssignment.from_arrays(A.config, A.inc_node, A.inc_edge, A.inc_is_tail, maps)
+
+
+def test_from_arrays_requires_canonical_order():
+    H = one_directed_edge()
+    A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=1))
+    swapped = [1, 0, 2]  # a head before the tail
+    with pytest.raises(ValueError, match=r"incidence \(0, 0\) is repeated or out of canonical order"):
+        SheafAssignment.from_arrays(
+            A.config, A.inc_node[swapped], A.inc_edge[swapped], A.inc_is_tail[swapped], A.maps
+        )
+    repeated = [0, 1, 1]
+    with pytest.raises(ValueError, match=r"incidence \(1, 0\) is repeated"):
+        SheafAssignment.from_arrays(
+            A.config, A.inc_node[repeated], A.inc_edge[repeated], A.inc_is_tail[repeated], A.maps
+        )
+
+
+def test_stored_arrays_are_read_only():
+    A = build_fixed_sheaf(one_directed_edge(), SheafConfig(q=0.1, d=2, map_shape="full"))
+    for arr in (A.inc_node, A.inc_edge, A.inc_is_tail, A.maps):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    with pytest.raises(ValueError):
+        A.map_for(0, 0)[0, 0] = 2.0
+
+
+def test_shuffled_mapping_gives_the_canonical_stack_and_operator():
+    rng = np.random.default_rng(11)
+    H = random_hypergraph(rng, (8, 12), (5, 8), 0.6)
+    A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=2, map_shape="full"), rng_seed=4)
+    keys = [(u, e) for u, e, _ in H.incidences()]
+    shuffled = [keys[k] for k in rng.permutation(len(keys))]
+    B = SheafAssignment(
+        A.config, {k: np.array(A.map_for(*k)) for k in shuffled}, {k: A.role_of(*k) for k in shuffled}
+    )
+    for name in ("inc_node", "inc_edge", "inc_is_tail", "maps"):
+        assert getattr(B, name).tobytes() == getattr(A, name).tobytes(), name
+    for kwargs in ({}, {"normalized": True, "jitter": DEGREE_EPS}):
+        assert build_laplacian(H, B, **kwargs).M.tobytes() == build_laplacian(H, A, **kwargs).M.tobytes()
+
+
+def reference_fixed_maps(H, config, rng_seed):
+    """``build_fixed_sheaf``'s maps drawn one incidence at a time, in canonical order."""
+    rng = np.random.default_rng(rng_seed)
+    d, maps = config.d, []
+    for _ in H.incidences():
+        if config.map_shape == "trivial":
+            maps.append(np.eye(d))
+        elif config.map_shape == "diagonal":
+            maps.append(np.diag(rng.uniform(-1.0, 1.0, size=d)))
+        else:
+            maps.append(rng.uniform(-1.0, 1.0, size=(d, d)))
+    return np.array(maps).reshape(-1, d, d)
+
+
+@pytest.mark.parametrize("shape", ["trivial", "diagonal", "full"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fixed_sheaf_matches_a_draw_one_incidence_at_a_time(shape, d):
+    rng = np.random.default_rng(d)
+    for H in (one_directed_edge(), *(random_hypergraph(rng, (3, 20), (1, 12), 0.6) for _ in range(5))):
+        config = SheafConfig(q=0.1, d=d, map_shape=shape)
+        A = build_fixed_sheaf(H, config, rng_seed=17)
+        # bytes, so a -0.0 off-diagonal (which np.diag never writes) shows
+        assert A.maps.tobytes() == reference_fixed_maps(H, config, 17).tobytes()
+        assert [(u, e, "tail" if t else "head") for u, e, t in
+                zip(A.inc_node.tolist(), A.inc_edge.tolist(), A.inc_is_tail.tolist())] == list(H.incidences())
+
+
+def test_production_paths_never_look_maps_up_one_incidence_at_a_time(monkeypatch):
+    def lookup(*args):
+        raise AssertionError("a production path read the sheaf one incidence at a time")
+
+    for name in ("map_for", "role_of", "coefficient"):
+        monkeypatch.setattr(SheafAssignment, name, lookup)
+    H = random_hypergraph(np.random.default_rng(2), (8, 12), (5, 8), 0.6)
+    n, d, f = H.num_vertices, 2, 3
+    X = np.random.default_rng(3).standard_normal((n * d, f)) + 0j
+    for shape in ("trivial", "diagonal", "full"):
+        A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=d, map_shape=shape), rng_seed=5)
+        for bundle in (build_laplacian(H, A), build_laplacian(H, A, normalized=True, jitter=DEGREE_EPS)):
+            apply_laplacian(bundle, X)
+            bundle.L
+        build_degree_matrices(H, A)
+        build_incidence(H, A)
+        diffusion_layer(X, H, A, np.eye(d), np.eye(f))
+        if shape != "trivial":
+            config = ModelConfig(num_layers=1, stalk_dim=d, hidden_width=f, map_shape=shape)
+            params = init_state(config, input_width=1, num_classes=2).params
+            phi = {k.split("_", 1)[1]: v for k, v in params.items() if k.startswith("phi0_")}
+            build_laplacian(H, predict_sheaf(X, H, phi, config))
