@@ -58,3 +58,35 @@ from .model import (
 )
 
 __version__ = "0.1.0"
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's malloc thresholds at the ceiling its own adaptive rule reaches.
+
+    glibc serves a block above its mmap threshold with fresh pages and gives
+    free heap top above its trim threshold back to the system, and raises
+    both as the process frees large blocks.  The signal-sized temporaries of
+    the ``Z^dagger Z`` kernel (1.4 MB each at 2,700 incidences, d = 2, 16
+    columns) therefore landed on fresh pages in some processes and on reused
+    heap in others, by what each had freed before: on a 2-core Xeon one
+    ``signless_apply`` took 2 to 3 ms without page faults in one process and
+    5 to 6 ms with about 1,300 in the next.  Pinned, every process reuses its
+    heap, at the cost of keeping up to 64 MiB of freed heap.  Thresholds set
+    through glibc's ``MALLOC_*_THRESHOLD_`` variables are left as they are.
+    """
+    import ctypes, os, sys  # here, so the package namespace stays clean
+
+    if not sys.platform.startswith("linux") or any(
+        f"MALLOC_{name}_THRESHOLD_" in os.environ for name in ("MMAP", "TRIM")
+    ):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's ceiling on 64-bit
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc pairs them
+
+
+_pin_malloc_thresholds()

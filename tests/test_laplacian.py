@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -426,3 +431,30 @@ def test_dense_text_round_trip():
     M = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     text = format_dense_matrix(M)
     np.testing.assert_allclose(parse_dense_matrix(text), M, atol=0)
+
+
+# Page faults in the last of three rounds of four live 1.5 MiB arrays, the
+# kernel's signal-sized temporaries, in a fresh process.
+_FAULTS_SCRIPT = """
+import resource, numpy as np, hypersheaf
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    temporaries = [np.ones(3 << 16) for _ in range(4)]
+    del temporaries
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")
+@pytest.mark.parametrize("pinned", [True, False])
+def test_import_pins_malloc_so_temporaries_reuse_the_heap(pinned):
+    # 1,536 pages a round: reused heap faults none of them, fresh pages all
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if not pinned:  # the user's thresholds win over the package's
+        env["MALLOC_MMAP_THRESHOLD_"] = env["MALLOC_TRIM_THRESHOLD_"] = str(128 << 10)
+    result = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    faults = int(result.stdout)
+    assert faults < 150 if pinned else faults > 750
