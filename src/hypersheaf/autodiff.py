@@ -33,9 +33,9 @@ __all__ = [
     "reshape",
     "concat",
     "gather",
+    "unwound_matmul",
     "segment_sum",
     "reduce_sum",
-    "reduce_mean",
     "sigmoid",
     "tanh",
     "relu",
@@ -263,6 +263,7 @@ def reshape(a: Tensor, shape):
     return record(a.tape, a.value.reshape(shape), (a,), backward)
 
 
+# no package caller (the model unwinds with unwound_matmul); perfbench/layertrace.py traces it
 def concat(tensors, axis=0):
     tape = tensors[0].tape
     tensors = [_as_tensor(tape, t) for t in tensors]
@@ -280,17 +281,40 @@ def concat(tensors, axis=0):
     return record(tape, value, tuple(tensors), backward)
 
 
-def gather(a: Tensor, idx: np.ndarray):
-    """Select rows along axis 0; duplicate indices sum in the backward pass."""
-    idx = np.asarray(idx)
+def gather(a: Tensor, plan: "SegmentPlan"):
+    """Rows ``a[plan.seg_ids]``; the backward sums duplicates with ``plan.apply``."""
 
     def backward(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.value)
-            np.add.at(buf, idx, g)
-            a.accumulate(buf)
+            a.accumulate(plan.apply(g))
 
-    return record(a.tape, a.value[idx], (a,), backward)
+    return record(a.tape, a.value[plan.seg_ids], (a,), backward)
+
+
+def unwound_matmul(parts, w: Tensor):
+    """``[Re x_1, Im x_1, Re x_2, Im x_2, ...] @ w`` for ``x_i`` flattened to ``(rows, k_i)`` and a real
+    ``w`` ``(sum 2 k_i, p)``, as one node that copies no real or imaginary part: a block ``[[A], [B]]``
+    acts as ``Re(x (A - iB))``, one real product of the float view of ``x`` with the rows of ``A`` and
+    ``B`` interleaved like its (re, im) columns.  A real ``x`` meets ``A`` alone."""
+    views, rows, lo = [], [], 0
+    for x in parts:
+        k, pair = int(np.prod(x.value.shape[1:])), 2 if x.value.dtype.kind == "c" else 1
+        views.append(_float_view(x.value).reshape(-1, pair * k))
+        rows.append((lo + np.arange(k)[:, None] + k * np.arange(pair)).ravel())
+        lo += 2 * k
+    blocks = [w.value[r] for r in rows]
+
+    def backward(g):
+        for x, b in zip(parts, blocks):
+            if x.requires_grad:
+                x.accumulate((g @ b.T).view(x.value.dtype).reshape(x.value.shape))
+        if w.requires_grad:
+            gw = np.zeros_like(w.value)
+            for v, r in zip(views, rows):
+                gw[r] = v.T @ g
+            w.accumulate(gw)
+
+    return record(w.tape, sum(v @ b for v, b in zip(views, blocks)), (*parts, w), backward)
 
 
 @dataclass
@@ -316,15 +340,18 @@ class SegmentPlan:
         return cls(seg_ids, num_segments, order, starts, empty, presorted)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        out_shape = (self.num_segments,) + values.shape[1:]
+        """Segment sums of rows in input order, that of ``seg_ids``."""
+        return self.sum_ordered(values if self.presorted else values[self.order])
+
+    def sum_ordered(self, ordered: np.ndarray) -> np.ndarray:
+        """Segment sums of rows already in segment order, ``values[order]``."""
         if len(self.seg_ids) == 0:
-            return np.zeros(out_shape, dtype=values.dtype)
-        ordered = values if self.presorted else values[self.order]
-        # trailing empty segments start at len(values): a zero sentinel row
+            return np.zeros((self.num_segments,) + ordered.shape[1:], dtype=ordered.dtype)
+        # trailing empty segments start at len(ordered): a zero sentinel row
         # keeps those starts valid; empty segments, for which reduceat
         # reports the element at their start, are zeroed afterwards
         if self.starts[-1] == len(ordered):
-            ordered = np.concatenate([ordered, np.zeros((1,) + values.shape[1:], dtype=values.dtype)])
+            ordered = np.concatenate([ordered, np.zeros((1,) + ordered.shape[1:], dtype=ordered.dtype)])
         out = np.add.reduceat(ordered, self.starts, axis=0)
         if self.empty.any():
             out[self.empty] = 0.0
@@ -350,11 +377,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False):
             a.accumulate(np.broadcast_to(gg, a.value.shape).copy())
 
     return record(a.tape, a.value.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims=False):
-    total = reduce_sum(a, axis=axis, keepdims=keepdims)
-    return mul(total, total.value.size / a.value.size)
 
 
 def sigmoid(a: Tensor):

@@ -23,6 +23,7 @@ __all__ = [
     "incidence_counts",
     "from_directed_graph",
     "read_hypergraph",
+    "parse_hypergraph",
     "format_hypergraph",
     "write_hypergraph",
     "read_labels",
@@ -195,7 +196,11 @@ def write_hypergraph(H: DirectedHypergraph, path: str | Path) -> None:
 
 
 def read_hypergraph(path: str | Path) -> DirectedHypergraph:
-    text = Path(path).read_text()
+    return parse_hypergraph(Path(path).read_text(), path)
+
+
+def parse_hypergraph(text: str, path: str | Path = "<text>") -> DirectedHypergraph:
+    """The hypergraph of :func:`format_hypergraph` text; errors name ``path``."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty hypergraph file")

@@ -151,8 +151,9 @@ def factor_apply(
 def factor_adjoint_apply(
     structure: IncidenceStructure, w: np.ndarray, M: np.ndarray, Y: np.ndarray
 ) -> np.ndarray:
-    """The node half ``Z^dagger Y`` ``(n, d, f)`` of :func:`signless_apply`."""
-    return structure.node_plan.apply(_block_apply(w, M, Y[structure.inc_edge], adjoint=True))
+    """The node half ``Z^dagger Y`` ``(n, d, f)`` of :func:`signless_apply`, gathered in node order."""
+    o = structure.node_plan.order
+    return structure.node_plan.sum_ordered(_block_apply(w[o], M[o], Y[structure.inc_edge[o]], adjoint=True))
 
 
 def signless_apply(
@@ -177,7 +178,8 @@ def dense_factor(structure: IncidenceStructure, w: np.ndarray, M: np.ndarray) ->
 
 
 def _degree_blocks(structure: IncidenceStructure, F: np.ndarray) -> np.ndarray:
-    return structure.node_plan.apply(np.swapaxes(F, 1, 2) @ F)
+    F = F[structure.node_plan.order]  # node order, as factor_adjoint_apply gathers
+    return structure.node_plan.sum_ordered(np.swapaxes(F, 1, 2) @ F)
 
 
 def build_incidence(H: DirectedHypergraph, A: SheafAssignment) -> BlockComplexMatrix:

@@ -15,7 +15,8 @@ backward pass; the signal path itself stays differentiable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,33 +72,32 @@ def complex_layer_norm(
     """Whiten each feature column's (re, im) pairs jointly, then apply the affine.
 
     Statistics are computed per column across rows: the 2x2 covariance of
-    real and imaginary parts (plus ``eps`` on the diagonal) is inverted via
-    the closed-form square root of a 2x2 SPD matrix.
+    real and imaginary parts (plus ``eps`` on the diagonal) is inverted by its
+    ``eigh`` root, the one that degree blocks use.
     """
-    X = np.asarray(X, dtype=complex)
-    xr, xi = X.real, X.imag
-    mur = xr.mean(axis=0, keepdims=True)
-    mui = xi.mean(axis=0, keepdims=True)
-    cr, ci = xr - mur, xi - mui
-    s_rr = (cr * cr).mean(axis=0, keepdims=True) + eps
-    s_ii = (ci * ci).mean(axis=0, keepdims=True) + eps
-    s_ri = (cr * ci).mean(axis=0, keepdims=True)
-    det = s_rr * s_ii - s_ri * s_ri
-    root = np.sqrt(det)
-    denom = root * np.sqrt(s_rr + s_ii + 2.0 * root)
-    w00 = (s_ii + root) / denom
-    w11 = (s_rr + root) / denom
-    w01 = -s_ri / denom
-    tr = w00 * cr + w01 * ci
-    ti = w01 * cr + w11 * ci
-    g = np.asarray(gamma, dtype=float)
-    b = np.asarray(beta, dtype=float)
-    out_r = g[0, 0] * tr + g[0, 1] * ti + b[0]
-    out_i = g[1, 0] * tr + g[1, 1] * ti + b[1]
-    return out_r + 1j * out_i
+    return _whiten(np.asarray(X, dtype=complex), gamma, beta, eps)[0]
+
+
+def _whiten(X: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LAYER_NORM_EPS):
+    """``gamma W c + beta`` per row of ``X`` ``(N, f)``: ``c`` the (re, im) pair of the centred ``C``,
+    ``W = S^{-1/2}`` per column, ``S = mean(c c^T) + eps I = V diag(w) V^T``.  Returns it with ``C``, ``W``,
+    ``w`` and ``V``; a real 2x2 ``A`` acts on pairs as the complex row ``[1, i] A`` on ``(Re, Im)``."""
+    C = X - X.mean(axis=0)
+    cols = np.moveaxis(ad._float_view(C).reshape(C.shape + (2,)), 0, -1)
+    W, w, V = _spd_inverse_sqrt(cols @ np.swapaxes(cols, 1, 2) / len(X) + eps * np.eye(2))
+    a = [1, 1j] @ (np.asarray(gamma, dtype=float) @ W)
+    return a[:, 0] * C.real + a[:, 1] * C.imag + complex(*beta), C, W, w, V
 
 
 # --- configuration and state ----------------------------------------------------
+
+
+def _check_integer_fields(config) -> None:
+    """Reject a ``bool`` or a non-integer in a dataclass field typed ``int``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,7 @@ class ModelConfig:
     use_layer_norm: bool = True
 
     def __post_init__(self):
+        _check_integer_fields(self)
         if not (0 <= self.num_layers <= 5):
             raise ValueError("num_layers must be in [0, 5]")
         if not (1 <= self.stalk_dim <= 6):
@@ -202,11 +203,6 @@ def init_state(config: ModelConfig, input_width: int, num_classes: int) -> Model
 # --- tape-level building blocks ----------------------------------------------------
 
 
-def _scalar_entries(mat: Tensor, k: int):
-    flat = ad.reshape(mat, (-1,))
-    return [ad.gather(flat, np.array([i])) for i in range(k)]
-
-
 def _predict_maps(
     X: Tensor,
     structure: IncidenceStructure,
@@ -218,42 +214,36 @@ def _predict_maps(
     Returns a tensor of shape ``(I, d)`` for diagonal maps or ``(I, d, d)``
     for full maps.
     """
-    d, f = config.stalk_dim, config.hidden_width
-    num_inc = len(structure.inc_node)
-    node = ad.gather(X, structure.inc_node)
+    node = ad.gather(X, structure.node_plan)
     edge = ad.segment_sum(node, structure.edge_plan)
     if config.hyperedge_aggregation == "mean":
         edge = ad.mul(edge, (1.0 / structure.delta)[:, None, None])
-    edge = ad.gather(edge, structure.inc_edge)
-    parts = [ad.reshape(part(t), (num_inc, d * f)) for t in (node, edge) for part in (ad.real, ad.imag)]
-    h = ad.add(ad.matmul(ad.concat(parts, axis=1), phi["W"]), phi["b"])
+    edge = ad.gather(edge, structure.edge_plan)
+    h = ad.add(ad.unwound_matmul([node, edge], phi["W"]), phi["b"])
     if config.sheaf_activation == "sigmoid":
         h = ad.sigmoid(h)
     elif config.sheaf_activation == "tanh":
         h = ad.tanh(h)
     if config.map_shape == "full":
-        return ad.reshape(h, (num_inc, d, d))
+        return ad.reshape(h, (len(structure.inc_node), config.stalk_dim, config.stalk_dim))
     return h
 
 
-def _inverse_sqrt(D: Tensor) -> Tensor:
-    """Inverse square roots of SPD blocks ``(n, d, d)``, as one tape node.
-
-    The forward is assembly's :func:`_spd_inverse_sqrt`, which keeps
-    ``D = V diag(w) V^T``.  The backward is the Daleckii-Krein formula
-    ``V ((V^T G V) o F) V^T`` with ``F_ij = -1 / (s_i s_j (s_i + s_j))`` and
-    ``s = sqrt(w)``: the divided difference of ``w^{-1/2}``, whose diagonal
-    is the derivative ``-w^{-3/2} / 2``, so equal eigenvalues need no limit.
-    """
-    root, w, V = _spd_inverse_sqrt(D.value)
+def _root_derivative(w: np.ndarray, V: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The derivative of ``D^{-1/2}`` at ``D = V diag(w) V^T`` applied to ``G``, stacks ``(n, d, d)``:
+    Daleckii-Krein, ``V ((V^T G V) o F) V^T`` with ``F_ij = -1 / (s_i s_j (s_i + s_j))``, ``s = sqrt(w)``,
+    the divided difference of ``w^{-1/2}``; its diagonal is the derivative, so equal eigenvalues need no limit."""
     s = np.sqrt(w)
     Vt = np.swapaxes(V, 1, 2)
+    F = -1.0 / (s[:, :, None] * s[:, None, :] * (s[:, :, None] + s[:, None, :]))
+    return V @ ((Vt @ G @ V) * F) @ Vt
 
-    def backward(G):
-        F = -1.0 / (s[:, :, None] * s[:, None, :] * (s[:, :, None] + s[:, None, :]))
-        D.accumulate(V @ ((Vt @ G @ V) * F) @ Vt)
 
-    return ad.record(D.tape, root, (D,), backward)
+def _inverse_sqrt(D: Tensor) -> Tensor:
+    """Inverse square roots of SPD blocks ``(n, d, d)``, as one tape node: the forward is
+    assembly's :func:`_spd_inverse_sqrt`, the backward :func:`_root_derivative`."""
+    root, w, V = _spd_inverse_sqrt(D.value)
+    return ad.record(D.tape, root, (D,), lambda G: D.accumulate(_root_derivative(w, V, G)))
 
 
 def _operator_blocks(maps: Tensor, structure: IncidenceStructure, config: ModelConfig) -> Tensor:
@@ -268,12 +258,12 @@ def _operator_blocks(maps: Tensor, structure: IncidenceStructure, config: ModelC
         gram = ad.mul(maps, maps)
         D = ad.segment_sum(gram, structure.node_plan)
         dinv = ad.div(1.0, ad.sqrt(ad.add(D, DEGREE_EPS)))
-        return ad.mul(maps, ad.gather(dinv, structure.inc_node))
+        return ad.mul(maps, ad.gather(dinv, structure.node_plan))
     gram = ad.matmul(ad.transpose(maps, (0, 2, 1)), maps)
     D = ad.segment_sum(gram, structure.node_plan)
     D = ad.add(D, DEGREE_EPS * np.eye(d)[None, :, :])
     dinv = _inverse_sqrt(D)
-    return ad.matmul(maps, ad.gather(dinv, structure.inc_node))
+    return ad.matmul(maps, ad.gather(dinv, structure.node_plan))
 
 
 def _real_outer(a: np.ndarray, b: np.ndarray, diagonal: bool) -> np.ndarray:
@@ -313,25 +303,30 @@ def _apply_signless(M: Tensor, X: Tensor, structure: IncidenceStructure, config:
 
 
 def _layer_norm_pair(X: Tensor, gamma: Tensor, beta: Tensor, n_rows: int, f: int) -> Tensor:
-    """:func:`complex_layer_norm` of ``X`` seen as ``(n_rows, f)``, on the tape."""
-    X = ad.reshape(X, (n_rows, f))
-    C = ad.sub(X, ad.reduce_mean(X, axis=0, keepdims=True))
-    cr, ci = ad.real(C), ad.imag(C)
-    s_rr = ad.add(ad.reduce_mean(ad.mul(cr, cr), axis=0, keepdims=True), LAYER_NORM_EPS)
-    s_ii = ad.add(ad.reduce_mean(ad.mul(ci, ci), axis=0, keepdims=True), LAYER_NORM_EPS)
-    s_ri = ad.reduce_mean(ad.mul(cr, ci), axis=0, keepdims=True)
-    det = ad.sub(ad.mul(s_rr, s_ii), ad.mul(s_ri, s_ri))
-    root = ad.sqrt(det)
-    denom = ad.mul(root, ad.sqrt(ad.add(ad.add(s_rr, s_ii), ad.mul(root, 2.0))))
-    w00 = ad.div(ad.add(s_ii, root), denom)
-    w11 = ad.div(ad.add(s_rr, root), denom)
-    w01 = ad.div(ad.mul(s_ri, -1.0), denom)
-    # out_r + i out_i = [1, i] (gamma W (cr, ci) + beta), with W the 2x2 whitening
-    c0, c1 = _scalar_entries(ad.matmul(np.array([1.0, 1j]), gamma), 2)
-    b0, b1 = _scalar_entries(beta, 2)
-    a_r = ad.add(ad.mul(c0, w00), ad.mul(c1, w01))
-    a_i = ad.add(ad.mul(c0, w01), ad.mul(c1, w11))
-    return ad.add(ad.add(ad.mul(a_r, cr), ad.mul(a_i, ci)), ad.add(b0, ad.mul(b1, 1j)))
+    """:func:`complex_layer_norm` of ``X`` seen as ``(n_rows, f)``, as one tape node of ``X``'s shape.
+
+    Per column, with ``g`` the output gradient's (re, im) pairs and ``h = gamma^T g``:
+    ``d beta = sum g``, ``d gamma = sum g (W c)^T`` and ``dX = dc - mean(dc)`` for
+    ``dc = W h + (2/N) Q c``, ``Q`` the :func:`_root_derivative` of ``sym(sum h c^T)``.
+    """
+    out, C, W, w, V = _whiten(X.value.reshape(n_rows, f), gamma.value, beta.value)
+
+    def backward(G):
+        G = G.reshape(n_rows, f)
+        g, c = (np.moveaxis(ad._float_view(Z).reshape(n_rows, f, 2), 0, 1) for Z in (G, C))
+        K = np.swapaxes(g, 1, 2) @ c  # sum g c^T per column
+        if beta.requires_grad:
+            beta.accumulate(np.array([G.real.sum(), G.imag.sum()]))
+        if gamma.requires_grad:
+            gamma.accumulate((K @ np.swapaxes(W, 1, 2)).sum(axis=0))
+        if X.requires_grad:
+            P = gamma.value.T @ K
+            R = (2.0 / n_rows) * _root_derivative(w, V, 0.5 * (P + np.swapaxes(P, 1, 2)))
+            b, r = [1, 1j] @ (np.swapaxes(W, 1, 2) @ gamma.value.T), [1, 1j] @ R
+            dc = b[:, 0] * G.real + b[:, 1] * G.imag + r[:, 0] * C.real + r[:, 1] * C.imag
+            X.accumulate((dc - dc.mean(axis=0)).reshape(X.shape))
+
+    return ad.record(X.tape, out.reshape(X.shape), (X, gamma, beta), backward)
 
 
 def _diffuse(
@@ -345,7 +340,7 @@ def _diffuse(
     if config.residual:
         Y = ad.add(Y, X)
     if config.use_layer_norm:
-        Y = ad.reshape(_layer_norm_pair(Y, gamma, beta, n * d, f), (n, d, f))
+        Y = _layer_norm_pair(Y, gamma, beta, n * d, f)
     return Y
 
 
@@ -428,9 +423,7 @@ def _forward_tape(
         )
         X = ad.mul(Y, Y.value.real > 0)  # the complex rectifier
 
-    flat = ad.reshape(X, (n, d * f))
-    unwound = ad.concat([ad.real(flat), ad.imag(flat)], axis=1)
-    hidden = ad.relu(ad.add(ad.matmul(unwound, P["cls1_W"]), P["cls1_b"]))
+    hidden = ad.relu(ad.add(ad.unwound_matmul([X], P["cls1_W"]), P["cls1_b"]))
     logits = ad.add(ad.matmul(hidden, P["cls2_W"]), P["cls2_b"])
     return logits, aux, P
 
@@ -586,6 +579,7 @@ class TrainingBudget:
     eigencheck_every: int = 0  # 0 disables the periodic spectral safety probe
 
     def __post_init__(self):
+        _check_integer_fields(self)
         for name in ("max_epochs", "patience", "learning_rate", "weight_decay", "eigencheck_every"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockmatrix import DENSE_EXPORT_CAP
-from .hypergraph import DirectedHypergraph, Hyperedge, format_hypergraph
+from .hypergraph import DirectedHypergraph, Hyperedge, _incidence_arrays, format_hypergraph, parse_hypergraph
 # read as spectral.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it;
 # hermitian_eigenvalues stays on it only for that test, until ROADMAP item 1 re-points it
 from .jacobi import jacobi_eigh
@@ -34,6 +34,7 @@ __all__ = [
     "CHECK_NAMES",
     "random_hypergraph",
     "random_instance",
+    "parse_instance",
 ]
 
 HERMITIAN_INPUT_TOL = 1e-8
@@ -179,9 +180,22 @@ class SpectralCheckReport:
 
 
 def serialize_instance(H: DirectedHypergraph, A: SheafAssignment, note: str = "") -> str:
-    """Text form of an instance (hypergraph file format plus sheaf config) for replay."""
-    header = f"# sheaf q={A.config.q} d={A.config.d} shape={A.config.map_shape} {note}".rstrip()
-    return header + "\n" + format_hypergraph(H)
+    """Text form of an instance for replay: a sheaf config line, the hypergraph file
+    and one ``# map`` line per incidence in canonical order, its ``d x d`` entries
+    row-major as ``repr`` floats, which read back exactly (:func:`parse_instance`)."""
+    header = f"# sheaf q={A.config.q!r} d={A.config.d} shape={A.config.map_shape} {note}".rstrip()
+    maps = ["# map " + " ".join(map(repr, row)) for row in A.maps.reshape(len(A.maps), -1).tolist()]
+    return "\n".join([header, format_hypergraph(H), *maps])
+
+
+def parse_instance(text: str) -> tuple[DirectedHypergraph, SheafAssignment]:
+    """The ``(H, A)`` that :func:`serialize_instance` wrote."""
+    header, *lines = text.splitlines()
+    fields = dict(token.split("=", 1) for token in header.split()[2:5])
+    config = SheafConfig(q=float(fields["q"]), d=int(fields["d"]), map_shape=fields["shape"])
+    H = parse_hypergraph("\n".join(ln for ln in lines if not ln.startswith("#")))
+    maps = np.array([[float(t) for t in ln.split()[2:]] for ln in lines if ln.startswith("# map")], dtype=float)
+    return H, SheafAssignment.from_arrays(config, *_incidence_arrays(H), maps.reshape(-1, config.d, config.d))
 
 
 def verify_spectral_suite(

@@ -79,10 +79,47 @@ def test_broadcast_add_and_mul_unbroadcast():
 def test_gather_accumulates_duplicates():
     tape = Tape()
     x = tape.tensor(np.arange(4.0), requires_grad=True)
-    idx = np.array([0, 0, 3])
-    out = ad.reduce_sum(ad.gather(x, idx))
-    tape.backward(out)
+    plan = SegmentPlan.build(np.array([3, 0, 0]), 4)
+    out = ad.gather(x, plan)
+    np.testing.assert_array_equal(out.value, [3.0, 0.0, 0.0])
+    tape.backward(ad.reduce_sum(out))
     np.testing.assert_allclose(x.grad, [2.0, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("ids", [[3, 0, 0, 2, 0], [0, 0, 1, 3, 3], []])
+def test_gather_and_segment_sum_are_adjoint(ids):
+    # <gather(x, plan), y> = <x, segment_sum(y, plan)>, each op's backward the other
+    rng = np.random.default_rng(len(ids))
+    plan = SegmentPlan.build(np.array(ids, dtype=int), 4)
+    x = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    y = rng.standard_normal((len(ids), 2, 3)) + 1j * rng.standard_normal((len(ids), 2, 3))
+    tape = Tape()
+    tx, ty = tape.tensor(x, requires_grad=True), tape.tensor(y, requires_grad=True)
+    left, right = np.vdot(ad.gather(tx, plan).value, y), np.vdot(x, ad.segment_sum(ty, plan).value)
+    assert abs(left - right) <= 1e-12 * max(1.0, abs(left))
+    loss = ad.add(ad.reduce_sum(ad.real(ad.gather(tx, plan))), ad.reduce_sum(ad.real(ad.segment_sum(ty, plan))))
+    tape.backward(loss)
+    np.testing.assert_allclose(tx.grad, plan.apply(np.ones(y.shape)))
+    np.testing.assert_allclose(ty.grad, np.ones(x.shape)[plan.seg_ids])
+
+
+def test_unwound_matmul_equals_the_concatenated_real_and_imaginary_parts():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))
+    b = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    w = rng.standard_normal((20, 3))
+    unwound = np.concatenate([a.real.reshape(5, 6), a.imag.reshape(5, 6), b.real, b.imag], axis=1)
+    tape = Tape()
+    parts = [tape.tensor(a, requires_grad=True), tape.tensor(b, requires_grad=True)]
+    tw = tape.tensor(w, requires_grad=True)
+    out = ad.unwound_matmul(parts, tw)
+    np.testing.assert_allclose(out.value, unwound @ w, rtol=0, atol=1e-14)
+    weight = rng.standard_normal((5, 3))
+    tape.backward(ad.reduce_sum(ad.mul(out, weight)))
+    g = weight @ w.T  # gradient of the concatenated real input
+    np.testing.assert_allclose(tw.grad, unwound.T @ weight, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(parts[0].grad, (g[:, :6] + 1j * g[:, 6:12]).reshape(a.shape), atol=1e-13)
+    np.testing.assert_allclose(parts[1].grad, g[:, 12:16] + 1j * g[:, 16:], atol=1e-13)
 
 
 def test_segment_plan_handles_empty_segments():

@@ -13,6 +13,8 @@ from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.laplacian import (
     DEGREE_EPS,
     IncidenceStructure,
+    _block_apply,
+    _degree_blocks,
     _spd_inverse_sqrt,
     apply_laplacian,
     build_degree_matrices,
@@ -303,6 +305,26 @@ def test_kernel_matches_dense_factor_products(d, shape, q, signal):
     if signal == "complex":  # a single-precision signal goes through its own float view
         got = signless_apply(structure, w, M, X.astype(np.complex64)).reshape(-1, f)
         np.testing.assert_allclose(got, Z.conj().T @ (Z @ x), rtol=0, atol=1e-5)
+
+
+def test_node_order_gathers_sum_the_same_rows_bit_for_bit():
+    # the node half and the degree blocks gather their rows in node order
+    # instead of reordering the products; each vertex still sums the same
+    # rows in the same order, so D_V, bundle.M and the node half keep their bytes
+    rng = np.random.default_rng(2718)
+    for _ in range(300):
+        H, A = random_instance(rng)
+        s = IncidenceStructure.build(H)
+        F = A.maps
+        D_V = s.node_plan.apply(np.swapaxes(F, 1, 2) @ F)
+        assert _degree_blocks(s, F).tobytes() == D_V.tobytes()
+        M = F @ _spd_inverse_sqrt(D_V, jitter=1e-12)[0][s.inc_node]
+        assert build_laplacian(H, A, normalized=True, jitter=1e-12).M.tobytes() == M.tobytes()
+        w, d, f = s.weights(A.config.q), A.config.d, int(rng.integers(1, 4))
+        Y = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
+        for blocks in (M, np.ascontiguousarray(np.diagonal(M, axis1=1, axis2=2))):
+            reordered = s.node_plan.apply(_block_apply(w, blocks, Y[s.inc_edge], adjoint=True))
+            assert factor_adjoint_apply(s, w, blocks, Y).tobytes() == reordered.tobytes()
 
 
 def test_dense_factor_places_weighted_blocks():

@@ -31,6 +31,7 @@ from hypersheaf.model import (
     _apply_signless,
     _forward_tape,
     _inverse_sqrt,
+    _layer_norm_pair,
     _operator_blocks,
 )
 from hypersheaf.spectral import random_instance
@@ -93,6 +94,41 @@ def test_layer_norm_default_affine_preserves_unit_modulus_energy():
     X = np.exp(1j * theta)
     out = complex_layer_norm(X, np.eye(2) / np.sqrt(2), np.zeros(2))
     assert np.mean(np.abs(out) ** 2) == pytest.approx(1.0, rel=2e-2)
+
+
+def layer_norm_case(seed=0, n_rows=40, f=4):
+    # a column scaled by 1e-3 and a near-constant one, whose covariance is
+    # almost the eps jitter; gamma and beta away from their initial values
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n_rows, f)) + 1j * rng.standard_normal((n_rows, f))
+    X[:, 1] *= 1e-3
+    X[:, 2] = 0.3 - 0.2j + 1e-4 * (rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows))
+    return X, np.array([[1.3, -0.4], [0.2, 0.9]]), np.array([0.3, -0.7])
+
+
+def test_layer_norm_node_forward_is_complex_layer_norm_bit_for_bit():
+    X, gamma, beta = layer_norm_case(seed=1, n_rows=60, f=5)
+    tape = Tape()
+    out = _layer_norm_pair(tape.tensor(X.reshape(30, 2, 5)), tape.tensor(gamma), tape.tensor(beta), 60, 5)
+    assert out.shape == (30, 2, 5)
+    assert out.value.reshape(60, 5).tobytes() == complex_layer_norm(X, gamma, beta).tobytes()
+
+
+def test_layer_norm_node_gradient_matches_finite_differences():
+    X, gamma, beta = layer_norm_case(seed=2)
+    weight = np.random.default_rng(3).standard_normal((2,) + X.shape)
+
+    def build_loss(p):
+        tape = Tape()
+        X = tape.tensor(p["Xr"] + 1j * p["Xi"], requires_grad=True)
+        gamma, beta = tape.tensor(p["gamma"], requires_grad=True), tape.tensor(p["beta"], requires_grad=True)
+        Y = _layer_norm_pair(X, gamma, beta, *X.shape)
+        loss = ad.add(ad.reduce_sum(ad.mul(ad.real(Y), weight[0])), ad.reduce_sum(ad.mul(ad.imag(Y), weight[1])))
+        tape.backward(loss)
+        return float(loss.value), {"Xr": X.grad.real, "Xi": X.grad.imag, "gamma": gamma.grad, "beta": beta.grad}
+
+    params = {"Xr": X.real.copy(), "Xi": X.imag.copy(), "gamma": gamma, "beta": beta}
+    ad.finite_difference_check(build_loss, params, n_probes=40, step=1e-6, rel_tol=1e-6, rng=np.random.default_rng(4))
 
 
 # --- sheaf prediction -------------------------------------------------------
@@ -309,11 +345,8 @@ def test_full_operator_blocks_record_few_tape_nodes():
     assert len(tape.nodes) <= 8
 
 
-@pytest.mark.parametrize("full, nodes", [(False, 127), (True, 151)])
-def test_training_step_records_a_fixed_number_of_tape_nodes(full, nodes):
-    # the benchmark's train-light and train-full configs; the node count does
-    # not depend on the data.  Full maps record the real blocks M and no phase
-    # product (152 nodes when the complex factor was on the tape).
+def training_step_tape(full):
+    # one training step of the benchmark's train-light or train-full config
     ds = small_dataset(seed=5, n=30)
     structure = IncidenceStructure.build(ds.hypergraph)
     config, _ = synthetic_benchmark_config(seed=5)
@@ -325,7 +358,21 @@ def test_training_step_records_a_fixed_number_of_tape_nodes(full, nodes):
         tape, ds.features, structure, state, config, training=True, dropout_rng=np.random.default_rng(0)
     )
     ad.softmax_cross_entropy(logits, ds.labels, ds.masks[0])
-    assert len(tape.nodes) == nodes
+    return tape
+
+
+@pytest.mark.parametrize("full, nodes", [(False, 21), (True, 36)])
+def test_training_step_records_a_fixed_number_of_tape_nodes(full, nodes):
+    # the node count does not depend on the data: the layer norm is one node
+    # and each real/imaginary unwinding one product
+    assert len(training_step_tape(full).nodes) == nodes
+
+
+@pytest.mark.parametrize("full, nbytes", [(False, 239_048), (True, 294_408)])
+def test_training_step_tape_holds_a_fixed_number_of_bytes(full, nbytes):
+    # the bytes held by the node values on this n = 30 instance, pinned so that
+    # per-column layer-norm algebra or real/imaginary copies cannot creep back
+    assert sum(node.value.nbytes for node in training_step_tape(full).nodes) == nbytes
 
 
 # --- forward ----------------------------------------------------------------
@@ -571,13 +618,26 @@ def test_model_widths_must_be_positive(field):
     with pytest.raises(ValueError, match=field):
         ModelConfig(**{field: 0})
     assert getattr(ModelConfig(**{field: 1}), field) == 1
+    assert getattr(ModelConfig(**{field: np.int64(3)}), field) == 3
 
 
-@pytest.mark.parametrize("field", ["max_epochs", "patience"])
+@pytest.mark.parametrize("field", ["num_layers", "stalk_dim", "hidden_width", "classifier_width", "seed"])
+@pytest.mark.parametrize("value", [4.5, 2.0, True, "2"])
+def test_model_integer_fields_reject_other_types(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["max_epochs", "patience", "eigencheck_every"])
 def test_negative_budget_is_rejected(field):
     with pytest.raises(ValueError, match=field):
         TrainingBudget(**{field: -1})
     assert getattr(TrainingBudget(**{field: 0}), field) == 0
+    assert getattr(TrainingBudget(**{field: np.int64(2)}), field) == 2
+    # a float epoch count used to fail later, in train, and 1.5 probed at epoch 3
+    for value in (2.5, 1.5, 3.0, False):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainingBudget(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -649,6 +709,31 @@ FULL_MAP_RECORD = {
     2: (0.24208147452355747, 0.908, 0.808, 0.848, 14, 12.477495672746699),
     3: (0.4165048434006971, 0.844, 0.832, 0.808, 19, 13.476681733960664),
 }
+
+
+# the same fields for the train-light benchmark config (the reference config)
+# over 20 epochs at n = 500, recorded with the scalar-op layer norm and the
+# concatenated real/imaginary unwinding that one-node versions replaced
+LIGHT_RECORD = {
+    1: (0.3547436915622252, 0.888, 0.944, 0.872, 18, 12.769835626608652),
+    2: (0.30365116076380216, 0.896, 0.8, 0.84, 20, 13.433090737833172),
+    3: (0.1482316405443965, 0.96, 0.864, 0.888, 13, 12.60547775705467),
+}
+
+
+@pytest.mark.regression
+@pytest.mark.parametrize("seed", sorted(LIGHT_RECORD))
+def test_light_training_matches_record(seed):
+    ds = generate_synthetic(SyntheticConfig(n=500, classes=5, intra_per_class=30, inter_per_pair=10, seed=seed))
+    config, budget = synthetic_benchmark_config(seed=seed)
+    result = train(ds, config, dataclasses.replace(budget, max_epochs=20, patience=20))
+    loss, train_acc, val_acc, test_acc, best_epoch, norm = LIGHT_RECORD[seed]
+    last = result.history[-1]
+    assert last["train_loss"] == pytest.approx(loss, rel=1e-7, abs=0)
+    assert (last["train_acc"], last["val_acc"]) == (train_acc, val_acc)
+    assert (result.test_acc, result.best_epoch) == (test_acc, best_epoch)
+    params = np.concatenate([v.ravel() for v in result.state.params.values()])
+    assert np.linalg.norm(params) == pytest.approx(norm, rel=1e-7, abs=0)
 
 
 @pytest.mark.regression

@@ -12,8 +12,10 @@ from hypersheaf.spectral import (
     CHECK_NAMES,
     dirichlet_energy,
     hermitian_eigenvalues,
+    parse_instance,
     random_instance,
     real_embedding,
+    serialize_instance,
     spectrum_report,
     verify_spectral_suite,
 )
@@ -217,3 +219,13 @@ def test_verify_suite_serializes_failures():
     A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=1))
     with pytest.raises(ValueError, match="vertex 2"):
         verify_spectral_suite(H, A)
+
+
+def test_serialized_instances_replay_to_the_same_operator():
+    # a failing report's instance_dump carries the maps, so the instance replays exactly
+    rng = np.random.default_rng(44)
+    for trial in range(50):
+        H, A = random_instance(rng)
+        H2, A2 = parse_instance(serialize_instance(H, A, note=f"trial {trial}"))
+        assert (H2, A2.config) == (H, A.config)
+        assert build_laplacian(H2, A2, normalized=True).M.tobytes() == build_laplacian(H, A, normalized=True).M.tobytes()
