@@ -69,7 +69,7 @@ def _pin_malloc_thresholds() -> None:
     the ``Z^dagger Z`` kernel (1.4 MB each at 2,700 incidences, d = 2, 16
     columns) therefore landed on fresh pages in some processes and on reused
     heap in others, by what each had freed before: on a 2-core Xeon one
-    ``signless_apply`` took 2 to 3 ms without page faults in one process and
+    ``Factor.gram`` took 2 to 3 ms without page faults in one process and
     5 to 6 ms with about 1,300 in the next.  Pinned, every process reuses its
     heap, at the cost of keeping up to 64 MiB of freed heap.  Thresholds set
     through glibc's ``MALLOC_*_THRESHOLD_`` variables are left as they are.

@@ -317,27 +317,46 @@ def unwound_matmul(parts, w: Tensor):
     return record(w.tape, sum(v @ b for v, b in zip(views, blocks)), (*parts, w), backward)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentPlan:
-    """Static gather/scatter plan for summing rows into segments."""
+    """Static, read-only gather/scatter plan for summing rows into segments.
+
+    Sorted ids keep their order and are summed by ``reduceat``.  Other rows
+    are ordered by (segment length, position in segment, segment), so the
+    ``k`` segments of one length ``L`` are one ``(L, k, ...)`` block summed
+    over its leading axis, and ``rank`` puts the sums in segment order."""
 
     seg_ids: np.ndarray
     num_segments: int
     order: np.ndarray
     starts: np.ndarray
     empty: np.ndarray
-    presorted: bool  # seg_ids already non-decreasing: rows need no reordering
+    presorted: bool  # seg_ids nonempty and non-decreasing: rows need no reordering
+    runs: tuple[tuple[int, int, int, int], ...] = ()  # (first, end segment, first, end row) of each length
+    rank: np.ndarray | None = None  # position of each segment among the runs
 
     @classmethod
     def build(cls, seg_ids: np.ndarray, num_segments: int) -> "SegmentPlan":
         seg_ids = np.asarray(seg_ids, dtype=np.int64)
-        order = np.argsort(seg_ids, kind="stable")
-        sorted_ids = seg_ids[order]
-        starts = np.searchsorted(sorted_ids, np.arange(num_segments))
-        counts = np.bincount(seg_ids, minlength=num_segments) if len(seg_ids) else np.zeros(num_segments, dtype=int)
-        empty = counts == 0
-        presorted = bool(np.all(seg_ids[1:] >= seg_ids[:-1]))
-        return cls(seg_ids, num_segments, order, starts, empty, presorted)
+        counts = np.bincount(seg_ids, minlength=num_segments)
+        starts = counts.cumsum() - counts
+        presorted = len(seg_ids) > 0 and not (seg_ids[1:] < seg_ids[:-1]).any()
+        order, runs, rank = np.arange(len(seg_ids)), (), None
+        if not presorted:  # array methods, cheaper than numpy's wrappers on the small plans of one-off hypergraphs
+            order = seg_ids.argsort(kind="stable")
+            seg = seg_ids[order]
+            position = np.arange(len(seg)) - starts[seg]
+            order = order[((counts[seg] * (counts.max(initial=0) + 1) + position) * num_segments + seg).argsort()]
+            by_length = counts.argsort(kind="stable")
+            rank = by_length.argsort()
+            lengths = counts[by_length]
+            bounds = [0, *((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist(), num_segments]
+            ends = [0, *lengths.cumsum().tolist()]
+            runs = tuple((lo, hi, ends[lo], ends[hi]) for lo, hi in zip(bounds, bounds[1:]))
+        plan = cls(seg_ids, num_segments, order, starts, counts == 0, presorted, runs, rank)
+        for a in (seg_ids, order, starts, plan.empty) + (() if presorted else (rank,)):
+            a.setflags(write=False)
+        return plan
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Segment sums of rows in input order, that of ``seg_ids``."""
@@ -345,13 +364,20 @@ class SegmentPlan:
 
     def sum_ordered(self, ordered: np.ndarray) -> np.ndarray:
         """Segment sums of rows already in segment order, ``values[order]``."""
-        if len(self.seg_ids) == 0:
-            return np.zeros((self.num_segments,) + ordered.shape[1:], dtype=ordered.dtype)
+        rest = ordered.shape[1:]
+        if not self.presorted:
+            out = np.empty((self.num_segments,) + rest, dtype=ordered.dtype)
+            for lo, hi, first, end in self.runs:
+                if end > first:
+                    np.add.reduce(ordered[first:end].reshape((-1, hi - lo) + rest), axis=0, out=out[lo:hi])
+                else:  # the empty segments
+                    out[lo:hi] = 0.0
+            return out[self.rank]
         # trailing empty segments start at len(ordered): a zero sentinel row
         # keeps those starts valid; empty segments, for which reduceat
         # reports the element at their start, are zeroed afterwards
         if self.starts[-1] == len(ordered):
-            ordered = np.concatenate([ordered, np.zeros((1,) + ordered.shape[1:], dtype=ordered.dtype)])
+            ordered = np.concatenate([ordered, np.zeros((1,) + rest, dtype=ordered.dtype)])
         out = np.add.reduceat(ordered, self.starts, axis=0)
         if self.empty.any():
             out[self.empty] = 0.0

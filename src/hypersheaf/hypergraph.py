@@ -9,7 +9,7 @@ format.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -66,6 +66,8 @@ class DirectedHypergraph:
 
     num_vertices: int
     hyperedges: tuple[Hyperedge, ...] = ()
+    # read-only arrays and plans derived on first use; immutability keeps them valid
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         edges = tuple(
@@ -87,13 +89,17 @@ class DirectedHypergraph:
 
 
 def _incidence_arrays(H: DirectedHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:meth:`DirectedHypergraph.incidences` as ``(inc_node, inc_edge, inc_is_tail)`` arrays."""
-    chain, edges = itertools.chain.from_iterable, H.hyperedges
-    inc_node = np.fromiter(chain(e.tail + e.head for e in edges), dtype=np.int64)
-    inc_edge = np.repeat(np.arange(len(edges)), np.array([e.degree for e in edges], dtype=np.int64))
-    roles = chain((True,) * len(e.tail) + (False,) * len(e.head) for e in edges)
-    inc_is_tail = np.fromiter(roles, dtype=bool)
-    return inc_node, inc_edge, inc_is_tail
+    """:meth:`DirectedHypergraph.incidences` as read-only ``(inc_node, inc_edge, inc_is_tail)``, built once."""
+    if "incidences" not in H._derived:
+        chain, edges = itertools.chain.from_iterable, H.hyperedges
+        inc_node = np.fromiter(chain(e.tail + e.head for e in edges), dtype=np.int64)
+        inc_edge = np.repeat(np.arange(len(edges)), np.array([e.degree for e in edges], dtype=np.int64))
+        roles = chain((True,) * len(e.tail) + (False,) * len(e.head) for e in edges)
+        arrays = inc_node, inc_edge, np.fromiter(roles, dtype=bool)
+        for a in arrays:
+            a.setflags(write=False)
+        H._derived["incidences"] = arrays
+    return H._derived["incidences"]
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ Stacked, the blocks form the factor ``Z``, and
 
 The operator is stored as its real blocks ``M`` alone; the scalar weights
 ``w`` come from :meth:`IncidenceStructure.weights`.  :class:`IncidenceStructure`
-fixes the canonical incidence order once per hypergraph, and
-:func:`signless_apply` is the one vectorised ``Z^dagger Z`` kernel: full
-blocks run as real batched products on the float view of the signal, scaled
-by ``w`` per incidence.  The complex ``Z`` is formed only by
-:func:`_factor_blocks`, for the dense export :func:`dense_factor` and for
+fixes the canonical incidence order, built once per hypergraph object, and
+:class:`Factor` is the one vectorised ``Z^dagger Z`` kernel, prepared once
+per operator: full blocks run as real batched products on the float view of
+the signal, scaled by ``w`` per incidence.  The complex ``Z`` is formed only
+by :attr:`Factor.blocks`, for the dense export :meth:`Factor.dense` and for
 ``LaplacianBundle.L``, which assembles the block-sparse ``L`` from
 conjugate products of ``Z`` when first read, so it is Hermitian to rounding
 error by construction.  Hyperedges carry unit weight, the only weight the
@@ -43,11 +43,8 @@ __all__ = [
     "NodeSignal",
     "IncidenceStructure",
     "LaplacianBundle",
+    "Factor",
     "incidence_maps",
-    "signless_apply",
-    "factor_apply",
-    "factor_adjoint_apply",
-    "dense_factor",
     "build_incidence",
     "build_degree_matrices",
     "build_laplacian",
@@ -63,7 +60,7 @@ NodeSignal = np.ndarray
 DEGREE_EPS = 1e-8  # degree-block jitter that keeps an isolated vertex's root finite
 
 
-@dataclass
+@dataclass(frozen=True)
 class IncidenceStructure:
     """Canonical incidence order of one hypergraph (edge by edge, tails before
     heads) with the index plans that every factor-based path shares."""
@@ -79,17 +76,16 @@ class IncidenceStructure:
 
     @classmethod
     def build(cls, H: DirectedHypergraph) -> "IncidenceStructure":
-        inc_node, inc_edge, inc_is_tail = _incidence_arrays(H)
-        return cls(
-            n=H.num_vertices,
-            m=H.num_hyperedges,
-            inc_node=inc_node,
-            inc_edge=inc_edge,
-            inc_is_tail=inc_is_tail,
-            delta=np.array([float(e.degree) for e in H.hyperedges]),
-            node_plan=SegmentPlan.build(inc_node, H.num_vertices),
-            edge_plan=SegmentPlan.build(inc_edge, H.num_hyperedges),
-        )
+        """The structure of ``H``, read-only and built once per hypergraph object."""
+        if cls not in H._derived:
+            inc_node, inc_edge, inc_is_tail = _incidence_arrays(H)
+            delta = np.array([float(e.degree) for e in H.hyperedges])
+            delta.setflags(write=False)
+            H._derived[cls] = cls(
+                H.num_vertices, H.num_hyperedges, inc_node, inc_edge, inc_is_tail, delta,
+                SegmentPlan.build(inc_node, H.num_vertices), SegmentPlan.build(inc_edge, H.num_hyperedges),
+            )
+        return H._derived[cls]
 
     def phases(self, q: float) -> np.ndarray:
         """Per-incidence directional coefficient ``S_k`` (complex, unit modulus)."""
@@ -115,70 +111,66 @@ def incidence_maps(structure: IncidenceStructure, A: SheafAssignment) -> np.ndar
     raise ValueError(f"incidence {key} stored as {role[ours[key]]}, hypergraph says {role[theirs[key]]}")
 
 
-def _block_apply(w: np.ndarray, M: np.ndarray, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """Per-incidence ``w_k M_k X_k``, or ``conj(w_k) M_k^T X_k`` when ``adjoint``.
+class Factor:
+    """The factor ``Z``, ``Z_k = w_k M_k``, prepared once for repeated products.
 
-    Diagonal blocks ``(I, d)`` apply ``w M`` elementwise.  Full blocks run one
-    real batched product (on the float view of a complex ``X``), then scale
-    by ``w``.
+    Holds the edge-order blocks, the node-order conjugate blocks and the
+    node-order edge index.  Full blocks stay real (``M``, and ``M^T`` in
+    node order, each with its weights) and run as real batched products on
+    the float view of the signal; diagonal blocks ``(I, d)`` become the
+    complex ``w M``, applied elementwise.  ``w`` is the ``(I,)`` weight of
+    :meth:`IncidenceStructure.weights`.
     """
-    if M.ndim == 2:
-        Z = w[:, None] * M
-        return (np.conj(Z) if adjoint else Z)[:, :, None] * X
-    if adjoint:
-        w, M = np.conj(w), np.swapaxes(M, 1, 2)
-    out = _product(M, X)
-    if out.dtype.kind != "c":
-        return w[:, None, None] * out
-    out *= w[:, None, None]  # in place: no second signal-sized temporary
-    return out
 
+    def __init__(self, structure: IncidenceStructure, w: np.ndarray, M: np.ndarray):
+        self.structure, self.w, self.M = structure, w, M
+        o = structure.node_plan.order
+        self._node_edge = structure.inc_edge[o]
+        if M.ndim == 2:
+            Z = (w[:, None] * M)[:, :, None]
+            self._edge, self._node = (Z, None), (np.conj(Z)[o], None)
+        else:
+            self._edge = (M, w[:, None, None])
+            self._node = (np.swapaxes(M, 1, 2)[o], np.conj(w)[o][:, None, None])
 
-def _factor_blocks(w: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The complex factor blocks ``Z_k = w_k M_k`` ``(I, d, d)``; diagonal ``M`` is expanded."""
-    if M.ndim == 2:
-        return (w[:, None] * M)[:, :, None] * np.eye(M.shape[1])
-    return w[:, None, None] * M
+    @staticmethod
+    def _rowwise(blocks: np.ndarray, scale: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+        """``blocks_k rows_k`` per row, full blocks times ``scale_k``; a complex128 result
+        overwrites the fresh gather ``rows`` (diagonal) or the real product's output (full)."""
+        if scale is None:
+            return np.multiply(blocks, rows, out=rows) if rows.dtype == complex else blocks * rows
+        out = _product(blocks, rows)
+        return np.multiply(out, scale, out=out) if out.dtype == complex else scale * out
 
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """``Z X`` ``(m, d, f)`` for a real or complex signal ``X`` ``(n, d, f)``."""
+        return self.structure.edge_plan.apply(self._rowwise(*self._edge, X[self.structure.inc_node]))
 
-def factor_apply(
-    structure: IncidenceStructure, w: np.ndarray, M: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """The edge half ``Z X`` ``(m, d, f)`` of :func:`signless_apply`."""
-    return structure.edge_plan.apply(_block_apply(w, M, X[structure.inc_node]))
+    def adjoint(self, Y: np.ndarray) -> np.ndarray:
+        """``Z^dagger Y`` ``(n, d, f)`` for ``Y`` ``(m, d, f)``, gathered in node order."""
+        return self.structure.node_plan.sum_ordered(self._rowwise(*self._node, Y[self._node_edge]))
 
+    def gram(self, X: np.ndarray) -> np.ndarray:
+        """``Z^dagger Z X``: the signless operator applied to ``X`` ``(n, d, f)``."""
+        return self.adjoint(self.apply(X))
 
-def factor_adjoint_apply(
-    structure: IncidenceStructure, w: np.ndarray, M: np.ndarray, Y: np.ndarray
-) -> np.ndarray:
-    """The node half ``Z^dagger Y`` ``(n, d, f)`` of :func:`signless_apply`, gathered in node order."""
-    o = structure.node_plan.order
-    return structure.node_plan.sum_ordered(_block_apply(w[o], M[o], Y[structure.inc_edge[o]], adjoint=True))
+    @property
+    def blocks(self) -> np.ndarray:
+        """The complex blocks ``Z_k`` ``(I, d, d)``; diagonal ``M`` is expanded."""
+        if self.M.ndim == 2:
+            return self._edge[0] * np.eye(self.M.shape[1])
+        return self.w[:, None, None] * self.M
 
-
-def signless_apply(
-    structure: IncidenceStructure, w: np.ndarray, M: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """``Z^dagger Z X`` for factor blocks ``Z_k = w_k M_k`` and a signal ``X`` ``(n, d, f)``.
-
-    ``w`` is the ``(I,)`` complex weight of :meth:`IncidenceStructure.weights`;
-    ``M`` is real, ``(I, d, d)``, or ``(I, d)`` for diagonal blocks.  ``X`` is
-    real or complex.  Gather, per-incidence ``Z``, edge segment-sum, gather,
-    per-incidence ``Z^H``, node segment-sum.
-    """
-    return factor_adjoint_apply(structure, w, M, factor_apply(structure, w, M, X))
-
-
-def dense_factor(structure: IncidenceStructure, w: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``Z`` as a dense ``(m d) x (n d)`` matrix; every ``(e, u)`` pair occurs once."""
-    d = M.shape[1]
-    out = np.zeros((structure.m, d, structure.n, d), dtype=complex)
-    out[structure.inc_edge, :, structure.inc_node, :] = _factor_blocks(w, M)
-    return out.reshape(structure.m * d, structure.n * d)
+    def dense(self) -> np.ndarray:
+        """``Z`` as a dense ``(m d) x (n d)`` matrix; every ``(e, u)`` pair occurs once."""
+        s, d = self.structure, self.M.shape[1]
+        out = np.zeros((s.m, d, s.n, d), dtype=complex)
+        out[s.inc_edge, :, s.inc_node, :] = self.blocks
+        return out.reshape(s.m * d, s.n * d)
 
 
 def _degree_blocks(structure: IncidenceStructure, F: np.ndarray) -> np.ndarray:
-    F = F[structure.node_plan.order]  # node order, as factor_adjoint_apply gathers
+    F = F[structure.node_plan.order]  # node order, as Factor.adjoint gathers
     return structure.node_plan.sum_ordered(np.swapaxes(F, 1, 2) @ F)
 
 
@@ -240,9 +232,9 @@ class LaplacianBundle:
         return self.sheaf.config.d
 
     @functools.cached_property
-    def w(self) -> np.ndarray:
-        """Per-incidence complex weights of the factor, ``Z_k = w_k M_k``."""
-        return self.structure.weights(self.sheaf.config.q)
+    def factor(self) -> Factor:
+        """The prepared factor ``Z_k = w_k M_k``, its weights from ``structure.weights(q)``."""
+        return Factor(self.structure, self.structure.weights(self.sheaf.config.q), self.M)
 
     @functools.cached_property
     def L(self) -> BlockComplexMatrix:
@@ -257,7 +249,7 @@ class LaplacianBundle:
         size = np.diff(s.edge_plan.starts, append=len(s.inc_edge))[s.inc_edge]
         left = np.repeat(np.arange(len(size)), size)
         right = np.arange(len(left)) + np.repeat(first - np.cumsum(size) + size, size)
-        Z = _factor_blocks(self.w, self.M)
+        Z = self.factor.blocks
         blocks = -(np.conj(np.swapaxes(Z[left], 1, 2)) @ Z[right])
         diag = np.broadcast_to(np.eye(d), (n, d, d)) if self.normalized else self.D_V
         pairs = zip(s.inc_node[left].tolist(), s.inc_node[right].tolist(), blocks)
@@ -290,8 +282,7 @@ def build_laplacian(
 def apply_laplacian(bundle: LaplacianBundle, x: NodeSignal) -> NodeSignal:
     """Matrix-free ``L x = D_V x - Z^dagger Z x`` (``x - Z^dagger Z x`` when normalized).
 
-    Never assembles ``bundle.L``: the factor goes through
-    :func:`signless_apply`.
+    Never assembles ``bundle.L``: the product goes through ``bundle.factor``.
     """
     n, d = bundle.n, bundle.d
     arr = np.asarray(x, dtype=complex)
@@ -302,7 +293,7 @@ def apply_laplacian(bundle: LaplacianBundle, x: NodeSignal) -> NodeSignal:
         raise ValueError(f"signal has {arr.shape[0]} rows, expected {n * d}")
     xs = arr.reshape(n, d, -1)
     diag = xs if bundle.normalized else bundle.D_V @ xs
-    result = (diag - signless_apply(bundle.structure, bundle.w, bundle.M, xs)).reshape(n * d, -1)
+    result = (diag - bundle.factor.gram(xs)).reshape(n * d, -1)
     return result[:, 0] if flat_input else result
 
 

@@ -25,13 +25,10 @@ from .autodiff import Tape, Tensor
 from .hypergraph import DirectedHypergraph
 from .laplacian import (
     DEGREE_EPS,
+    Factor,
     IncidenceStructure,
     _spd_inverse_sqrt,
-    dense_factor,
-    factor_adjoint_apply,
-    factor_apply,
     incidence_maps,
-    signless_apply,
 )
 from .sheaf import SheafAssignment, SheafConfig
 
@@ -279,27 +276,28 @@ def _real_outer(a: np.ndarray, b: np.ndarray, diagonal: bool) -> np.ndarray:
     return (a * b).sum(axis=-1) if diagonal else a @ np.swapaxes(b, 1, 2)
 
 
-def _apply_signless(M: Tensor, X: Tensor, structure: IncidenceStructure, config: ModelConfig) -> Tensor:
-    """Apply ``Q_N = Z^dagger Z``, ``Z_k = w_k M_k``, to a signal ``X`` ``(n, d, f)``, as one tape node.
+def _apply_signless(M: Tensor, X: Tensor, factor: Factor) -> Tensor:
+    """Apply ``Q_N = Z^dagger Z`` to a signal ``X`` ``(n, d, f)``, as one tape node; ``factor``
+    is ``Z_k = w_k M_k`` prepared from the blocks ``M``.
 
     ``Q_N`` is Hermitian, so the signal's gradient is ``Q_N G`` for the
     output gradient ``G``.  The real blocks' gradient is
     ``Re(conj(w_k) (U_e G_u^H + V_e X_u^H))`` with the edge halves ``U = Z X``
     (kept from the forward) and ``V = Z G``, two real batched products.
     """
-    w, m, x = structure.weights(config.q), M.value, X.value
-    U = factor_apply(structure, w, m, x)
+    x = X.value
+    U = factor.apply(x)
 
     def backward(G):
-        V = factor_apply(structure, w, m, G)
+        V = factor.apply(G)
         if X.requires_grad:
-            X.accumulate(factor_adjoint_apply(structure, w, m, V))
+            X.accumulate(factor.adjoint(V))
         if M.requires_grad:
-            u, e, cw = structure.inc_node, structure.inc_edge, np.conj(w)[:, None, None]
-            diagonal = m.ndim == 2
+            s, cw = factor.structure, np.conj(factor.w)[:, None, None]
+            u, e, diagonal = s.inc_node, s.inc_edge, M.value.ndim == 2
             M.accumulate(_real_outer(cw * U[e], G[u], diagonal) + _real_outer(cw * V[e], x[u], diagonal))
 
-    return ad.record(X.tape, factor_adjoint_apply(structure, w, m, U), (M, X), backward)
+    return ad.record(X.tape, factor.adjoint(U), (M, X), backward)
 
 
 def _layer_norm_pair(X: Tensor, gamma: Tensor, beta: Tensor, n_rows: int, f: int) -> Tensor:
@@ -330,13 +328,13 @@ def _layer_norm_pair(X: Tensor, gamma: Tensor, beta: Tensor, n_rows: int, f: int
 
 
 def _diffuse(
-    X: Tensor, M: Tensor, W1: Tensor, W2: Tensor, gamma: Tensor, beta: Tensor,
-    structure: IncidenceStructure, config: ModelConfig,
+    X: Tensor, M: Tensor, factor: Factor, W1: Tensor, W2: Tensor, gamma: Tensor, beta: Tensor,
+    config: ModelConfig,
 ) -> Tensor:
     """``layernorm(Q_N (I_n (x) W1) X W2 [+ X])``: one layer before its rectifier."""
-    n, d, f = structure.n, config.stalk_dim, config.hidden_width
+    n, d, f = factor.structure.n, config.stalk_dim, config.hidden_width
     H = ad.matmul(W1, X) if config.left_projection else X
-    Y = _apply_signless(M, ad.matmul(H, W2), structure, config)
+    Y = _apply_signless(M, ad.matmul(H, W2), factor)
     if config.residual:
         Y = ad.add(Y, X)
     if config.use_layer_norm:
@@ -356,7 +354,7 @@ class ForwardAux:
 
     def dense_signless(self, structure: IncidenceStructure, config: ModelConfig, layer: int) -> np.ndarray:
         """Dense ``Q_N`` of one layer, rebuilt from the captured blocks."""
-        Z = dense_factor(structure, structure.weights(config.q), self.layer_blocks[layer])
+        Z = Factor(structure, structure.weights(config.q), self.layer_blocks[layer]).dense()
         return Z.conj().T @ Z
 
 
@@ -389,13 +387,15 @@ def _forward_tape(
     X = ad.reshape(ad.add(ad.matmul(feats, P["proj_W"]), P["proj_b"]), (n, d, f))
     aux = ForwardAux()
 
-    cache: tuple[Tensor, Tensor] | None = None  # a static sheaf's maps and factor blocks
+    w = structure.weights(config.q)
+    cache: tuple[Tensor, Tensor, Factor] | None = None  # a static sheaf's maps, blocks and factor
     for layer in range(config.num_layers):
         phi = {k.split("_", 1)[1]: v for k, v in P.items() if k.startswith(f"phi{layer}_")}
         if fixed_maps is not None:
             # probe mode: the operator is pinned to externally supplied values
             maps = tape.tensor(fixed_maps[layer])
             M = _operator_blocks(maps, structure, config)
+            factor = Factor(structure, w, M.value)
         elif config.dynamic_sheaf or cache is None:
             # light mode detaches the operator: the frozen predictor then
             # reads a detached signal, so nothing of it is recorded
@@ -409,17 +409,17 @@ def _forward_tape(
                 shape = (len(structure.inc_node),) + (1,) * (len(maps.shape) - 1)
                 maps = ad.mul(maps, mask.reshape(shape))
             M = _operator_blocks(maps, structure, config)
+            factor = Factor(structure, w, M.value)
             if not config.dynamic_sheaf:
-                cache = maps, M
+                cache = maps, M, factor
         else:
-            maps, M = cache
+            maps, M, factor = cache
 
         if collect_aux:
             aux.layer_blocks.append(M.value.copy())
             aux.map_values.append(maps.value.copy())
         Y = _diffuse(
-            X, M, P[f"W1_{layer}"], P[f"W2_{layer}"], P[f"ln{layer}_gamma"], P[f"ln{layer}_beta"],
-            structure, config,
+            X, M, factor, P[f"W1_{layer}"], P[f"W2_{layer}"], P[f"ln{layer}_gamma"], P[f"ln{layer}_beta"], config,
         )
         X = ad.mul(Y, Y.value.real > 0)  # the complex rectifier
 
@@ -433,12 +433,9 @@ def forward(
     H: DirectedHypergraph,
     state: ModelState,
     config: ModelConfig,
-    *,
-    structure: IncidenceStructure | None = None,
 ) -> np.ndarray:
     """Deterministic evaluation pass; returns the (n, classes) logit array."""
-    structure = structure or IncidenceStructure.build(H)
-    logits, _, _ = _forward_tape(Tape(), features, structure, state, config)
+    logits, _, _ = _forward_tape(Tape(), features, IncidenceStructure.build(H), state, config)
     return logits.value
 
 
@@ -454,7 +451,6 @@ def diffusion_layer(
     beta: np.ndarray | None = None,
     apply_activation: bool = False,
     left_projection: bool = True,
-    structure: IncidenceStructure | None = None,
 ) -> np.ndarray:
     """One diffusion step on a complex signal of shape (n*d, f).
 
@@ -463,7 +459,7 @@ def diffusion_layer(
     given) and applies the complex rectifier.  With identity weights and
     everything optional disabled this is exactly ``(I - L_N) X``.
     """
-    structure = structure or IncidenceStructure.build(H)
+    structure = IncidenceStructure.build(H)
     d, n = sheaf.config.d, structure.n
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] != n * d:
@@ -484,9 +480,10 @@ def diffusion_layer(
         F = np.diagonal(F, axis1=1, axis2=2).copy()
     tape = Tape()
     M = _operator_blocks(tape.tensor(F), structure, config)
+    factor = Factor(structure, structure.weights(config.q), M.value)
     W1, W2, gamma, beta = (None if v is None else tape.tensor(v) for v in (W1, W2, gamma, beta))
     X = tape.tensor(X.reshape(n, d, f))
-    Y = _diffuse(X, M, W1, W2, gamma, beta, structure, config).value
+    Y = _diffuse(X, M, factor, W1, W2, gamma, beta, config).value
     if apply_activation:
         Y = complex_relu(Y)
     return Y.reshape(n * d, f)
@@ -638,14 +635,14 @@ def operator_lambda_max(
     """
     d = config.stalk_dim
     nd = structure.n * d
-    w, M = structure.weights(config.q), aux.layer_blocks[layer]
+    factor = Factor(structure, structure.weights(config.q), aux.layer_blocks[layer])
     rng = np.random.default_rng(0)
     q = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
     basis = [q / np.linalg.norm(q)]
     alpha: list[float] = []
     beta: list[float] = []
     for _ in range(nd):
-        r = signless_apply(structure, w, M, basis[-1].reshape(structure.n, d, 1)).reshape(-1)
+        r = factor.gram(basis[-1].reshape(structure.n, d, 1)).reshape(-1)
         alpha.append(float(np.vdot(basis[-1], r).real))
         B = np.asarray(basis)
         for _ in range(2):  # twice is enough for orthogonality to rounding error
@@ -728,7 +725,7 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
             next_step = step()
             eval_logits = next_step[2]
         else:
-            eval_logits = forward(features, H, state, config, structure=structure)
+            eval_logits = forward(features, H, state, config)
         row = {
             "epoch": epoch,
             "train_loss": loss,
@@ -756,7 +753,7 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
                 break
 
     if best_logits is None:
-        best_logits = forward(features, H, best_state, config, structure=structure)
+        best_logits = forward(features, H, best_state, config)
     return TrainResult(
         state=best_state,
         history=history,

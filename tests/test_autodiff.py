@@ -151,6 +151,38 @@ def test_segment_sum_matches_add_at_and_gradients():
     np.testing.assert_allclose(tx.grad, weight[seg])
 
 
+def _grouped_sum_cases():
+    rng = np.random.default_rng(31)
+    # segments 0 (leading), 3 (interior) and 7, 8 (trailing) stay empty
+    gappy = rng.permutation(np.repeat([1, 2, 4, 5, 6], [3, 1, 4, 2, 3]))
+    return {
+        "empty segments": (gappy, 9),
+        "equal lengths": (rng.permutation(np.repeat(np.arange(5), 3)), 5),
+        "one segment": (np.zeros(4, dtype=int), 1),
+        "zero rows": (np.array([], dtype=int), 3),
+    }
+
+
+@pytest.mark.parametrize("case", ["empty segments", "equal lengths", "one segment", "zero rows"])
+@pytest.mark.parametrize("rows", ["real (I, d, d)", "complex (I, d, f)"])
+def test_grouped_segment_sums_match_add_at(case, rows):
+    # unsorted (node-side) plans sum each segment's rows one by one in input
+    # order, as np.add.at does, so their sums are equal, not just close; one
+    # segment is always sorted, and reduceat sums it pairwise
+    seg, num_segments = _grouped_sum_cases()[case]
+    rng = np.random.default_rng(len(seg))
+    shape = (len(seg), 2, 2) if rows.startswith("real") else (len(seg), 2, 3)
+    x = rng.standard_normal(shape)
+    if rows.startswith("complex"):
+        x = x + 1j * rng.standard_normal(shape)
+    oracle = np.zeros((num_segments,) + shape[1:], dtype=x.dtype)
+    np.add.at(oracle, seg, x)
+    plan = SegmentPlan.build(seg, num_segments)
+    assert plan.presorted == (case == "one segment")
+    for got in (plan.apply(x), plan.sum_ordered(x[plan.order])):
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12 if plan.presorted else 0.0)
+
+
 def test_concat_and_reshape_gradients():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 2))

@@ -9,24 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersheaf.blockmatrix import BlockComplexMatrix
-from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
+from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge, _incidence_arrays
 from hypersheaf.laplacian import (
     DEGREE_EPS,
+    Factor,
     IncidenceStructure,
-    _block_apply,
     _degree_blocks,
     _spd_inverse_sqrt,
     apply_laplacian,
     build_degree_matrices,
     build_incidence,
     build_laplacian,
-    dense_factor,
     entrywise_block,
-    factor_adjoint_apply,
-    factor_apply,
     format_dense_matrix,
     parse_dense_matrix,
-    signless_apply,
 )
 from hypersheaf.sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf, directional_coefficient
 from hypersheaf.spectral import random_instance
@@ -281,15 +277,19 @@ def test_matrix_free_apply_matches_dense(normalized):
 @pytest.mark.parametrize("shape", ["diagonal", "full"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_kernel_matches_dense_factor_products(d, shape, q, signal):
-    # the (w, M) kernel runs real products on float views for full blocks
-    # and elementwise products for diagonal ones; the dense Z = w M is the oracle
+    # the prepared factor runs real products on float views for full blocks
+    # and elementwise products for diagonal ones; the oracle is the dense Z
+    # placed block by block from w_k M_k
     rng = np.random.default_rng(100 * d + int(100 * q) + (shape == "full"))
     H, _ = random_instance(rng, n_range=(5, 9), m_range=(3, 7))
     structure = IncidenceStructure.build(H)
     num_inc, f = len(structure.inc_node), 3
     w = structure.weights(q)
     M = rng.standard_normal((num_inc, d) if shape == "diagonal" else (num_inc, d, d))
-    Z = dense_factor(structure, w, M)
+    Z = np.zeros((structure.m * d, structure.n * d), dtype=complex)
+    for k, (u, e) in enumerate(zip(structure.inc_node, structure.inc_edge)):
+        Z[e * d:(e + 1) * d, u * d:(u + 1) * d] = w[k] * (np.diag(M[k]) if shape == "diagonal" else M[k])
+    factor = Factor(structure, w, M)
     X = rng.standard_normal((structure.n, d, f))
     Y = rng.standard_normal((structure.m, d, f))
     if signal == "complex":
@@ -297,13 +297,14 @@ def test_kernel_matches_dense_factor_products(d, shape, q, signal):
         Y = Y + 1j * rng.standard_normal(Y.shape)
     x, y = X.reshape(-1, f), Y.reshape(-1, f)
     for got, expected in [
-        (factor_apply(structure, w, M, X), Z @ x),
-        (factor_adjoint_apply(structure, w, M, Y), Z.conj().T @ y),
-        (signless_apply(structure, w, M, X), Z.conj().T @ (Z @ x)),
+        (factor.apply(X), Z @ x),
+        (factor.adjoint(Y), Z.conj().T @ y),
+        (factor.gram(X), Z.conj().T @ (Z @ x)),
+        (factor.dense(), Z),
     ]:
         np.testing.assert_allclose(got.reshape(expected.shape), expected, rtol=0, atol=1e-12)
     if signal == "complex":  # a single-precision signal goes through its own float view
-        got = signless_apply(structure, w, M, X.astype(np.complex64)).reshape(-1, f)
+        got = factor.gram(X.astype(np.complex64)).reshape(-1, f)
         np.testing.assert_allclose(got, Z.conj().T @ (Z @ x), rtol=0, atol=1e-5)
 
 
@@ -322,9 +323,41 @@ def test_node_order_gathers_sum_the_same_rows_bit_for_bit():
         assert build_laplacian(H, A, normalized=True, jitter=1e-12).M.tobytes() == M.tobytes()
         w, d, f = s.weights(A.config.q), A.config.d, int(rng.integers(1, 4))
         Y = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
-        for blocks in (M, np.ascontiguousarray(np.diagonal(M, axis1=1, axis2=2))):
-            reordered = s.node_plan.apply(_block_apply(w, blocks, Y[s.inc_edge], adjoint=True))
-            assert factor_adjoint_apply(s, w, blocks, Y).tobytes() == reordered.tobytes()
+        cw, rows = np.conj(w)[:, None, None], Y[s.inc_edge]
+        diagonal = np.ascontiguousarray(np.diagonal(M, axis1=1, axis2=2))
+        products = {  # per incidence in edge order, with the factor's arithmetic
+            "full": (np.swapaxes(M, 1, 2) @ rows.view(float)).view(complex) * cw,
+            "diagonal": (np.conj(w[:, None] * diagonal))[:, :, None] * rows,
+        }
+        for blocks, edge_order in ((M, products["full"]), (diagonal, products["diagonal"])):
+            assert Factor(s, w, blocks).adjoint(Y).tobytes() == s.node_plan.apply(edge_order).tobytes()
+
+
+def test_structure_is_built_once_per_hypergraph_and_read_only():
+    H, _ = random_instance(np.random.default_rng(41), n_range=(8, 12))
+    key = hash(H)
+    s = IncidenceStructure.build(H)
+    assert IncidenceStructure.build(H) is s
+    # build_fixed_sheaf reads the same cached incidence arrays
+    A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=2, map_shape="full"))
+    assert _incidence_arrays(H)[0] is s.inc_node
+    np.testing.assert_array_equal(A.inc_node, s.inc_node)
+    arrays = [s.inc_node, s.inc_edge, s.inc_is_tail, s.delta, s.node_plan.rank]
+    for plan in (s.node_plan, s.edge_plan):
+        arrays += [plan.seg_ids, plan.order, plan.starts, plan.empty]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    # an equal but distinct hypergraph: its own structure, with equal arrays
+    twin = DirectedHypergraph(H.num_vertices, H.hyperedges)
+    assert twin == H and hash(twin) == hash(H) == key and repr(twin) == repr(H)
+    t = IncidenceStructure.build(twin)
+    assert t is not s and twin == H and hash(twin) == key
+    for a, b in [(t, s), (t.node_plan, s.node_plan), (t.edge_plan, s.edge_plan)]:
+        for name, value in vars(b).items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(getattr(a, name), value)
+    assert t.node_plan.runs == s.node_plan.runs
 
 
 def test_dense_factor_places_weighted_blocks():
@@ -332,7 +365,7 @@ def test_dense_factor_places_weighted_blocks():
     H, A = appendix_instance(d=2, q=0.1, shape="full", seed=3)
     bundle = build_laplacian(H, A)
     s, d = bundle.structure, bundle.d
-    Z = dense_factor(s, bundle.w, bundle.M)
+    Z = bundle.factor.dense()
     for k, (u, e) in enumerate(zip(s.inc_node, s.inc_edge)):
         coeff = directional_coefficient(H, u, e, A.config.q) / np.sqrt(H.hyperedges[e].degree)
         block = Z[e * d:(e + 1) * d, u * d:(u + 1) * d]
@@ -389,7 +422,7 @@ def test_kernel_assembly_and_oracle_agree(instance, normalized):
     cond = float(np.linalg.cond(bundle.D_V).max()) if normalized else 1.0
     oracle = dense_laplacian_oracle(H, A, normalized=normalized)
     np.testing.assert_allclose(free, oracle @ x, rtol=0, atol=1e-10 + 1e-15 * cond)
-    Z = dense_factor(bundle.structure, bundle.w, bundle.M)
+    Z = bundle.factor.dense()
     diag = np.eye(k) if normalized else block_diag(bundle.D_V)
     np.testing.assert_allclose(diag - Z.conj().T @ Z, bundle.L.to_dense(), rtol=0, atol=1e-10)
 

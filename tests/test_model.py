@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hypersheaf import autodiff as ad
-from hypersheaf.data import SyntheticConfig, generate_synthetic
+from hypersheaf.autodiff import SegmentPlan
+from hypersheaf.data import SyntheticConfig, generate_synthetic, read_dataset, write_dataset
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.jacobi import jacobi_eigh
-from hypersheaf.laplacian import build_laplacian, signless_apply
+from hypersheaf.laplacian import Factor, build_laplacian
 from hypersheaf.model import (
     DEGREE_EPS,
     ForwardAux,
@@ -241,8 +242,8 @@ def test_signless_node_matches_dense_operator(shape):
     structure, config, maps, X = signless_node_case(shape)
     M = _operator_blocks(Tape().tensor(maps), structure, config).value
     assert M.dtype == float
-    tape = Tape()
-    Y = _apply_signless(tape.tensor(M, requires_grad=True), tape.tensor(X, requires_grad=True), structure, config)
+    tape, factor = Tape(), Factor(structure, structure.weights(config.q), M)
+    Y = _apply_signless(tape.tensor(M, requires_grad=True), tape.tensor(X, requires_grad=True), factor)
     assert len(tape.nodes) <= 1
     aux = ForwardAux(layer_blocks=[M])
     expected = aux.dense_signless(structure, config, 0) @ X.reshape(-1, X.shape[2])
@@ -265,7 +266,8 @@ def check_signless_node_gradients(shape, real_signal):
         tape = Tape()
         T = {name: tape.tensor(value, requires_grad=True) for name, value in p.items()}
         x = T["xr"] if real_signal else ad.add(T["xr"], ad.mul(T["xi"], 1j))
-        Y = _apply_signless(_operator_blocks(T["maps"], structure, config), x, structure, config)
+        M = _operator_blocks(T["maps"], structure, config)
+        Y = _apply_signless(M, x, Factor(structure, structure.weights(config.q), M.value))
         yr, yi = ad.real(Y), ad.imag(Y)
         # quadratic in the output, so the signal gradient is not constant
         loss = ad.add(ad.reduce_sum(ad.mul(yr, wr)), ad.reduce_sum(ad.mul(ad.mul(yi, yi), wi)))
@@ -559,7 +561,7 @@ def reference_train(ds, config, budget):
             training=True, dropout_rng=dropout_rng,
         )
         _adam_step(state, grads, config, budget)
-        eval_logits = forward(ds.features, ds.hypergraph, state, config, structure=structure)
+        eval_logits = forward(ds.features, ds.hypergraph, state, config)
         history.append({
             "epoch": epoch,
             "train_loss": loss,
@@ -572,7 +574,7 @@ def reference_train(ds, config, budget):
             since_best += 1
             if since_best >= budget.patience:
                 break
-    test_logits = forward(ds.features, ds.hypergraph, best_state, config, structure=structure)
+    test_logits = forward(ds.features, ds.hypergraph, best_state, config)
     return history, accuracy(test_logits, labels, test_mask), best_epoch
 
 
@@ -681,13 +683,56 @@ def test_lambda_max_matches_eigvalsh(n, seed, shape):
     Q = aux.dense_signless(structure, config, 0)
     x = np.random.default_rng(0).standard_normal((structure.n, 2, 3)) + 0j
     np.testing.assert_allclose(
-        signless_apply(structure, structure.weights(config.q), aux.layer_blocks[0], x).reshape(-1, 3),
+        Factor(structure, structure.weights(config.q), aux.layer_blocks[0]).gram(x).reshape(-1, 3),
         Q @ x.reshape(-1, 3), rtol=0, atol=1e-12,
     )
     exact = np.linalg.eigvalsh(Q)[-1]
     lam = operator_lambda_max(structure, config, aux, 0)
     # a Ritz value never exceeds lambda_max; the residual stop puts it within 1e-8
     assert exact - 1e-8 <= lam <= exact + 1e-10
+
+
+def _count_calls(monkeypatch, owner, name, wrap=lambda f: f):
+    """Patch ``owner.name`` to count its calls; returns the list that records them."""
+    calls, original = [], getattr(owner, name)
+    fn = getattr(original, "__func__", original)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrap(counted))
+    return calls
+
+
+@pytest.mark.parametrize("dynamic, preparations", [(False, 1), (True, 2)])
+def test_factor_is_prepared_once_per_operator(monkeypatch, dynamic, preparations):
+    # light mode shares one M between both layers, so the forward and the
+    # backward of a step use one prepared factor; a dynamic sheaf has one per layer
+    ds = small_dataset(seed=40)
+    config = dataclasses.replace(synthetic_benchmark_config(seed=40)[0], dynamic_sheaf=dynamic)
+    structure = IncidenceStructure.build(ds.hypergraph)
+    state = init_state(config, ds.features.shape[1], 2)
+    prepared = _count_calls(monkeypatch, Factor, "__init__")
+    loss_and_gradients(ds.features, structure, ds.labels, ds.masks[0], state, config)
+    assert len(prepared) == preparations
+
+
+def test_second_train_on_a_hypergraph_builds_no_structure(monkeypatch, tmp_path):
+    ds = small_dataset(seed=41)
+    config, budget = synthetic_benchmark_config(seed=41)
+    budget = dataclasses.replace(budget, max_epochs=4, patience=4)
+    first = train(ds, config, budget)
+    builds = _count_calls(monkeypatch, SegmentPlan, "build", classmethod)
+    again = train(ds, config, budget)
+    assert builds == [] and again.history == first.history
+    # a round trip through the text files gives an equal, distinct hypergraph
+    # with its own structure, and the same training
+    write_dataset(ds, tmp_path / "data")
+    copy = read_dataset(tmp_path / "data")
+    assert copy.hypergraph == ds.hypergraph and copy.hypergraph is not ds.hypergraph
+    assert train(copy, config, budget).history == first.history
+    assert len(builds) == 2  # its node and edge plans
 
 
 def test_divergence_raises_with_epoch_index():
