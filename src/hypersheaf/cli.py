@@ -1,11 +1,15 @@
 """Command-line entry point for reproducible experiment runs.
 
-Every subcommand honors ``--seed``, emits exactly one ``key=value`` manifest
-recording its arguments, input digests, output paths, duration, the Python
-and numpy versions, the BLAS library and thread settings, and its exit code
-with the reason for a non-zero one, and is bit-reproducible from that
-manifest.  Exit codes: 0 success, 1 check failure, 2 usage error, 3 numeric
-divergence.
+Every subcommand honors ``--seed`` and is bit-reproducible from its
+``key=value`` manifest, which records its arguments, the digests of the
+inputs it read and the outputs it wrote, its duration, the Python and numpy
+versions, the BLAS library and thread settings, and its exit code with the
+reason for a non-zero one.  Every run that gets past argument parsing writes
+exactly one manifest, a failing one too (exit 2 from a bad value included);
+an argparse error or an unreadable ``--config`` file comes before any output
+path is known and writes none, and a manifest that cannot be written is a
+usage error.  Exit codes: 0 success, 1 check failure, 2 usage error, 3
+numeric divergence.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import platform
 import shlex
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,19 +67,18 @@ def blas_library() -> str:
     return " ".join(str(blas[key]) for key in ("name", "version") if blas.get(key)) or "unknown"
 
 
-def write_manifest(
-    path: Path,
-    subcommand: str,
-    argv: list[str],
-    inputs: list[Path],
-    outputs: list[Path],
-    duration: float,
-    extra: dict | None = None,
-    *,
-    exit_code: int = EXIT_OK,
-    reason: str | None = None,
-) -> None:
-    """Write the run's manifest; ``reason`` says why ``exit_code`` is non-zero."""
+@dataclass
+class Run:
+    """What a subcommand has read and written so far, its extra manifest keys, and why it failed."""
+
+    inputs: list[Path] = field(default_factory=list)
+    outputs: list[Path] = field(default_factory=list)
+    extra: dict = field(default_factory=dict)
+    reason: str | None = None
+
+
+def write_manifest(path: Path, subcommand: str, argv: list[str], run: Run, duration: float, exit_code: int) -> None:
+    """Write the manifest of ``run``; its ``reason`` says why ``exit_code`` is non-zero."""
     lines = [
         f"subcommand={subcommand}",
         "argv=" + shlex.join(argv),
@@ -84,15 +88,12 @@ def write_manifest(
         f"blas={blas_library()}",
         "blas_threads=" + ",".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS),
     ]
-    for p in inputs:
-        lines.append(f"input.{p}={_digest(Path(p))}")
-    for p in outputs:
-        lines.append(f"output.{p}={_digest(Path(p))}")
-    for key, value in (extra or {}).items():
-        lines.append(f"{key}={value}")
+    lines += [f"input.{p}={_digest(p)}" for p in run.inputs]
+    lines += [f"output.{p}={_digest(p)}" for p in run.outputs]
+    lines += [f"{key}={value}" for key, value in run.extra.items()]
     lines.append(f"exit_code={exit_code}")
-    if reason is not None:
-        lines.append("reason=" + " ".join(reason.split()))
+    if run.reason is not None:
+        lines.append("reason=" + " ".join(run.reason.split()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -123,16 +124,13 @@ def read_arc_list(path: str | Path) -> DirectedGraph:
 
 
 # --- subcommand handlers ------------------------------------------------------
+#
+# Each handler records in ``run`` the inputs it has read and the outputs it has
+# written, as it goes, and returns its exit code; ``main`` times it, turns an
+# exception into an exit code and writes the manifest.
 
 
-def _manifest_path(args, default_anchor: Path) -> Path:
-    if args.manifest:
-        return Path(args.manifest)
-    return Path(str(default_anchor) + ".manifest")
-
-
-def cmd_gen_synthetic(args, argv) -> int:
-    t0 = time.time()
+def cmd_gen_synthetic(args, run: Run) -> int:
     cfg = SyntheticConfig(
         n=args.n,
         classes=args.classes,
@@ -143,28 +141,20 @@ def cmd_gen_synthetic(args, argv) -> int:
         seed=args.seed,
     )
     dataset = generate_synthetic(cfg)
-    paths = write_dataset(dataset, args.out)
-    outputs = sorted(paths.values())
-    write_manifest(
-        _manifest_path(args, Path(args.out)),
-        "gen-synthetic", argv, [], outputs, time.time() - t0,
-        {"num_hyperedges": dataset.hypergraph.num_hyperedges},
-    )
-    print(f"wrote {len(outputs)} files with prefix {args.out} "
+    run.outputs = sorted(write_dataset(dataset, args.out).values())
+    run.extra["num_hyperedges"] = dataset.hypergraph.num_hyperedges
+    print(f"wrote {len(run.outputs)} files with prefix {args.out} "
           f"({dataset.hypergraph.num_hyperedges} hyperedges)")
     return EXIT_OK
 
 
-def cmd_transform_graph(args, argv) -> int:
-    t0 = time.time()
+def cmd_transform_graph(args, run: Run) -> int:
     G = read_arc_list(args.input)
+    run.inputs.append(Path(args.input))
     H = from_directed_graph(G)
     write_hypergraph(H, args.out)
-    write_manifest(
-        _manifest_path(args, Path(args.out)),
-        "transform-graph", argv, [Path(args.input)], [Path(args.out)], time.time() - t0,
-        {"num_hyperedges": H.num_hyperedges},
-    )
+    run.outputs.append(Path(args.out))
+    run.extra["num_hyperedges"] = H.num_hyperedges
     print(f"wrote {H.num_hyperedges} forward directed hyperedges to {args.out}")
     return EXIT_OK
 
@@ -176,26 +166,28 @@ def _check_q_range(q: float) -> None:
         raise ValueError(f"q must lie in [0, 0.25], got {q}")
 
 
-def cmd_build_laplacian(args, argv) -> int:
-    t0 = time.time()
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+
+
+def cmd_build_laplacian(args, run: Run) -> int:
     _check_q_range(args.q)
     H = read_hypergraph(args.input)
+    run.inputs.append(Path(args.input))
     config = SheafConfig(q=args.q, d=args.stalk_dim, map_shape=args.sheaf)
     sheaf = build_fixed_sheaf(H, config, rng_seed=args.seed)
     bundle = build_laplacian(H, sheaf, normalized=args.normalized, jitter=args.jitter)
     Path(args.out).write_text(format_dense_matrix(bundle.L.to_dense()))
-    write_manifest(
-        _manifest_path(args, Path(args.out)),
-        "build-laplacian", argv, [Path(args.input)], [Path(args.out)], time.time() - t0,
-        {"normalized": args.normalized, "q": args.q},
-    )
+    run.outputs.append(Path(args.out))
+    run.extra.update(normalized=args.normalized, q=args.q)
     print(f"wrote {'normalized ' if args.normalized else ''}Laplacian "
           f"({bundle.L.shape[0]}x{bundle.L.shape[1]}) to {args.out}")
     return EXIT_OK
 
 
-def cmd_verify_spectral(args, argv) -> int:
-    t0 = time.time()
+def cmd_verify_spectral(args, run: Run) -> int:
+    _check_trials(args.trials)
     rng = np.random.default_rng(args.seed)
     passes = {name: 0 for name in CHECK_NAMES}
     applicable = {name: 0 for name in CHECK_NAMES}
@@ -215,26 +207,21 @@ def cmd_verify_spectral(args, argv) -> int:
         lines.extend(report.failures)
         lines.append(report.instance_dump or "")
     text = "\n".join(lines) + "\n"
-    outputs = []
     if args.report:
         Path(args.report).write_text(text)
-        outputs.append(Path(args.report))
+        run.outputs.append(Path(args.report))
     else:
         sys.stdout.write(text)
-    anchor = Path(args.report) if args.report else Path("verify-spectral.out")
-    code = EXIT_OK if not failures else EXIT_CHECK_FAILURE
-    reason = f"{len(failures)} of {args.trials} instances failed a spectral check" if failures else None
-    write_manifest(
-        _manifest_path(args, anchor), "verify-spectral", argv, [], outputs,
-        time.time() - t0, {"trials": args.trials, "failures": len(failures)},
-        exit_code=code, reason=reason,
-    )
+    run.extra.update(trials=args.trials, failures=len(failures))
     print(f"{args.trials} instances checked, {len(failures)} failures")
-    return code
+    if failures:
+        run.reason = f"{len(failures)} of {args.trials} instances failed a spectral check"
+        return EXIT_CHECK_FAILURE
+    return EXIT_OK
 
 
-def cmd_theorem_check(args, argv) -> int:
-    t0 = time.time()
+def cmd_theorem_check(args, run: Run) -> int:
+    _check_trials(args.trials)
     results = run_all_theorem_checks(trials=args.trials, seed=args.seed)
     lines = [r.summary() for r in results]
     failed = [r.name for r in results if not r.passed]
@@ -248,22 +235,18 @@ def cmd_theorem_check(args, argv) -> int:
         if not ce.reproduces_non_psd:
             failed.append("flipped-sign counterexample")
     text = "\n".join(lines) + ("\n" if lines else "")
-    outputs = []
     if args.report:
         Path(args.report).write_text(text)
-        outputs.append(Path(args.report))
+        run.outputs.append(Path(args.report))
     sys.stdout.write(text)
-    anchor = Path(args.report) if args.report else Path("theorem-check.out")
-    code = EXIT_CHECK_FAILURE if failed else EXIT_OK
-    write_manifest(
-        _manifest_path(args, anchor), "theorem-check", argv, [], outputs,
-        time.time() - t0, {"trials": args.trials, "passed": not failed},
-        exit_code=code, reason="failed: " + "; ".join(failed) if failed else None,
-    )
-    return code
+    run.extra.update(trials=args.trials, passed=not failed)
+    if failed:
+        run.reason = "failed: " + "; ".join(failed)
+        return EXIT_CHECK_FAILURE
+    return EXIT_OK
 
 
-def _model_config_from_args(args, q=None, seed=None) -> ModelConfig:
+def _model_config_from_args(args, q=None) -> ModelConfig:
     return ModelConfig(
         num_layers=args.layers,
         stalk_dim=args.stalk_dim,
@@ -276,7 +259,7 @@ def _model_config_from_args(args, q=None, seed=None) -> ModelConfig:
         dropout_rate=args.dropout,
         hyperedge_aggregation=args.aggregation,
         classifier_width=args.classifier_width,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         dynamic_sheaf=args.dynamic_sheaf,
         left_projection=not args.no_left_projection,
         use_layer_norm=not args.no_layer_norm,
@@ -305,62 +288,48 @@ def _write_metrics(path: Path, result, eigencheck: bool) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _dataset_input_paths(prefix: str) -> list[Path]:
-    p = Path(prefix)
-    return [p.with_name(p.name + s) for s in DATASET_SUFFIXES.values()]
+def _read_dataset(args, run: Run):
+    dataset = read_dataset(args.data)
+    p = Path(args.data)
+    run.inputs += [p.with_name(p.name + s) for s in DATASET_SUFFIXES.values()]
+    return dataset
 
 
-def cmd_train(args, argv) -> int:
-    t0 = time.time()
+def cmd_train(args, run: Run) -> int:
     _check_q_range(args.q)
     config, budget = _model_config_from_args(args), _budget_from_args(args)
-    dataset = read_dataset(args.data)
+    result = train(_read_dataset(args, run), config, budget)
     out = Path(args.metrics_out)
-    inputs = _dataset_input_paths(args.data)
-    try:
-        result = train(dataset, config, budget)
-    except (TrainingDiverged, ValueError) as exc:
-        write_manifest(
-            _manifest_path(args, out), "train", argv, inputs, [], time.time() - t0,
-            exit_code=_exit_code(exc), reason=str(exc),
-        )
-        raise
     _write_metrics(out, result, budget.eigencheck_every > 0)
-    write_manifest(
-        _manifest_path(args, out), "train", argv, inputs, [out], time.time() - t0,
-        {"test_acc": f"{result.test_acc:.17g}", "best_epoch": result.best_epoch},
-    )
+    run.outputs.append(out)
+    run.extra.update(test_acc=f"{result.test_acc:.17g}", best_epoch=result.best_epoch)
     print(f"best val {result.best_val_acc:.4f} at epoch {result.best_epoch}; "
           f"test accuracy {result.test_acc:.4f}")
     return EXIT_OK
 
 
-def cmd_q_sweep(args, argv) -> int:
-    t0 = time.time()
+def cmd_q_sweep(args, run: Run) -> int:
+    run.extra["grid"] = args.grid
     grid = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
-    for q in grid:
+    # the grid sets each model's charge, but a --q that train would refuse is refused here too
+    for q in (args.q, *grid):
         _check_q_range(q)
     configs = [_model_config_from_args(args, q=q) for q in grid]
     budget = _budget_from_args(args)
-    dataset = read_dataset(args.data)
-    out = Path(args.out)
+    dataset = _read_dataset(args, run)
     rows = ["q,test_acc"]
-    code, reason = EXIT_OK, None
+    code = EXIT_OK
     for q, config in zip(grid, configs):
         try:
             result = train(dataset, config, budget)
         except (TrainingDiverged, ValueError) as exc:
             # the table keeps the charges that finished
-            code, reason = _exit_code(exc), f"q={q:g}: {exc}"
-            print(f"error: {reason}", file=sys.stderr)
+            code, run.reason = _exit_code(exc), f"q={q:g}: {exc}"
             break
         rows.append(f"{q:.17g},{result.test_acc:.17g}")
         print(f"q={q:g}: test accuracy {result.test_acc:.4f}")
-    out.write_text("\n".join(rows) + "\n")
-    write_manifest(
-        _manifest_path(args, out), "q-sweep", argv, _dataset_input_paths(args.data),
-        [out], time.time() - t0, {"grid": args.grid}, exit_code=code, reason=reason,
-    )
+    Path(args.out).write_text("\n".join(rows) + "\n")
+    run.outputs.append(Path(args.out))
     return code
 
 
@@ -408,13 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inter", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("transform-graph", help="directed graph to forward directed hypergraph")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_transform_graph)
 
     p = sub.add_parser("build-laplacian", help="assemble and export a Laplacian")
@@ -427,35 +394,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jitter", action="store_const", const=DEGREE_EPS, default=0.0,
                    help="add 1e-8 to every degree block, so singular ones invert")
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_build_laplacian)
 
     p = sub.add_parser("verify-spectral", help="randomized spectral property suite")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_verify_spectral)
 
     p = sub.add_parser("theorem-check", help="operator recovery suites and the counterexample")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_theorem_check)
 
     p = sub.add_parser("train", help="train the diffusion model on a dataset prefix")
     _add_train_flags(p)
     p.add_argument("--metrics-out", required=True)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("q-sweep", help="train one model per charge value")
     _add_train_flags(p)
     p.add_argument("--grid", default="0,0.05,0.1,0.15,0.2,0.25")
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_q_sweep)
+
+    for p in sub.choices.values():
+        p.add_argument("--manifest", help="manifest path (default: the main output path plus .manifest)")
     return parser
 
 
@@ -491,18 +456,37 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     return head[:idx] + [tail[0]] + injected + tail[1:]
 
 
+def _manifest_path(args) -> Path:
+    values = vars(args)
+    anchor = values.get("out") or values.get("metrics_out") or values.get("report") or f"{args.subcommand}.out"
+    return Path(args.manifest or f"{anchor}.manifest")
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and write its manifest, whether the run succeeds or fails."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        try:
-            args = parser.parse_args(_apply_config_file(parser, argv))
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        return args.func(args, argv)
-    except (TrainingDiverged, ValueError, OSError) as exc:
+        args = parser.parse_args(_apply_config_file(parser, argv))
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except (ValueError, OSError) as exc:  # a bad --config: no manifest path is known yet
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return EXIT_USAGE
+    run, t0 = Run(), time.time()
+    try:
+        code = args.func(args, run)
+    except (TrainingDiverged, ValueError, OSError) as exc:
+        code, run.reason = _exit_code(exc), str(exc)
+    try:
+        write_manifest(_manifest_path(args), args.subcommand, argv, run, time.time() - t0, code)
+    except OSError as exc:
+        if code < EXIT_USAGE:  # else the run's own error is the one to report
+            run.reason = str(exc)
+        code = EXIT_USAGE
+    if code >= EXIT_USAGE:
+        print(f"error: {run.reason}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

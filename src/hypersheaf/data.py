@@ -17,6 +17,7 @@ import numpy as np
 from .hypergraph import (
     DirectedHypergraph,
     Hyperedge,
+    _check_integer_fields,
     incidence_counts,
     read_features,
     read_hypergraph,
@@ -59,6 +60,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integer_fields(self)
         if self.classes < 2 or self.n % self.classes != 0:
             raise ValueError("the class count must be >= 2 and divide n")
         class_size = self.n // self.classes

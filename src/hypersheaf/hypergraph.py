@@ -9,7 +9,8 @@ format.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +34,14 @@ __all__ = [
     "read_splits",
     "write_splits",
 ]
+
+
+def _check_integer_fields(config) -> None:
+    """Reject a ``bool`` or a non-integer in a dataclass field typed ``int``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

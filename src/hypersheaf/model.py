@@ -15,14 +15,13 @@ backward pass; the signal path itself stays differentiable.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .hypergraph import DirectedHypergraph
+from .hypergraph import DirectedHypergraph, _check_integer_fields
 from .laplacian import (
     DEGREE_EPS,
     Factor,
@@ -87,14 +86,6 @@ def _whiten(X: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LAY
 
 
 # --- configuration and state ----------------------------------------------------
-
-
-def _check_integer_fields(config) -> None:
-    """Reject a ``bool`` or a non-integer in a dataclass field typed ``int``."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .hypergraph import DirectedHypergraph, _incidence_arrays
+from .hypergraph import DirectedHypergraph, _check_integer_fields, _incidence_arrays
 
 __all__ = [
     "SheafConfig",
@@ -40,6 +40,7 @@ class SheafConfig:
     map_shape: str = "trivial"
 
     def __post_init__(self):
+        _check_integer_fields(self)
         if not math.isfinite(self.q):
             raise ValueError("charge parameter q must be finite")
         if self.d < 1:

@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypersheaf.cli import main, manifest_argv, read_arc_list
 from hypersheaf.hypergraph import read_hypergraph
 from hypersheaf.laplacian import parse_dense_matrix
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 def run(argv):
     return main(argv)
@@ -206,6 +211,72 @@ def test_every_subcommand_records_its_exit_code(tmp_path):
         assert lines[0] == f"subcommand={subcommand}"
         assert "exit_code=0" in lines and f"blas={cli.blas_library()}" in lines
         assert not any(line.startswith("reason=") for line in lines)
+
+
+# Runs stopped after parsing: the command, with ``{out}`` an empty folder and
+# ``{data}`` a generated dataset prefix, and the dataset files it has read.
+FAILING_RUNS = {
+    "gen-synthetic": ("gen-synthetic --n 7 --out {out}/g", []),
+    "transform-graph": ("transform-graph --in {out}/missing.txt --out {out}/t.hg", []),
+    "build-laplacian": ("build-laplacian --in {data}.hg --q 0.5 --out {out}/L.txt", []),
+    "verify-spectral": ("verify-spectral --trials -2 --report {out}/v.txt", []),
+    "theorem-check": ("theorem-check --trials -1 --report {out}/t.txt", []),
+    "train": ("train --data {data} --q 0.5 --metrics-out {out}/m.csv", []),
+    "q-sweep": ("q-sweep --data {data} --q 0.5 --out {out}/s.csv", []),
+    "build-laplacian-unwritable": (
+        "build-laplacian --in {data}.hg --out {out}/nodir/L.txt --manifest {out}/b.manifest", [".hg"],
+    ),
+    "train-unwritable": (
+        "train --data {data} --epochs 1 --metrics-out {out}/nodir/m.csv --manifest {out}/t.manifest",
+        [".hg", ".features", ".labels", ".splits"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILING_RUNS))
+def test_failing_run_writes_one_manifest_with_its_reason(tmp_path, capsys, case):
+    data, out = gen_small(tmp_path), tmp_path / "run"
+    out.mkdir()
+    command, read = FAILING_RUNS[case]
+    argv = [token.format(out=out, data=data) for token in command.split()]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # the manifest is the only file the run leaves
+    (manifest,) = out.iterdir()
+    assert manifest.suffix == ".manifest"
+    lines = manifest_lines(manifest)
+    assert lines[0] == f"subcommand={argv[0]}"
+    assert lines[-2:] == ["exit_code=2", "reason=" + err.removeprefix("error: ").rstrip("\n")]
+    assert not any(line.startswith("output.") for line in lines)
+    assert [line.split("=")[0] for line in lines if line.startswith("input.")] == [
+        f"input.{data}{suffix}" for suffix in read
+    ]
+
+
+def test_unwritable_manifest_is_one_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "missing" / "m.manifest"
+    argv = ["verify-spectral", "--trials", "1", "--report", str(tmp_path / "r.txt"), "--manifest", str(manifest)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(manifest) in err
+
+
+def test_entry_point_reports_an_unwritable_output_in_one_line(tmp_path):
+    # neither the Laplacian nor its default manifest can be written
+    data = gen_small(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "hypersheaf.cli", "build-laplacian", "--in", f"{data}.hg",
+         "--out", str(tmp_path / "missing" / "L.txt")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "missing").exists()
 
 
 def test_theorem_check_manifest_names_the_failed_suite(tmp_path, monkeypatch):

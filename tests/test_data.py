@@ -67,6 +67,18 @@ def test_config_validation():
         SyntheticConfig(n=10, classes=5, h_min=2, h_max=3)
 
 
+@pytest.mark.parametrize(
+    "field", ["n", "classes", "h_min", "h_max", "intra_per_class", "inter_per_pair", "seed"]
+)
+@pytest.mark.parametrize("value", [4.5, 2.0, True, "2"])
+def test_config_integer_fields_reject_other_types(field, value):
+    # intra_per_class=True used to build one hyperedge per class
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SyntheticConfig(**{field: value})
+    default = getattr(SyntheticConfig(), field)
+    assert getattr(SyntheticConfig(**{field: np.int64(default)}), field) == default
+
+
 def test_degree_features_counts_incidences():
     H = DirectedHypergraph(4, (Hyperedge((0, 1, 2)), Hyperedge((1, 2, 3))))
     np.testing.assert_array_equal(degree_features(H), [[1.0], [2.0], [2.0], [1.0]])

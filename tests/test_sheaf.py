@@ -113,6 +113,14 @@ def test_config_rejects_bad_values():
         SheafConfig(q=0.1, d=1, map_shape="banana")
 
 
+@pytest.mark.parametrize("value", [4.5, 2.0, True, "2"])
+def test_config_stalk_dim_rejects_other_types(value):
+    # a float d used to fail later, with a TypeError from inside numpy
+    with pytest.raises(ValueError, match="d must be an integer"):
+        SheafConfig(q=0.1, d=value)
+    assert SheafConfig(q=0.1, d=np.int64(2)).d == 2
+
+
 # --- the mapping constructor and the canonical stack --------------------------
 
 
