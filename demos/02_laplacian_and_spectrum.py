@@ -33,7 +33,7 @@ H = DirectedHypergraph(
 for q in (0.0, 0.1, 0.25):
     sheaf = build_fixed_sheaf(H, SheafConfig(q=q, d=1, map_shape="trivial"))
     bundle = build_laplacian(H, sheaf, normalized=True)
-    L = bundle.L.to_dense()
+    L = bundle.dense()
     eigs = hermitian_eigenvalues(L)
     print(f"q={q:4}: max |Im L| = {np.max(np.abs(L.imag)):.2e}, "
           f"spectrum in [{eigs[0]:+.4f}, {eigs[-1]:.4f}]")
@@ -41,7 +41,7 @@ for q in (0.0, 0.1, 0.25):
 # a random full sheaf keeps every guarantee: Hermitian, PSD, bounded by 1
 sheaf = build_fixed_sheaf(H, SheafConfig(q=0.2, d=3, map_shape="full"), rng_seed=42)
 bundle = build_laplacian(H, sheaf, normalized=True)
-rep = spectrum_report(bundle.L.to_dense())
+rep = spectrum_report(bundle.dense())
 print(f"\nrandom full sheaf (d=3): hermitian defect {rep.hermitian_defect:.2e}, "
       f"eigenvalues in [{rep.min_eig:+.2e}, {rep.max_eig:.6f}]")
 assert rep.is_psd_at(1e-8) and rep.max_eig <= 1 + 1e-8

@@ -177,12 +177,12 @@ def cmd_build_laplacian(args, run: Run) -> int:
     run.inputs.append(Path(args.input))
     config = SheafConfig(q=args.q, d=args.stalk_dim, map_shape=args.sheaf)
     sheaf = build_fixed_sheaf(H, config, rng_seed=args.seed)
-    bundle = build_laplacian(H, sheaf, normalized=args.normalized, jitter=args.jitter)
-    Path(args.out).write_text(format_dense_matrix(bundle.L.to_dense()))
+    dense = build_laplacian(H, sheaf, normalized=args.normalized, jitter=args.jitter).dense()
+    Path(args.out).write_text(format_dense_matrix(dense))
     run.outputs.append(Path(args.out))
     run.extra.update(normalized=args.normalized, q=args.q)
     print(f"wrote {'normalized ' if args.normalized else ''}Laplacian "
-          f"({bundle.L.shape[0]}x{bundle.L.shape[1]}) to {args.out}")
+          f"({dense.shape[0]}x{dense.shape[1]}) to {args.out}")
     return EXIT_OK
 
 
@@ -425,13 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Inject key=value file entries as flag defaults; command line wins."""
+    """Inject key=value file entries as flag defaults; command line wins.  A key of
+    other subcommands only is skipped, and one of no subcommand is an error."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
     if idx + 1 == len(argv):
         raise ValueError("--config requires a file path")
     path = Path(argv[idx + 1])
+    tail = argv[idx + 2 :]
+    if not tail:
+        raise ValueError("--config requires a subcommand")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {f for a in p._actions for f in a.option_strings} for name, p in subparsers.choices.items()}
     pairs = {}
     for line in path.read_text().splitlines():
         line = line.strip()
@@ -442,18 +448,16 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     injected = []
     for key, value in pairs.items():
         flag = f"--{key.replace('_', '-')}"
-        if flag in argv:
+        if not any(flag in known for known in flags.values()):
+            raise ValueError(f"{path}: key {key!r} is not a flag of any subcommand")
+        if flag in argv or flag not in flags.get(tail[0], ()):
             continue
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
                 injected.append(flag)
         else:
             injected.extend([flag, value])
-    head = argv[: idx + 2]
-    tail = argv[idx + 2 :]
-    if not tail:
-        raise ValueError("--config requires a subcommand")
-    return head[:idx] + [tail[0]] + injected + tail[1:]
+    return argv[:idx] + [tail[0]] + injected + tail[1:]
 
 
 def _manifest_path(args) -> Path:

@@ -18,11 +18,11 @@ fixes the canonical incidence order, built once per hypergraph object, and
 :class:`Factor` is the one vectorised ``Z^dagger Z`` kernel, prepared once
 per operator: full blocks run as real batched products on the float view of
 the signal, scaled by ``w`` per incidence.  The complex ``Z`` is formed only
-by :attr:`Factor.blocks`, for the dense export :meth:`Factor.dense` and for
-``LaplacianBundle.L``, which assembles the block-sparse ``L`` from
-conjugate products of ``Z`` when first read, so it is Hermitian to rounding
-error by construction.  Hyperedges carry unit weight, the only weight the
-spectral guarantees cover (see :mod:`.hypergraph`).
+by :attr:`Factor.blocks`, for the dense export :meth:`LaplacianBundle.dense`
+and the block-sparse ``LaplacianBundle.L``; both sum ``conj(Z_k)^T Z_l``
+over the pairs of incidences of each hyperedge, so they are Hermitian to
+rounding error by construction.  Hyperedges carry unit weight, the only
+weight the spectral guarantees cover (see :mod:`.hypergraph`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import SegmentPlan, _product
-from .blockmatrix import BlockComplexMatrix
+from .blockmatrix import BlockComplexMatrix, _check_dense_cap
 from .hypergraph import DirectedHypergraph, _incidence_arrays
 # read as laplacian.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it
 from .jacobi import jacobi_eigh  # noqa: F401
@@ -161,12 +161,14 @@ class Factor:
             return self._edge[0] * np.eye(self.M.shape[1])
         return self.w[:, None, None] * self.M
 
-    def dense(self) -> np.ndarray:
-        """``Z`` as a dense ``(m d) x (n d)`` matrix; every ``(e, u)`` pair occurs once."""
-        s, d = self.structure, self.M.shape[1]
-        out = np.zeros((s.m, d, s.n, d), dtype=complex)
-        out[s.inc_edge, :, s.inc_node, :] = self.blocks
-        return out.reshape(s.m * d, s.n * d)
+
+def _edge_pairs(inc_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``(k, l)`` of every ordered pair of incidences of one hyperedge, ``k`` major;
+    ``inc_edge`` is in canonical order, so each hyperedge's rows are contiguous."""
+    first = np.searchsorted(inc_edge, inc_edge)
+    size = np.searchsorted(inc_edge, inc_edge, side="right") - first
+    left = np.repeat(np.arange(len(size)), size)
+    return left, np.arange(len(left)) + np.repeat(first - np.cumsum(size) + size, size)
 
 
 def _degree_blocks(structure: IncidenceStructure, F: np.ndarray) -> np.ndarray:
@@ -212,8 +214,8 @@ def _spd_inverse_sqrt(D: np.ndarray, *, jitter: float = 0.0) -> tuple[np.ndarray
 
 @dataclass
 class LaplacianBundle:
-    """The Laplacian kept as the real factor blocks ``M`` of ``Z = w M``; ``L`` is
-    assembled on first access only."""
+    """The Laplacian kept as the real factor blocks ``M`` of ``Z = w M``; :meth:`dense`
+    exports it, and the block-sparse ``L`` is assembled on first access only."""
 
     hypergraph: DirectedHypergraph
     sheaf: SheafAssignment
@@ -238,22 +240,33 @@ class LaplacianBundle:
 
     @functools.cached_property
     def L(self) -> BlockComplexMatrix:
-        """Block-sparse ``diag - Z^dagger Z``, assembled on first access.
-
-        Block ``(u, v)`` sums ``conj(Z_k)^T Z_l`` over every ordered pair of
-        incidences ``k = (u, e)``, ``l = (v, e)`` of one hyperedge; canonical
-        order keeps those of ``e`` contiguous from ``edge_plan.starts``.
-        """
+        """Block-sparse ``diag - Z^dagger Z``, assembled on first access; block ``(u, v)``
+        sums ``conj(Z_k)^T Z_l`` over the pairs of :func:`_edge_pairs` with ``k = (u, e)``,
+        ``l = (v, e)``.  Kept for the benchmark's block checks; :meth:`dense` exports."""
         s, n, d = self.structure, self.n, self.d
-        first = s.edge_plan.starts[s.inc_edge]
-        size = np.diff(s.edge_plan.starts, append=len(s.inc_edge))[s.inc_edge]
-        left = np.repeat(np.arange(len(size)), size)
-        right = np.arange(len(left)) + np.repeat(first - np.cumsum(size) + size, size)
+        left, right = _edge_pairs(s.inc_edge)
         Z = self.factor.blocks
         blocks = -(np.conj(np.swapaxes(Z[left], 1, 2)) @ Z[right])
         diag = np.broadcast_to(np.eye(d), (n, d, d)) if self.normalized else self.D_V
         pairs = zip(s.inc_node[left].tolist(), s.inc_node[right].tolist(), blocks)
         return BlockComplexMatrix(n, n, d, [*pairs, *zip(range(n), range(n), diag)])
+
+    def dense(self) -> np.ndarray:
+        """``diag - Z^dagger Z`` as a dense ``(n d) x (n d)`` matrix, from the pair blocks of
+        :attr:`L` without its dict: one stable sort by ``(u, v)`` and one ``reduceat`` sum
+        the pairs that share a block.  The cap is checked before any work."""
+        s, n, d = self.structure, self.n, self.d
+        _check_dense_cap(n * d, n * d)
+        left, right = _edge_pairs(s.inc_edge)
+        key = s.inc_node[left] * n + s.inc_node[right]
+        order = np.argsort(key, kind="stable")
+        key, left, right = key[order], left[order], right[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        Z, out = self.factor.blocks, np.zeros((n, d, n, d), dtype=complex)
+        sums = np.add.reduceat(np.conj(np.swapaxes(Z[left], 1, 2)) @ Z[right], starts)
+        out[key[starts] // n, :, key[starts] % n, :] = -sums
+        out[np.arange(n), :, np.arange(n), :] += np.eye(d) if self.normalized else self.D_V
+        return out.reshape(n * d, n * d)
 
 
 def build_laplacian(
@@ -282,7 +295,7 @@ def build_laplacian(
 def apply_laplacian(bundle: LaplacianBundle, x: NodeSignal) -> NodeSignal:
     """Matrix-free ``L x = D_V x - Z^dagger Z x`` (``x - Z^dagger Z x`` when normalized).
 
-    Never assembles ``bundle.L``: the product goes through ``bundle.factor``.
+    Never assembles the operator: the product goes through ``bundle.factor``.
     """
     n, d = bundle.n, bundle.d
     arr = np.asarray(x, dtype=complex)

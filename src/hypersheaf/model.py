@@ -343,11 +343,6 @@ class ForwardAux:
     layer_blocks: list[np.ndarray] = field(default_factory=list)  # each layer's real ``M``
     map_values: list[np.ndarray] = field(default_factory=list)
 
-    def dense_signless(self, structure: IncidenceStructure, config: ModelConfig, layer: int) -> np.ndarray:
-        """Dense ``Q_N`` of one layer, rebuilt from the captured blocks."""
-        Z = Factor(structure, structure.weights(config.q), self.layer_blocks[layer]).dense()
-        return Z.conj().T @ Z
-
 
 def _trainable_names(state: ModelState, config: ModelConfig) -> set[str]:
     names = set(state.params)

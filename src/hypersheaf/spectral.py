@@ -6,6 +6,7 @@ is that of the original matrix with every eigenvalue doubled; the doubled
 ascending list is thinned by taking every other entry.  The verification
 suite takes that spectrum from LAPACK (``np.linalg.eigvalsh``);
 ``hermitian_eigenvalues`` still takes it from the cyclic Jacobi solver.
+The suite runs on arrays: :meth:`LaplacianBundle.dense` and a vectorised sum.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .hypergraph import DirectedHypergraph, Hyperedge, _incidence_arrays, format
 # read as spectral.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it;
 # hermitian_eigenvalues stays on it only for that test, until ROADMAP item 1 re-points it
 from .jacobi import jacobi_eigh
-from .laplacian import LaplacianBundle, apply_laplacian, build_laplacian
-from .sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf
+from .laplacian import LaplacianBundle, _edge_pairs, apply_laplacian, build_laplacian
+from .sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf, tail_coefficient
 
 __all__ = [
     "SpectrumReport",
@@ -56,7 +57,11 @@ def hermitian_defect(M: np.ndarray) -> float:
 def real_embedding(M: np.ndarray) -> np.ndarray:
     """The real symmetric ``2k x 2k`` matrix ``[[Re M, -Im M], [Im M, Re M]]``."""
     M = np.asarray(M, dtype=complex)
-    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+    r, c = M.shape
+    out = np.empty((2 * r, 2 * c))
+    out[:r, :c] = out[r:, c:] = M.real
+    out[:r, c:], out[r:, :c] = -M.imag, M.imag
+    return out
 
 
 def hermitian_eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -128,26 +133,25 @@ def dirichlet_energy(
     The sum form is
 
         (1/2) sum_e (1/delta_e) sum_{u != v in e}
-            || vecF_u D_u^{-1/2} x_u - vecF_v D_v^{-1/2} x_v ||^2
+            || S_u F_u D_u^{-1/2} x_u - S_v F_v D_v^{-1/2} x_v ||^2
 
-    and must match the quadratic form to rounding error for the normalized
-    operator.
+    over pairs of incidences of a hyperedge, from ``A``'s arrays and ``D^{-1/2}``
+    alone, never from the factor ``Z`` that the quadratic form applies; the
+    two must match to rounding error for the normalized operator.
     """
     if not bundle.normalized:
         raise ValueError("Dirichlet energy is defined for the normalized Laplacian")
     n, d = bundle.n, bundle.d
     x = np.asarray(x, dtype=complex).reshape(n * d)
     quad = np.vdot(x, apply_laplacian(bundle, x))
-    xs = x.reshape(n, d)
-    scaled = np.einsum("uab,ub->ua", bundle.dv_inv_sqrt, xs)
-    total = 0.0
-    for j, e in enumerate(H.hyperedges):
-        members = e.members
-        proj = {u: (A.coefficient(u, j) * A.map_for(u, j)) @ scaled[u] for u in members}
-        for a_i, u in enumerate(members):
-            for v in members[a_i + 1 :]:
-                diff = proj[u] - proj[v]
-                total += float(np.real(np.vdot(diff, diff))) / e.degree
+    scaled = np.einsum("uab,ub->ua", bundle.dv_inv_sqrt, x.reshape(n, d))
+    phase = np.where(A.inc_is_tail, tail_coefficient(A.config.q), 1.0 + 0.0j)
+    proj = ((phase[:, None, None] * A.maps) @ scaled[A.inc_node, :, None])[..., 0]
+    left, right = _edge_pairs(A.inc_edge)
+    left, right = left[left < right], right[left < right]
+    diff = proj[left] - proj[right]
+    delta = np.bincount(A.inc_edge, minlength=H.num_hyperedges)[A.inc_edge[left]]
+    total = float(np.sum(np.sum(diff.real**2 + diff.imag**2, axis=1) / delta))
     return EnergyReport(
         quadratic_form=float(quad.real),
         sum_form=total,
@@ -209,9 +213,9 @@ def verify_spectral_suite(
     Verifies: Hermitian defect below 1e-10, exact pairing of the embedded
     spectrum, positive semidefiniteness, the unit upper bound on the
     spectrum, agreement of the two Dirichlet energy forms, and realness of
-    the operator at ``q = 0``.  The spectrum is LAPACK ``eigvalsh`` of the
-    real embedding, so the pairing check compares the doubled values pair by
-    pair.
+    the operator at ``q = 0``, all on :meth:`LaplacianBundle.dense`.  The
+    spectrum is LAPACK ``eigvalsh`` of the real embedding, so the pairing
+    check compares the doubled values pair by pair.
 
     The energy forms must agree to ``max(1e-9, eps * max_u cond(D_u))``
     relative (``eps`` the float64 machine epsilon): ``L_N`` takes
@@ -220,7 +224,7 @@ def verify_spectral_suite(
     """
     rng = rng or np.random.default_rng(0)
     bundle = build_laplacian(H, A, normalized=True)
-    dense = bundle.L.to_dense()
+    dense = bundle.dense()
     failures: list[str] = []
     checks = {c: True for c in CHECK_NAMES if c != "realness" or A.config.q == 0.0}
 
@@ -256,7 +260,7 @@ def verify_spectral_suite(
 
     max_imag = None
     if "realness" in checks:
-        max_imag = bundle.L.max_abs_imag()
+        max_imag = float(np.max(np.abs(dense.imag)))
         if max_imag > 1e-12:
             fail("realness", f"q=0 imaginary part {max_imag:.3e} > 1e-12")
 

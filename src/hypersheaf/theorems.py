@@ -76,12 +76,12 @@ def check_sheaf_graph_reduction(trials: int = 50, seed: int = 0) -> TheoremResul
         sheaf = build_fixed_sheaf(
             H, SheafConfig(q=q, d=d, map_shape="full"), rng_seed=int(rng.integers(2**31))
         )
-        ours = build_laplacian(H, sheaf).L.to_dense()
+        ours = build_laplacian(H, sheaf).dense()
         ref = reference_laplacian("sheaf_graph", hypergraph=H, sheaf=sheaf)
         worst = max(worst, float(np.max(np.abs(ours - 0.5 * ref))))
 
         trivial = build_fixed_sheaf(H, SheafConfig(q=q, d=1, map_shape="trivial"))
-        ours1 = build_laplacian(H, trivial).L.to_dense()
+        ours1 = build_laplacian(H, trivial).dense()
         classical = reference_laplacian("classical_graph", hypergraph=H)
         worst = max(worst, float(np.max(np.abs(ours1 - 0.5 * classical))))
     return TheoremResult("sheaf/classical graph reduction (2-uniform undirected)", trials, worst)
@@ -125,10 +125,10 @@ def check_magnetic_reduction(
     for _ in range(trials):
         H = _random_mixed_simple_graph(rng)
         for q in q_values:
-            ours = build_laplacian(H, _magnet_scaled_sheaf(H, q)).L.to_dense()
+            ours = build_laplacian(H, _magnet_scaled_sheaf(H, q)).dense()
             ref = reference_laplacian("magnetic", hypergraph=H, q=q)
             worst = max(worst, float(np.max(np.abs(ours - ref))))
-        ours_q = build_laplacian(H, _magnet_scaled_sheaf(H, 0.25)).L.to_dense()
+        ours_q = build_laplacian(H, _magnet_scaled_sheaf(H, 0.25)).dense()
         sign_ref = reference_laplacian("sign_magnetic", hypergraph=H)
         worst = max(worst, float(np.max(np.abs(ours_q - sign_ref))))
     return TheoremResult("magnetic / sign-magnetic reduction (2-uniform mixed)", trials, worst)
@@ -145,7 +145,7 @@ def check_zhou_reduction(trials: int = 50, seed: int = 0) -> TheoremResult:
         H = random_hypergraph(rng, (4, 10), (2, 8), 0.6 if directed else 0.0)
         q = 0.0 if directed else float(rng.uniform(0.0, 0.25))
         sheaf = build_fixed_sheaf(H, SheafConfig(q=q, d=1, map_shape="trivial"))
-        ours = build_laplacian(H, sheaf, normalized=True).L.to_dense()
+        ours = build_laplacian(H, sheaf, normalized=True).dense()
         ref = reference_laplacian("zhou", hypergraph=H)
         worst = max(worst, float(np.max(np.abs(ours - ref))))
     return TheoremResult("normalized hypergraph reduction (trivial sheaf)", trials, worst)
@@ -159,7 +159,7 @@ def check_gedi_reduction(trials: int = 50, seed: int = 0) -> TheoremResult:
     for _ in range(trials):
         H = random_hypergraph(rng, (4, 10), (2, 8), 0.6)
         sheaf = build_fixed_sheaf(H, SheafConfig(q=0.25, d=1, map_shape="trivial"))
-        ours = build_laplacian(H, sheaf, normalized=True).L.to_dense()
+        ours = build_laplacian(H, sheaf, normalized=True).dense()
         ref = reference_laplacian("gedi", hypergraph=H)
         worst = max(worst, float(np.max(np.abs(ours - ref))))
     return TheoremResult("generalized directed reduction (trivial sheaf, q=1/4)", trials, worst)

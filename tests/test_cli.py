@@ -10,7 +10,8 @@ import pytest
 
 from hypersheaf import cli
 from hypersheaf.cli import main, manifest_argv, read_arc_list
-from hypersheaf.hypergraph import read_hypergraph
+from hypersheaf.blockmatrix import DENSE_EXPORT_CAP
+from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge, read_hypergraph, write_hypergraph
 from hypersheaf.laplacian import parse_dense_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -231,6 +232,14 @@ FAILING_RUNS = {
         [".hg", ".features", ".labels", ".splits"],
     ),
 }
+
+
+def test_build_laplacian_above_the_dense_cap_is_usage_error(tmp_path, capsys):
+    size = DENSE_EXPORT_CAP + 1
+    write_hypergraph(DirectedHypergraph(size, (Hyperedge((0,), (1,)),)), tmp_path / "big.hg")
+    assert run(["build-laplacian", "--in", str(tmp_path / "big.hg"), "--out", str(tmp_path / "L.txt")]) == 2
+    assert f"error: dense export of a {size}x{size} matrix exceeds the cap" in capsys.readouterr().err
+    assert not (tmp_path / "L.txt").exists()
 
 
 @pytest.mark.parametrize("case", list(FAILING_RUNS))
@@ -470,6 +479,24 @@ def test_config_file_sets_defaults_and_cli_overrides(tmp_path):
     assert code == 0
     lines = metrics.read_text().splitlines()
     assert len(lines) == 5  # header + 3 epochs (cli --epochs overrides config) + test line
+
+
+def test_one_config_file_serves_every_subcommand(tmp_path):
+    # layers is a train flag: verify-spectral skips it and takes trials
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("layers=1\nlight=true\ntrials=2\n")
+    report = tmp_path / "spectral.txt"
+    assert run(["--config", str(cfg), "verify-spectral", "--report", str(report)]) == 0
+    assert report.read_text().startswith("trials=2\n")
+
+
+def test_config_key_of_no_subcommand_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("trials=2\nlayer=1\n")
+    assert main(["--config", str(cfg), "verify-spectral", "--report", str(tmp_path / "r.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "'layer'" in err and str(cfg) in err, err
+    assert not list(tmp_path.glob("*.manifest"))
 
 
 def test_usage_error_exit_code():

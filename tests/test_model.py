@@ -11,7 +11,6 @@ from hypersheaf.jacobi import jacobi_eigh
 from hypersheaf.laplacian import Factor, build_laplacian
 from hypersheaf.model import (
     DEGREE_EPS,
-    ForwardAux,
     IncidenceStructure,
     ModelConfig,
     Tape,
@@ -37,6 +36,17 @@ from hypersheaf.model import (
 )
 from hypersheaf.spectral import random_instance
 
+
+
+def dense_signless(structure, config, M):
+    """Oracle for one layer's ``Q_N = Z^dagger Z``: the dense ``Z`` placed block by block,
+    ``w_k M_k`` at ``(e, u)``, from the real blocks ``M`` (``(I, d)`` when diagonal)."""
+    d = config.stalk_dim
+    blocks = M[:, :, None] * np.eye(d) if M.ndim == 2 else M
+    Z = np.zeros((structure.m, d, structure.n, d), dtype=complex)
+    Z[structure.inc_edge, :, structure.inc_node, :] = structure.weights(config.q)[:, None, None] * blocks
+    Z = Z.reshape(structure.m * d, structure.n * d)
+    return Z.conj().T @ Z
 
 def small_instance(seed=0, **kwargs):
     rng = np.random.default_rng(seed)
@@ -245,8 +255,7 @@ def test_signless_node_matches_dense_operator(shape):
     tape, factor = Tape(), Factor(structure, structure.weights(config.q), M)
     Y = _apply_signless(tape.tensor(M, requires_grad=True), tape.tensor(X, requires_grad=True), factor)
     assert len(tape.nodes) <= 1
-    aux = ForwardAux(layer_blocks=[M])
-    expected = aux.dense_signless(structure, config, 0) @ X.reshape(-1, X.shape[2])
+    expected = dense_signless(structure, config, M) @ X.reshape(-1, X.shape[2])
     np.testing.assert_allclose(Y.value.reshape(expected.shape), expected, rtol=0, atol=1e-12)
 
 
@@ -680,7 +689,7 @@ def test_lambda_max_matches_eigvalsh(n, seed, shape):
     structure = IncidenceStructure.build(ds.hypergraph)
     state = init_state(config, ds.features.shape[1], 3)
     _, aux, _ = _forward_tape(Tape(), ds.features, structure, state, config, collect_aux=True)
-    Q = aux.dense_signless(structure, config, 0)
+    Q = dense_signless(structure, config, aux.layer_blocks[0])
     x = np.random.default_rng(0).standard_normal((structure.n, 2, 3)) + 0j
     np.testing.assert_allclose(
         Factor(structure, structure.weights(config.q), aux.layer_blocks[0]).gram(x).reshape(-1, 3),

@@ -139,31 +139,30 @@ def test_verify_suite_passes_on_random_instances(monkeypatch):
         assert rep.passed, rep.failures
         assert rep.max_eig <= 1 + 1e-8
         assert rep.min_eig >= -1e-8
-        # oracle: LAPACK on the complex matrix itself, not on the real embedding
+        # oracle: LAPACK on the block-sparse L itself, not on the real embedding of the export
         eigs = np.linalg.eigvalsh(build_laplacian(H, A, normalized=True).L.to_dense())
         assert abs(rep.min_eig - eigs[0]) <= 1e-12
         assert abs(rep.max_eig - eigs[-1]) <= 1e-12
         assert rep.pairing_gap <= spectral.PAIRING_TOL
 
 
-def scaled_by_one_and_a_half(blocks, n, d):
-    return [(i, j, 1.5 * blk) for i, j, blk in blocks]
+def scaled_by_one_and_a_half(dense):
+    return 1.5 * dense
 
 
-def shifted_by_minus_half(blocks, n, d):
-    return blocks + [(u, u, -0.5 * np.eye(d)) for u in range(n)]  # duplicate blocks sum
+def shifted_by_minus_half(dense):
+    return dense - 0.5 * np.eye(len(dense))
 
 
 @pytest.mark.parametrize(
     "mutate, broken", [(scaled_by_one_and_a_half, "bound"), (shifted_by_minus_half, "psd")]
 )
 def test_verify_suite_catches_a_wrong_spectrum(monkeypatch, mutate, broken):
-    # only the cached L is altered; Z, and with it the Dirichlet forms, stay intact
+    # only the dense export is altered; Z, and with it the Dirichlet forms, stay intact
     def mutated_build(H, A, **kw):
         bundle = build_laplacian(H, A, **kw)
-        blocks = [(i, j, blk) for (i, j), blk in bundle.L.entries.items()]
-        n, d = bundle.n, bundle.d
-        bundle.__dict__["L"] = BlockComplexMatrix(n, n, d, mutate(blocks, n, d))
+        exported = bundle.dense
+        bundle.dense = lambda: mutate(exported())
         return bundle
 
     rng = np.random.default_rng(12)
@@ -177,6 +176,52 @@ def test_verify_suite_catches_a_wrong_spectrum(monkeypatch, mutate, broken):
         applicable = [name for name in CHECK_NAMES if name != "realness" or A.config.q == 0.0]
         assert rep.checks == {name: name != broken for name in applicable}, rep.failures
         assert len(rep.failures) == 1 and rep.failures[0].startswith(f"{broken}: "), rep.failures
+
+
+def test_verify_suite_builds_no_block_matrix(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("verify_spectral_suite built a BlockComplexMatrix")
+
+    monkeypatch.setattr(BlockComplexMatrix, "__init__", refuse)
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        H, A = random_instance(rng)
+        assert verify_spectral_suite(H, A, rng=rng).passed
+
+
+def hyperedge_loop_sum_form(H, A, bundle, x):
+    """Oracle for the Dirichlet sum form: one hyperedge, one unordered member pair at a
+    time, through the sheaf's keyed lookups."""
+    n, d = bundle.n, bundle.d
+    scaled = np.einsum("uab,ub->ua", bundle.dv_inv_sqrt, np.asarray(x, dtype=complex).reshape(n, d))
+    total = 0.0
+    for j, e in enumerate(H.hyperedges):
+        members = e.members
+        proj = {u: (A.coefficient(u, j) * A.map_for(u, j)) @ scaled[u] for u in members}
+        for a_i, u in enumerate(members):
+            for v in members[a_i + 1 :]:
+                diff = proj[u] - proj[v]
+                total += float(np.real(np.vdot(diff, diff))) / e.degree
+    return total
+
+
+def test_dirichlet_sum_form_matches_the_hyperedge_loop():
+    rng = np.random.default_rng(8)
+    shapes = ("trivial", "diagonal", "full")
+    for trial in range(200):  # 3 shapes x 4 stalk dimensions, every pairing each 12 draws
+        H, A = random_instance(rng, d_choices=(1 + trial % 4,), map_shapes=(shapes[trial % 3],))
+        bundle = build_laplacian(H, A, normalized=True)
+        x = rng.standard_normal(bundle.n * bundle.d) + 1j * rng.standard_normal(bundle.n * bundle.d)
+        expected = hyperedge_loop_sum_form(H, A, bundle, x)
+        assert dirichlet_energy(H, A, bundle, x).sum_form == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_real_embedding_is_the_block_form():
+    rng = np.random.default_rng(9)
+    for shape in ((5, 5), (3, 4), (0, 0)):
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = np.block([[M.real, -M.imag], [M.imag, M.real]])
+        assert real_embedding(M).tobytes() == expected.tobytes()
 
 
 def near_singular_instance():
