@@ -19,7 +19,7 @@ DENSE_EXPORT_CAP = 4096  # guards dense eigensolver cost at desk scale
 def _check_dense_cap(rows: int, cols: int) -> None:
     if max(rows, cols) > DENSE_EXPORT_CAP:
         raise ValueError(f"dense export of a {rows}x{cols} matrix exceeds the cap of "
-                         f"{DENSE_EXPORT_CAP}; use apply() for matrix-free evaluation")
+                         f"{DENSE_EXPORT_CAP}; use apply_laplacian(bundle, x) for matrix-free evaluation")
 
 
 class BlockComplexMatrix:

@@ -246,12 +246,13 @@ def cmd_theorem_check(args, run: Run) -> int:
     return EXIT_OK
 
 
-def _model_config_from_args(args, q=None) -> ModelConfig:
+def _model_config_from_args(args, q: float) -> ModelConfig:
+    _check_q_range(q)
     return ModelConfig(
         num_layers=args.layers,
         stalk_dim=args.stalk_dim,
         hidden_width=args.hidden,
-        q=args.q if q is None else q,
+        q=q,
         sheaf_activation=args.sheaf_activation,
         map_shape=args.sheaf,
         residual=args.residual,
@@ -296,8 +297,7 @@ def _read_dataset(args, run: Run):
 
 
 def cmd_train(args, run: Run) -> int:
-    _check_q_range(args.q)
-    config, budget = _model_config_from_args(args), _budget_from_args(args)
+    config, budget = _model_config_from_args(args, args.q), _budget_from_args(args)
     result = train(_read_dataset(args, run), config, budget)
     out = Path(args.metrics_out)
     _write_metrics(out, result, budget.eigencheck_every > 0)
@@ -311,10 +311,7 @@ def cmd_train(args, run: Run) -> int:
 def cmd_q_sweep(args, run: Run) -> int:
     run.extra["grid"] = args.grid
     grid = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
-    # the grid sets each model's charge, but a --q that train would refuse is refused here too
-    for q in (args.q, *grid):
-        _check_q_range(q)
-    configs = [_model_config_from_args(args, q=q) for q in grid]
+    configs = [_model_config_from_args(args, q) for q in grid]
     budget = _budget_from_args(args)
     dataset = _read_dataset(args, run)
     rows = ["q,test_acc"]
@@ -341,7 +338,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--stalk-dim", type=int, default=2)
     p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--sheaf", choices=("diagonal", "full"), default="diagonal")
     p.add_argument("--sheaf-activation", choices=("sigmoid", "tanh", "none"), default="tanh")
     p.add_argument("--light", action="store_true")
@@ -410,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the diffusion model on a dataset prefix")
     _add_train_flags(p)
+    p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--metrics-out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -224,6 +224,7 @@ class LaplacianBundle:
     D_V: np.ndarray
     normalized: bool
     dv_inv_sqrt: np.ndarray | None = None
+    dv_eigenvalues: np.ndarray | None = None  # ascending, per block of D_V + jitter I, when normalized
 
     @property
     def n(self) -> int:
@@ -285,11 +286,11 @@ def build_laplacian(
     F = incidence_maps(structure, A)
     D_V = _degree_blocks(structure, F)
 
-    M, dv_inv_sqrt = F, None
+    M, dv_inv_sqrt, dv_eigenvalues = F, None, None
     if normalized:
-        dv_inv_sqrt = _spd_inverse_sqrt(D_V, jitter=jitter)[0]
+        dv_inv_sqrt, dv_eigenvalues, _ = _spd_inverse_sqrt(D_V, jitter=jitter)
         M = F @ dv_inv_sqrt[structure.inc_node]
-    return LaplacianBundle(H, A, structure, M, D_V, normalized, dv_inv_sqrt)
+    return LaplacianBundle(H, A, structure, M, D_V, normalized, dv_inv_sqrt, dv_eigenvalues)
 
 
 def apply_laplacian(bundle: LaplacianBundle, x: NodeSignal) -> NodeSignal:

@@ -15,7 +15,7 @@ backward pass; the signal path itself stays differentiable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .laplacian import (
     incidence_maps,
 )
 from .sheaf import SheafAssignment, SheafConfig
+from .spectral import lanczos_lambda_max
 
 __all__ = [
     "ModelConfig",
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 LAYER_NORM_EPS = 1e-5
-LANCZOS_TOL = 1e-10
 
 
 # --- plain complex helpers ----------------------------------------------------
@@ -336,14 +336,6 @@ def _diffuse(
 # --- forward ----------------------------------------------------------------
 
 
-@dataclass
-class ForwardAux:
-    """Per-layer operator ingredients captured for diagnostics."""
-
-    layer_blocks: list[np.ndarray] = field(default_factory=list)  # each layer's real ``M``
-    map_values: list[np.ndarray] = field(default_factory=list)
-
-
 def _trainable_names(state: ModelState, config: ModelConfig) -> set[str]:
     names = set(state.params)
     if config.light_mode:
@@ -358,11 +350,16 @@ def _forward_tape(
     state: ModelState,
     config: ModelConfig,
     *,
-    training: bool = False,
     dropout_rng: np.random.Generator | None = None,
-    collect_aux: bool = False,
-    fixed_maps: list[np.ndarray] | None = None,
-) -> tuple[Tensor, ForwardAux, dict[str, Tensor]]:
+    factors: list[Factor] | None = None,
+) -> tuple[Tensor, list[Factor], dict[str, Tensor]]:
+    """The logits, the :class:`Factor` that each layer applied and the parameter tensors.
+
+    A static sheaf predicts its maps at layer 0 and applies that one factor in every layer; a dynamic
+    sheaf predicts a factor per layer.  ``factors`` pins them instead: layer ``l`` applies ``factors[l]``
+    as a constant, so no map is predicted or differentiated.  Sheaf dropout is drawn from ``dropout_rng``
+    exactly when one is passed and the rate is positive.
+    """
     n, d, f = structure.n, config.stalk_dim, config.hidden_width
     trainable = _trainable_names(state, config)
     P = {
@@ -371,39 +368,27 @@ def _forward_tape(
     }
     feats = tape.tensor(np.asarray(features, dtype=float))
     X = ad.reshape(ad.add(ad.matmul(feats, P["proj_W"]), P["proj_b"]), (n, d, f))
-    aux = ForwardAux()
 
     w = structure.weights(config.q)
-    cache: tuple[Tensor, Tensor, Factor] | None = None  # a static sheaf's maps, blocks and factor
+    applied: list[Factor] = []
     for layer in range(config.num_layers):
-        phi = {k.split("_", 1)[1]: v for k, v in P.items() if k.startswith(f"phi{layer}_")}
-        if fixed_maps is not None:
-            # probe mode: the operator is pinned to externally supplied values
-            maps = tape.tensor(fixed_maps[layer])
-            M = _operator_blocks(maps, structure, config)
-            factor = Factor(structure, w, M.value)
-        elif config.dynamic_sheaf or cache is None:
+        if factors is not None:
+            factor = factors[layer]
+            M = tape.tensor(factor.M)
+        elif layer == 0 or config.dynamic_sheaf:
+            phi = {k.split("_", 1)[1]: v for k, v in P.items() if k.startswith(f"phi{layer}_")}
             # light mode detaches the operator: the frozen predictor then
             # reads a detached signal, so nothing of it is recorded
             source = tape.tensor(X.value) if config.light_mode else X
             maps = _predict_maps(source, structure, phi, config)
-            if training and config.dropout_rate > 0.0:
-                if dropout_rng is None:
-                    raise ValueError("sheaf dropout requires a generator during training")
+            if dropout_rng is not None and config.dropout_rate > 0.0:
                 keep = 1.0 - config.dropout_rate
                 mask = (dropout_rng.random(len(structure.inc_node)) < keep) / keep
                 shape = (len(structure.inc_node),) + (1,) * (len(maps.shape) - 1)
                 maps = ad.mul(maps, mask.reshape(shape))
             M = _operator_blocks(maps, structure, config)
             factor = Factor(structure, w, M.value)
-            if not config.dynamic_sheaf:
-                cache = maps, M, factor
-        else:
-            maps, M, factor = cache
-
-        if collect_aux:
-            aux.layer_blocks.append(M.value.copy())
-            aux.map_values.append(maps.value.copy())
+        applied.append(factor)
         Y = _diffuse(
             X, M, factor, P[f"W1_{layer}"], P[f"W2_{layer}"], P[f"ln{layer}_gamma"], P[f"ln{layer}_beta"], config,
         )
@@ -411,7 +396,7 @@ def _forward_tape(
 
     hidden = ad.relu(ad.add(ad.unwound_matmul([X], P["cls1_W"]), P["cls1_b"]))
     logits = ad.add(ad.matmul(hidden, P["cls2_W"]), P["cls2_b"])
-    return logits, aux, P
+    return logits, applied, P
 
 
 def forward(
@@ -520,21 +505,19 @@ def loss_and_gradients(
     state: ModelState,
     config: ModelConfig,
     *,
-    training: bool = True,
     dropout_rng: np.random.Generator | None = None,
-    fixed_maps: list[np.ndarray] | None = None,
+    factors: list[Factor] | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Masked mean cross-entropy plus reverse-mode gradients.
 
-    Frozen parameter groups (the map predictor in light mode) receive exact
-    zero gradients.
+    Frozen parameter groups (the map predictor in light mode or under pinned ``factors``) receive exact
+    zero gradients; ``dropout_rng`` and ``factors`` act as in :func:`_forward_tape`.
     """
     if int(np.asarray(mask).sum()) == 0:
         raise ValueError("empty training mask")
     tape = Tape()
     logits, _, P = _forward_tape(
-        tape, features, structure, state, config,
-        training=training, dropout_rng=dropout_rng, fixed_maps=fixed_maps,
+        tape, features, structure, state, config, dropout_rng=dropout_rng, factors=factors
     )
     loss = ad.softmax_cross_entropy(logits, labels, mask)
     tape.backward(loss)
@@ -608,41 +591,6 @@ def _adam_step(
         state.params[name] -= budget.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def operator_lambda_max(
-    structure: IncidenceStructure, config: ModelConfig, aux: ForwardAux, layer: int
-) -> float:
-    """Largest eigenvalue of one layer's normalized signless operator.
-
-    Lanczos on the ``Z^dagger Z`` kernel with full reorthogonalisation from a seeded
-    random start, stopped once the top Ritz pair's residual norm is at most
-    ``LANCZOS_TOL``; within ``n d`` steps the Krylov space is exhausted and the
-    residual vanishes.  The Ritz value is a Rayleigh quotient, so it never
-    exceeds ``lambda_max``, and an eigenvalue lies within the residual of it.
-    """
-    d = config.stalk_dim
-    nd = structure.n * d
-    factor = Factor(structure, structure.weights(config.q), aux.layer_blocks[layer])
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
-    basis = [q / np.linalg.norm(q)]
-    alpha: list[float] = []
-    beta: list[float] = []
-    for _ in range(nd):
-        r = factor.gram(basis[-1].reshape(structure.n, d, 1)).reshape(-1)
-        alpha.append(float(np.vdot(basis[-1], r).real))
-        B = np.asarray(basis)
-        for _ in range(2):  # twice is enough for orthogonality to rounding error
-            r = r - B.T @ (B.conj() @ r)
-        b = float(np.linalg.norm(r))
-        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        theta, S = np.linalg.eigh(T)
-        if b * abs(S[-1, -1]) <= LANCZOS_TOL:
-            break
-        beta.append(b)
-        basis.append(r / b)
-    return float(theta[-1])
-
-
 def synthetic_benchmark_config(seed: int = 0, q: float = 0.1) -> tuple[ModelConfig, TrainingBudget]:
     """Reference configuration for the planted-direction benchmarks.
 
@@ -697,8 +645,7 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
 
     def step():
         return loss_and_gradients(
-            features, structure, labels, train_mask, state, config,
-            training=True, dropout_rng=dropout_rng,
+            features, structure, labels, train_mask, state, config, dropout_rng=dropout_rng
         )
 
     for epoch in range(1, budget.max_epochs + 1):
@@ -719,12 +666,8 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
             "val_acc": accuracy(eval_logits, labels, val_mask),
         }
         if budget.eigencheck_every and epoch % budget.eigencheck_every == 0:
-            tape = Tape()
-            _, aux, _ = _forward_tape(tape, features, structure, state, config, collect_aux=True)
-            row["lambda_max"] = max(
-                operator_lambda_max(structure, config, aux, layer)
-                for layer in range(config.num_layers)
-            )
+            _, factors, _ = _forward_tape(Tape(), features, structure, state, config)
+            row["lambda_max"] = max(map(lanczos_lambda_max, dict.fromkeys(factors)))  # static layers share one
         history.append(row)
 
         if row["val_acc"] > best_val:

@@ -20,7 +20,7 @@ from .hypergraph import DirectedHypergraph, Hyperedge, _incidence_arrays, format
 # read as spectral.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it;
 # hermitian_eigenvalues stays on it only for that test, until ROADMAP item 1 re-points it
 from .jacobi import jacobi_eigh
-from .laplacian import LaplacianBundle, _edge_pairs, apply_laplacian, build_laplacian
+from .laplacian import Factor, LaplacianBundle, _edge_pairs, apply_laplacian, build_laplacian
 from .sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf, tail_coefficient
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "hermitian_defect",
     "spectrum_report",
     "dirichlet_energy",
+    "lanczos_lambda_max",
     "verify_spectral_suite",
     "SpectralCheckReport",
     "CHECK_NAMES",
@@ -42,6 +43,7 @@ HERMITIAN_INPUT_TOL = 1e-8
 PSD_TOL = 1e-8
 SPECTRUM_BOUND_TOL = 1e-8
 PAIRING_TOL = 1e-9
+LANCZOS_TOL = 1e-10
 # The guarantees checked by verify_spectral_suite; realness applies at q = 0 only.
 CHECK_NAMES = ("hermitian", "pairing", "psd", "bound", "dirichlet", "realness")
 
@@ -159,6 +161,37 @@ def dirichlet_energy(
     )
 
 
+def lanczos_lambda_max(factor: Factor) -> float:
+    """Largest eigenvalue of the signless operator ``Z^dagger Z`` of ``factor``.
+
+    Lanczos on :meth:`Factor.gram` with full reorthogonalisation from a seeded
+    random start, stopped once the top Ritz pair's residual norm is at most
+    ``LANCZOS_TOL``; within ``n d`` steps the Krylov space is exhausted and the
+    residual vanishes.  The Ritz value is a Rayleigh quotient, so it never
+    exceeds ``lambda_max``, and an eigenvalue lies within the residual of it.
+    """
+    n, d = factor.structure.n, factor.M.shape[1]
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d)
+    basis = [q / np.linalg.norm(q)]
+    alpha: list[float] = []
+    beta: list[float] = []
+    for _ in range(n * d):
+        r = factor.gram(basis[-1].reshape(n, d, 1)).reshape(-1)
+        alpha.append(float(np.vdot(basis[-1], r).real))
+        B = np.asarray(basis)
+        for _ in range(2):  # twice is enough for orthogonality to rounding error
+            r = r - B.T @ (B.conj() @ r)
+        b = float(np.linalg.norm(r))
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, S = np.linalg.eigh(T)
+        if b * abs(S[-1, -1]) <= LANCZOS_TOL:
+            break
+        beta.append(b)
+        basis.append(r / b)
+    return float(theta[-1])
+
+
 # --- randomized verification ---------------------------------------------------
 
 
@@ -251,7 +284,8 @@ def verify_spectral_suite(
 
     x = rng.standard_normal(dense.shape[0]) + 1j * rng.standard_normal(dense.shape[0])
     energy = dirichlet_energy(H, A, bundle, x)
-    energy_tol = max(1e-9, np.finfo(float).eps * float(np.linalg.cond(bundle.D_V).max()))
+    w = bundle.dv_eigenvalues  # cond(D_u) is max w / min w, from the build's inverse roots
+    energy_tol = max(1e-9, np.finfo(float).eps * float((w[:, -1] / w[:, 0]).max()))
     if energy.relative_gap > energy_tol:
         gap = f"energy form gap {energy.relative_gap:.3e}"
         fail("dirichlet", f"{gap} > tolerance max(1e-9, eps * cond(D_u)) = {energy_tol:.3g}")

@@ -143,16 +143,14 @@ def _gradcheck_instance(seed: int, config: ModelConfig) -> None:
     for value in state.params.values():
         value += 0.01 * noise.standard_normal(value.shape)
 
-    fixed = None
+    factors = None
     if config.light_mode:
-        _, aux, _ = _forward_tape(Tape(), ds.features, structure, state, config, collect_aux=True)
-        fixed = aux.map_values
+        _, factors, _ = _forward_tape(Tape(), ds.features, structure, state, config)
 
     def build_loss(params):
         state.params.update(params)
         loss, grads, _ = loss_and_gradients(
-            ds.features, structure, ds.labels, ds.masks[0], state, config,
-            training=False, fixed_maps=fixed,
+            ds.features, structure, ds.labels, ds.masks[0], state, config, factors=factors
         )
         return loss, grads
 
@@ -160,9 +158,7 @@ def _gradcheck_instance(seed: int, config: ModelConfig) -> None:
         build_loss, state.params, n_probes=32, rng=np.random.default_rng(seed)
     )
     if config.light_mode:
-        _, grads, _ = loss_and_gradients(
-            ds.features, structure, ds.labels, ds.masks[0], state, config, training=False
-        )
+        _, grads, _ = loss_and_gradients(ds.features, structure, ds.labels, ds.masks[0], state, config)
         for name in state.phi_names():
             assert np.all(grads[name] == 0.0), f"{name} gradient not exactly zero"
 

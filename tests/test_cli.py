@@ -223,7 +223,7 @@ FAILING_RUNS = {
     "verify-spectral": ("verify-spectral --trials -2 --report {out}/v.txt", []),
     "theorem-check": ("theorem-check --trials -1 --report {out}/t.txt", []),
     "train": ("train --data {data} --q 0.5 --metrics-out {out}/m.csv", []),
-    "q-sweep": ("q-sweep --data {data} --q 0.5 --out {out}/s.csv", []),
+    "q-sweep": ("q-sweep --data {data} --grid 0,0.5 --out {out}/s.csv", []),
     "build-laplacian-unwritable": (
         "build-laplacian --in {data}.hg --out {out}/nodir/L.txt --manifest {out}/b.manifest", [".hg"],
     ),
@@ -238,7 +238,9 @@ def test_build_laplacian_above_the_dense_cap_is_usage_error(tmp_path, capsys):
     size = DENSE_EXPORT_CAP + 1
     write_hypergraph(DirectedHypergraph(size, (Hyperedge((0,), (1,)),)), tmp_path / "big.hg")
     assert run(["build-laplacian", "--in", str(tmp_path / "big.hg"), "--out", str(tmp_path / "L.txt")]) == 2
-    assert f"error: dense export of a {size}x{size} matrix exceeds the cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: dense export of a {size}x{size} matrix exceeds the cap" in err
+    assert "use apply_laplacian(bundle, x) for matrix-free evaluation" in err
     assert not (tmp_path / "L.txt").exists()
 
 
@@ -465,6 +467,23 @@ def test_q_sweep_single_point(tmp_path):
     ])
     assert code == 0
     assert len(out.read_text().splitlines()) == 2
+
+
+def test_q_sweep_takes_no_charge_flag(tmp_path, capsys):
+    # the grid sets every model's charge
+    prefix = gen_small(tmp_path)
+    assert run(["q-sweep", "--data", str(prefix), "--q", "0.2", "--out", str(tmp_path / "s.csv")]) == 2
+    assert "unrecognized arguments: --q 0.2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("s.csv*"))
+
+
+def test_shared_config_charge_is_skipped_by_q_sweep(tmp_path):
+    prefix = gen_small(tmp_path)
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("q=0.1\nlayers=1\nhidden=2\nepochs=1\n")
+    out = tmp_path / "sweep.csv"
+    assert run(["--config", str(cfg), "q-sweep", "--data", str(prefix), "--grid", "0", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("0,")
 
 
 def test_config_file_sets_defaults_and_cli_overrides(tmp_path):

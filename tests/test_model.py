@@ -23,7 +23,6 @@ from hypersheaf.model import (
     forward,
     init_state,
     loss_and_gradients,
-    operator_lambda_max,
     predict_sheaf,
     synthetic_benchmark_config,
     train,
@@ -34,7 +33,8 @@ from hypersheaf.model import (
     _layer_norm_pair,
     _operator_blocks,
 )
-from hypersheaf.spectral import random_instance
+from hypersheaf import model
+from hypersheaf.spectral import lanczos_lambda_max, random_instance
 
 
 
@@ -366,7 +366,7 @@ def training_step_tape(full):
     state = init_state(config, ds.features.shape[1], 2)
     tape = Tape()
     logits, _, _ = _forward_tape(
-        tape, ds.features, structure, state, config, training=True, dropout_rng=np.random.default_rng(0)
+        tape, ds.features, structure, state, config, dropout_rng=np.random.default_rng(0)
     )
     ad.softmax_cross_entropy(logits, ds.labels, ds.masks[0])
     return tape
@@ -427,6 +427,41 @@ def test_classifier_input_width_is_twice_stalk_times_hidden():
     assert state.params["cls2_W"].shape[1] == 7
 
 
+HANDOFF_CASES = {
+    "static": dict(),
+    "dynamic": dict(dynamic_sheaf=True),
+    "full-dropout": dict(map_shape="full", dropout_rate=0.2),
+    "full-dynamic": dict(map_shape="full", dynamic_sheaf=True),
+}
+
+
+@pytest.mark.parametrize("case", list(HANDOFF_CASES))
+def test_forward_returns_the_factor_of_each_layer(case):
+    ds = small_dataset(seed=24)
+    config = ModelConfig(num_layers=3, stalk_dim=2, hidden_width=4, seed=24, **HANDOFF_CASES[case])
+    structure = IncidenceStructure.build(ds.hypergraph)
+    state = init_state(config, ds.features.shape[1], 2)
+    logits, factors, _ = _forward_tape(
+        Tape(), ds.features, structure, state, config, dropout_rng=np.random.default_rng(0)
+    )
+    # a static sheaf applies one operator in every layer, a dynamic one its own per layer
+    distinct = len({id(factor) for factor in factors})
+    assert len(factors) == 3 and distinct == (3 if config.dynamic_sheaf else 1)
+    # pinned, the same operators give the same logits bit for bit
+    pinned, again, _ = _forward_tape(Tape(), ds.features, structure, state, config, factors=factors)
+    assert pinned.value.tobytes() == logits.value.tobytes()
+    assert again == factors
+
+
+@pytest.mark.parametrize("dynamic, runs", [(False, 1), (True, 2)])
+def test_probe_runs_lanczos_once_per_distinct_factor(monkeypatch, dynamic, runs):
+    ds = small_dataset(seed=25)
+    config = ModelConfig(num_layers=2, stalk_dim=2, hidden_width=4, seed=25, dynamic_sheaf=dynamic)
+    calls = _count_calls(monkeypatch, model, "lanczos_lambda_max")
+    train(ds, config, TrainingBudget(max_epochs=1, patience=1, eigencheck_every=1))
+    assert len(calls) == runs
+
+
 # --- gradients ----------------------------------------------------------------
 
 
@@ -443,9 +478,7 @@ def gradcheck_config(config, seed, n_probes=12):
 
     def build_loss(params):
         state.params.update(params)
-        loss, grads, _ = loss_and_gradients(
-            ds.features, structure, ds.labels, mask, state, config, training=False
-        )
+        loss, grads, _ = loss_and_gradients(ds.features, structure, ds.labels, mask, state, config)
         return loss, grads
 
     return ad.finite_difference_check(
@@ -476,9 +509,7 @@ def test_light_mode_gradients_for_phi_are_exactly_zero():
     structure = IncidenceStructure.build(ds.hypergraph)
     config = ModelConfig(num_layers=2, stalk_dim=2, hidden_width=3, seed=16, light_mode=True)
     state = init_state(config, ds.features.shape[1], 2)
-    _, grads, _ = loss_and_gradients(
-        ds.features, structure, ds.labels, ds.masks[0], state, config, training=False
-    )
+    _, grads, _ = loss_and_gradients(ds.features, structure, ds.labels, ds.masks[0], state, config)
     for name in state.phi_names():
         assert np.all(grads[name] == 0.0)
     assert np.any(grads["proj_W"] != 0.0)
@@ -495,17 +526,12 @@ def test_light_mode_gradcheck_with_frozen_operator():
     noise = np.random.default_rng(117)
     for value in state.params.values():
         value += 0.01 * noise.standard_normal(value.shape)
-    from hypersheaf.model import Tape, _forward_tape
-
-    _, aux, _ = _forward_tape(
-        Tape(), ds.features, structure, state, config, collect_aux=True
-    )
+    _, factors, _ = _forward_tape(Tape(), ds.features, structure, state, config)
 
     def build_loss(params):
         state.params.update(params)
         loss, grads, _ = loss_and_gradients(
-            ds.features, structure, ds.labels, ds.masks[0], state, config,
-            training=False, fixed_maps=aux.map_values,
+            ds.features, structure, ds.labels, ds.masks[0], state, config, factors=factors
         )
         return loss, grads
 
@@ -566,8 +592,7 @@ def reference_train(ds, config, budget):
     history = []
     for epoch in range(1, budget.max_epochs + 1):
         loss, grads, logits = loss_and_gradients(
-            ds.features, structure, labels, train_mask, state, config,
-            training=True, dropout_rng=dropout_rng,
+            ds.features, structure, labels, train_mask, state, config, dropout_rng=dropout_rng
         )
         _adam_step(state, grads, config, budget)
         eval_logits = forward(ds.features, ds.hypergraph, state, config)
@@ -688,15 +713,12 @@ def test_lambda_max_matches_eigvalsh(n, seed, shape):
     config = ModelConfig(num_layers=1, stalk_dim=2, hidden_width=4, seed=seed, map_shape=shape)
     structure = IncidenceStructure.build(ds.hypergraph)
     state = init_state(config, ds.features.shape[1], 3)
-    _, aux, _ = _forward_tape(Tape(), ds.features, structure, state, config, collect_aux=True)
-    Q = dense_signless(structure, config, aux.layer_blocks[0])
+    _, (factor,), _ = _forward_tape(Tape(), ds.features, structure, state, config)
+    Q = dense_signless(structure, config, factor.M)
     x = np.random.default_rng(0).standard_normal((structure.n, 2, 3)) + 0j
-    np.testing.assert_allclose(
-        Factor(structure, structure.weights(config.q), aux.layer_blocks[0]).gram(x).reshape(-1, 3),
-        Q @ x.reshape(-1, 3), rtol=0, atol=1e-12,
-    )
+    np.testing.assert_allclose(factor.gram(x).reshape(-1, 3), Q @ x.reshape(-1, 3), rtol=0, atol=1e-12)
     exact = np.linalg.eigvalsh(Q)[-1]
-    lam = operator_lambda_max(structure, config, aux, 0)
+    lam = lanczos_lambda_max(factor)
     # a Ritz value never exceeds lambda_max; the residual stop puts it within 1e-8
     assert exact - 1e-8 <= lam <= exact + 1e-10
 

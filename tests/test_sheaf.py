@@ -200,7 +200,7 @@ def test_shuffled_mapping_gives_the_canonical_stack_and_operator():
         assert build_laplacian(H, B, **kwargs).M.tobytes() == build_laplacian(H, A, **kwargs).M.tobytes()
 
 
-def reference_fixed_maps(H, config, rng_seed):
+def reference_sheaf_maps(H, config, rng_seed):
     """``build_fixed_sheaf``'s maps drawn one incidence at a time, in canonical order."""
     rng = np.random.default_rng(rng_seed)
     d, maps = config.d, []
@@ -222,7 +222,7 @@ def test_fixed_sheaf_matches_a_draw_one_incidence_at_a_time(shape, d):
         config = SheafConfig(q=0.1, d=d, map_shape=shape)
         A = build_fixed_sheaf(H, config, rng_seed=17)
         # bytes, so a -0.0 off-diagonal (which np.diag never writes) shows
-        assert A.maps.tobytes() == reference_fixed_maps(H, config, 17).tobytes()
+        assert A.maps.tobytes() == reference_sheaf_maps(H, config, 17).tobytes()
         assert [(u, e, "tail" if t else "head") for u, e, t in
                 zip(A.inc_node.tolist(), A.inc_edge.tolist(), A.inc_is_tail.tolist())] == list(H.incidences())
 

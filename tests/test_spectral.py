@@ -12,6 +12,7 @@ from hypersheaf.spectral import (
     CHECK_NAMES,
     dirichlet_energy,
     hermitian_eigenvalues,
+    lanczos_lambda_max,
     parse_instance,
     random_instance,
     real_embedding,
@@ -214,6 +215,15 @@ def test_dirichlet_sum_form_matches_the_hyperedge_loop():
         x = rng.standard_normal(bundle.n * bundle.d) + 1j * rng.standard_normal(bundle.n * bundle.d)
         expected = hyperedge_loop_sum_form(H, A, bundle, x)
         assert dirichlet_energy(H, A, bundle, x).sum_form == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n, m, d", [(16, 12, 1), (40, 30, 2), (200, 150, 3), (2100, 1500, 2)])
+def test_lanczos_finds_the_unit_top_of_the_trivial_sheaf_at_q0(n, m, d):
+    # Z'Z D^{1/2} 1 = D^{1/2} 1 and Z'Z <= I, so lambda_max is exactly 1 at
+    # any size, past the dense cap of 4,096 rows too
+    H = spectral.random_hypergraph(np.random.default_rng(n), (n, n), (m, m), 0.6)
+    A = build_fixed_sheaf(H, SheafConfig(q=0.0, d=d, map_shape="trivial"), rng_seed=0)
+    assert abs(lanczos_lambda_max(build_laplacian(H, A, normalized=True).factor) - 1.0) <= 1e-10
 
 
 def test_real_embedding_is_the_block_form():
