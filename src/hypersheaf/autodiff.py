@@ -244,13 +244,15 @@ def imag(a: Tensor):
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]):
+    """``np.transpose`` as a contiguous copy: a strided view would send a following
+    stacked ``matmul`` of small blocks down numpy's slow loop (the values are the same)."""
     inverse = np.argsort(axes)
 
     def backward(g):
         if a.requires_grad:
             a.accumulate(np.transpose(g, inverse))
 
-    return record(a.tape, np.transpose(a.value, axes), (a,), backward)
+    return record(a.tape, np.ascontiguousarray(np.transpose(a.value, axes)), (a,), backward)
 
 
 def reshape(a: Tensor, shape):
@@ -321,67 +323,51 @@ def unwound_matmul(parts, w: Tensor):
 class SegmentPlan:
     """Static, read-only gather/scatter plan for summing rows into segments.
 
-    Sorted ids keep their order and are summed by ``reduceat``.  Other rows
-    are ordered by (segment length, position in segment, segment), so the
-    ``k`` segments of one length ``L`` are one ``(L, k, ...)`` block summed
-    over its leading axis, and ``rank`` puts the sums in segment order."""
+    Rows are ordered by (segment length, position in segment, segment), so
+    the ``k`` segments of one length ``L`` are one ``(L, k, ...)`` block,
+    summed by one ``np.add.reduce`` over its leading axis: each segment adds
+    its rows one by one, in input order, as ``np.add.at`` does (numpy sums
+    pairwise instead when the block is one contiguous column, a length held
+    by a single segment of one-value rows).  ``rank`` puts the sums in
+    segment order."""
 
     seg_ids: np.ndarray
     num_segments: int
     order: np.ndarray
-    starts: np.ndarray
-    empty: np.ndarray
-    presorted: bool  # seg_ids nonempty and non-decreasing: rows need no reordering
-    runs: tuple[tuple[int, int, int, int], ...] = ()  # (first, end segment, first, end row) of each length
-    rank: np.ndarray | None = None  # position of each segment among the runs
+    runs: tuple[tuple[int, int, int, int], ...]  # (first, end segment, first, end row) of each length
+    rank: np.ndarray  # position of each segment among the runs
 
     @classmethod
     def build(cls, seg_ids: np.ndarray, num_segments: int) -> "SegmentPlan":
         seg_ids = np.asarray(seg_ids, dtype=np.int64)
         counts = np.bincount(seg_ids, minlength=num_segments)
-        starts = counts.cumsum() - counts
-        presorted = len(seg_ids) > 0 and not (seg_ids[1:] < seg_ids[:-1]).any()
-        order, runs, rank = np.arange(len(seg_ids)), (), None
-        if not presorted:  # array methods, cheaper than numpy's wrappers on the small plans of one-off hypergraphs
-            order = seg_ids.argsort(kind="stable")
-            seg = seg_ids[order]
-            position = np.arange(len(seg)) - starts[seg]
-            order = order[((counts[seg] * (counts.max(initial=0) + 1) + position) * num_segments + seg).argsort()]
-            by_length = counts.argsort(kind="stable")
-            rank = by_length.argsort()
-            lengths = counts[by_length]
-            bounds = [0, *((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist(), num_segments]
-            ends = [0, *lengths.cumsum().tolist()]
-            runs = tuple((lo, hi, ends[lo], ends[hi]) for lo, hi in zip(bounds, bounds[1:]))
-        plan = cls(seg_ids, num_segments, order, starts, counts == 0, presorted, runs, rank)
-        for a in (seg_ids, order, starts, plan.empty) + (() if presorted else (rank,)):
+        # array methods, cheaper than numpy's wrappers on the small plans of one-off hypergraphs
+        order = seg_ids.argsort(kind="stable")
+        seg = seg_ids[order]
+        position = np.arange(len(seg)) - (counts.cumsum() - counts)[seg]
+        order = order[((counts[seg] * (counts.max(initial=0) + 1) + position) * num_segments + seg).argsort()]
+        by_length = counts.argsort(kind="stable")
+        lengths = counts[by_length]
+        bounds = [0, *((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist(), num_segments]
+        ends = [0, *lengths.cumsum().tolist()]
+        runs = tuple((lo, hi, ends[lo], ends[hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo)
+        plan = cls(seg_ids, num_segments, order, runs, by_length.argsort())
+        for a in (seg_ids, order, plan.rank):
             a.setflags(write=False)
         return plan
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Segment sums of rows in input order, that of ``seg_ids``."""
-        return self.sum_ordered(values if self.presorted else values[self.order])
+        return self.sum_ordered(values[self.order])
 
     def sum_ordered(self, ordered: np.ndarray) -> np.ndarray:
-        """Segment sums of rows already in segment order, ``values[order]``."""
+        """Segment sums of rows already in plan order, ``values[order]``; a run of
+        empty segments reduces a zero-row block to zeros."""
         rest = ordered.shape[1:]
-        if not self.presorted:
-            out = np.empty((self.num_segments,) + rest, dtype=ordered.dtype)
-            for lo, hi, first, end in self.runs:
-                if end > first:
-                    np.add.reduce(ordered[first:end].reshape((-1, hi - lo) + rest), axis=0, out=out[lo:hi])
-                else:  # the empty segments
-                    out[lo:hi] = 0.0
-            return out[self.rank]
-        # trailing empty segments start at len(ordered): a zero sentinel row
-        # keeps those starts valid; empty segments, for which reduceat
-        # reports the element at their start, are zeroed afterwards
-        if self.starts[-1] == len(ordered):
-            ordered = np.concatenate([ordered, np.zeros((1,) + rest, dtype=ordered.dtype)])
-        out = np.add.reduceat(ordered, self.starts, axis=0)
-        if self.empty.any():
-            out[self.empty] = 0.0
-        return out
+        out = np.empty((self.num_segments,) + rest, dtype=ordered.dtype)
+        for lo, hi, first, end in self.runs:
+            np.add.reduce(ordered[first:end].reshape((-1, hi - lo) + rest), axis=0, out=out[lo:hi])
+        return out[self.rank]
 
 
 def segment_sum(a: Tensor, plan: SegmentPlan):

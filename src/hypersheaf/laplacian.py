@@ -114,24 +114,27 @@ def incidence_maps(structure: IncidenceStructure, A: SheafAssignment) -> np.ndar
 class Factor:
     """The factor ``Z``, ``Z_k = w_k M_k``, prepared once for repeated products.
 
-    Holds the edge-order blocks, the node-order conjugate blocks and the
-    node-order edge index.  Full blocks stay real (``M``, and ``M^T`` in
-    node order, each with its weights) and run as real batched products on
-    the float view of the signal; diagonal blocks ``(I, d)`` become the
-    complex ``w M``, applied elementwise.  ``w`` is the ``(I,)`` weight of
-    :meth:`IncidenceStructure.weights`.
+    Each half gathers its rows in the order of its own segment plan: the
+    edge half holds the blocks and the vertex index in edge-plan order, the
+    node half the conjugate blocks and the edge index in node-plan order, so
+    both sum with ``sum_ordered`` and reorder nothing per call.  Full blocks
+    stay real (``M``, and ``M^T``, each with its weights) and run as real
+    batched products on the float view of the signal; diagonal blocks
+    ``(I, d)`` become the complex ``w M``, applied elementwise.  ``w`` is the
+    ``(I,)`` weight of :meth:`IncidenceStructure.weights`; ``w`` and ``M``
+    are kept in canonical order.
     """
 
     def __init__(self, structure: IncidenceStructure, w: np.ndarray, M: np.ndarray):
         self.structure, self.w, self.M = structure, w, M
-        o = structure.node_plan.order
-        self._node_edge = structure.inc_edge[o]
+        eo, no = structure.edge_plan.order, structure.node_plan.order
+        self._edge_node, self._node_edge = structure.inc_node[eo], structure.inc_edge[no]
         if M.ndim == 2:
             Z = (w[:, None] * M)[:, :, None]
-            self._edge, self._node = (Z, None), (np.conj(Z)[o], None)
+            self._edge, self._node = (Z[eo], None), (np.conj(Z)[no], None)
         else:
-            self._edge = (M, w[:, None, None])
-            self._node = (np.swapaxes(M, 1, 2)[o], np.conj(w)[o][:, None, None])
+            self._edge = (M[eo], w[eo][:, None, None])
+            self._node = (np.swapaxes(M, 1, 2)[no], np.conj(w)[no][:, None, None])
 
     @staticmethod
     def _rowwise(blocks: np.ndarray, scale: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
@@ -144,10 +147,10 @@ class Factor:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """``Z X`` ``(m, d, f)`` for a real or complex signal ``X`` ``(n, d, f)``."""
-        return self.structure.edge_plan.apply(self._rowwise(*self._edge, X[self.structure.inc_node]))
+        return self.structure.edge_plan.sum_ordered(self._rowwise(*self._edge, X[self._edge_node]))
 
     def adjoint(self, Y: np.ndarray) -> np.ndarray:
-        """``Z^dagger Y`` ``(n, d, f)`` for ``Y`` ``(m, d, f)``, gathered in node order."""
+        """``Z^dagger Y`` ``(n, d, f)`` for ``Y`` ``(m, d, f)``."""
         return self.structure.node_plan.sum_ordered(self._rowwise(*self._node, Y[self._node_edge]))
 
     def gram(self, X: np.ndarray) -> np.ndarray:
@@ -158,7 +161,7 @@ class Factor:
     def blocks(self) -> np.ndarray:
         """The complex blocks ``Z_k`` ``(I, d, d)``; diagonal ``M`` is expanded."""
         if self.M.ndim == 2:
-            return self._edge[0] * np.eye(self.M.shape[1])
+            return (self.w[:, None] * self.M)[:, :, None] * np.eye(self.M.shape[1])
         return self.w[:, None, None] * self.M
 
 
@@ -173,7 +176,8 @@ def _edge_pairs(inc_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _degree_blocks(structure: IncidenceStructure, F: np.ndarray) -> np.ndarray:
     F = F[structure.node_plan.order]  # node order, as Factor.adjoint gathers
-    return structure.node_plan.sum_ordered(np.swapaxes(F, 1, 2) @ F)
+    # a contiguous F^T keeps the stacked product off numpy's strided loop; the values are the same
+    return structure.node_plan.sum_ordered(np.ascontiguousarray(np.swapaxes(F, 1, 2)) @ F)
 
 
 def build_incidence(H: DirectedHypergraph, A: SheafAssignment) -> BlockComplexMatrix:

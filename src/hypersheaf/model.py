@@ -622,8 +622,13 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
     ``masks`` (train/val/test boolean arrays).  Returns the best-validation
     state, the per-epoch metric history, and the test accuracy of the best
     state, read from that epoch's validation logits.  Raises
-    :class:`TrainingDiverged` on a non-finite loss.
+    :class:`TrainingDiverged` on a non-finite loss, and ``ValueError`` when
+    the spectral probe is asked for but there is no layer to probe.
     """
+    if budget.eigencheck_every and not config.num_layers:
+        raise ValueError(
+            f"eigencheck_every={budget.eigencheck_every} needs num_layers >= 1: num_layers=0 has no operator to probe"
+        )
     H = dataset.hypergraph
     structure = IncidenceStructure.build(H)
     features = np.asarray(dataset.features, dtype=float)

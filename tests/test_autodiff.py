@@ -127,9 +127,7 @@ def test_segment_plan_handles_empty_segments():
     values = np.array([[1.0], [5.0], [2.0]])
     np.testing.assert_allclose(plan.apply(values), [[5.0], [0.0], [3.0], [0.0]])
     for ids, expected in (([0, 0, 2], [[6.0], [0.0], [2.0], [0.0]]), ([0, 2, 3], [[1.0], [0.0], [5.0], [2.0]])):
-        presorted = SegmentPlan.build(np.array(ids), 4)
-        assert presorted.presorted
-        np.testing.assert_allclose(presorted.apply(values), expected)
+        np.testing.assert_allclose(SegmentPlan.build(np.array(ids), 4).apply(values), expected)
     empty_plan = SegmentPlan.build(np.array([], dtype=int), 3)
     np.testing.assert_allclose(empty_plan.apply(np.zeros((0, 2))), np.zeros((3, 2)))
 
@@ -160,15 +158,16 @@ def _grouped_sum_cases():
         "equal lengths": (rng.permutation(np.repeat(np.arange(5), 3)), 5),
         "one segment": (np.zeros(4, dtype=int), 1),
         "zero rows": (np.array([], dtype=int), 3),
+        # edge-side ids, already sorted, with segments of 1 to 12 rows and 9, 10 trailing empty
+        "sorted, trailing empty": (np.repeat(np.arange(9), [3, 12, 1, 8, 2, 9, 3, 1, 10]), 11),
     }
 
 
-@pytest.mark.parametrize("case", ["empty segments", "equal lengths", "one segment", "zero rows"])
+@pytest.mark.parametrize("case", list(_grouped_sum_cases()))
 @pytest.mark.parametrize("rows", ["real (I, d, d)", "complex (I, d, f)"])
 def test_grouped_segment_sums_match_add_at(case, rows):
-    # unsorted (node-side) plans sum each segment's rows one by one in input
-    # order, as np.add.at does, so their sums are equal, not just close; one
-    # segment is always sorted, and reduceat sums it pairwise
+    # every plan, sorted ids included, sums each segment's rows one by one in
+    # input order, as np.add.at does, so the sums are equal, not just close
     seg, num_segments = _grouped_sum_cases()[case]
     rng = np.random.default_rng(len(seg))
     shape = (len(seg), 2, 2) if rows.startswith("real") else (len(seg), 2, 3)
@@ -178,9 +177,8 @@ def test_grouped_segment_sums_match_add_at(case, rows):
     oracle = np.zeros((num_segments,) + shape[1:], dtype=x.dtype)
     np.add.at(oracle, seg, x)
     plan = SegmentPlan.build(seg, num_segments)
-    assert plan.presorted == (case == "one segment")
     for got in (plan.apply(x), plan.sum_ordered(x[plan.order])):
-        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12 if plan.presorted else 0.0)
+        np.testing.assert_array_equal(got, oracle)
 
 
 def test_concat_and_reshape_gradients():

@@ -224,6 +224,10 @@ FAILING_RUNS = {
     "theorem-check": ("theorem-check --trials -1 --report {out}/t.txt", []),
     "train": ("train --data {data} --q 0.5 --metrics-out {out}/m.csv", []),
     "q-sweep": ("q-sweep --data {data} --grid 0,0.5 --out {out}/s.csv", []),
+    "train-probe-without-layers": (
+        "train --data {data} --layers 0 --eigencheck-every 1 --metrics-out {out}/m.csv",
+        [".hg", ".features", ".labels", ".splits"],
+    ),
     "build-laplacian-unwritable": (
         "build-laplacian --in {data}.hg --out {out}/nodir/L.txt --manifest {out}/b.manifest", [".hg"],
     ),

@@ -333,6 +333,33 @@ def test_node_order_gathers_sum_the_same_rows_bit_for_bit():
             assert Factor(s, w, blocks).adjoint(Y).tobytes() == s.node_plan.apply(edge_order).tobytes()
 
 
+@pytest.mark.parametrize("shape", ["full", "diagonal"])
+@pytest.mark.parametrize("f", [1, 5])
+def test_edge_half_sums_the_canonical_products_bit_for_bit(shape, f):
+    # the edge half gathers blocks, weights and rows in edge-plan order; each
+    # hyperedge (3 to 19 incidences) still adds the canonical-order products
+    # w_k M_k X_{u_k} one by one, as np.add.at does, so a misaligned
+    # permutation of blocks, weights or rows cannot hide in rounding
+    rng = np.random.default_rng(1913 + f)
+    n, d = 40, 3
+    edges = []
+    for size in rng.permutation(np.arange(3, 20).repeat(2)):
+        members = rng.choice(n, size=size, replace=False)
+        cut = int(rng.integers(0, size))
+        edges.append(Hyperedge(members[:cut].tolist(), members[cut:].tolist()))
+    s = IncidenceStructure.build(DirectedHypergraph(n, tuple(edges)))
+    w = s.weights(0.3)
+    M = rng.standard_normal((len(s.inc_node), d) if shape == "diagonal" else (len(s.inc_node), d, d))
+    X = rng.standard_normal((n, d, f)) + 1j * rng.standard_normal((n, d, f))
+    if shape == "full":  # the factor's arithmetic: a real product on the float view, then the weight
+        products = (M @ X[s.inc_node].view(float)).view(complex) * w[:, None, None]
+    else:
+        products = (w[:, None] * M)[:, :, None] * X[s.inc_node]
+    oracle = np.zeros((s.m, d, f), dtype=complex)
+    np.add.at(oracle, s.inc_edge, products)
+    assert Factor(s, w, M).apply(X).tobytes() == oracle.tobytes()
+
+
 def test_structure_is_built_once_per_hypergraph_and_read_only():
     H, _ = random_instance(np.random.default_rng(41), n_range=(8, 12))
     key = hash(H)
@@ -342,9 +369,9 @@ def test_structure_is_built_once_per_hypergraph_and_read_only():
     A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=2, map_shape="full"))
     assert _incidence_arrays(H)[0] is s.inc_node
     np.testing.assert_array_equal(A.inc_node, s.inc_node)
-    arrays = [s.inc_node, s.inc_edge, s.inc_is_tail, s.delta, s.node_plan.rank]
+    arrays = [s.inc_node, s.inc_edge, s.inc_is_tail, s.delta]
     for plan in (s.node_plan, s.edge_plan):
-        arrays += [plan.seg_ids, plan.order, plan.starts, plan.empty]
+        arrays += [plan.seg_ids, plan.order, plan.rank]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -357,7 +384,7 @@ def test_structure_is_built_once_per_hypergraph_and_read_only():
         for name, value in vars(b).items():
             if isinstance(value, np.ndarray):
                 np.testing.assert_array_equal(getattr(a, name), value)
-    assert t.node_plan.runs == s.node_plan.runs
+    assert t.node_plan.runs == s.node_plan.runs and t.edge_plan.runs == s.edge_plan.runs
 
 
 def test_dense_factor_places_weighted_blocks():

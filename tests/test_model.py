@@ -691,6 +691,16 @@ def test_negative_eigencheck_interval_is_rejected():
         TrainingBudget(eigencheck_every=-2)
 
 
+def test_probe_without_layers_is_rejected_up_front(monkeypatch):
+    calls = _count_calls(monkeypatch, model, "loss_and_gradients")
+    config = ModelConfig(num_layers=0, stalk_dim=2, hidden_width=4)
+    with pytest.raises(ValueError, match=r"eigencheck_every=1 needs num_layers >= 1: num_layers=0"):
+        train(small_dataset(seed=23), config, TrainingBudget(max_epochs=2, eigencheck_every=1))
+    assert not calls  # refused before the first step
+    # without the probe, a network with no diffusion layer still trains
+    assert train(small_dataset(seed=23), config, TrainingBudget(max_epochs=2)).history
+
+
 def test_spectral_safety_probe_is_bounded():
     ds = small_dataset(seed=22)
     config = ModelConfig(num_layers=2, stalk_dim=2, hidden_width=4, seed=22)
