@@ -406,8 +406,18 @@ def forward(
     config: ModelConfig,
 ) -> np.ndarray:
     """Deterministic evaluation pass; returns the (n, classes) logit array."""
-    logits, _, _ = _forward_tape(Tape(), features, IncidenceStructure.build(H), state, config)
-    return logits.value
+    return _evaluate(features, IncidenceStructure.build(H), state, config)[0]
+
+
+def _evaluate(
+    features: np.ndarray, structure: IncidenceStructure, state: ModelState, config: ModelConfig
+) -> tuple[np.ndarray, list[Factor]]:
+    """The logits and the :class:`Factor` of each layer from a forward pass that keeps no graph:
+    its tape is released, so nothing waits for the cyclic collector."""
+    tape = Tape()
+    logits, factors, _ = _forward_tape(tape, features, structure, state, config)
+    tape.release()
+    return logits.value, factors
 
 
 def diffusion_layer(
@@ -507,8 +517,8 @@ def loss_and_gradients(
     *,
     dropout_rng: np.random.Generator | None = None,
     factors: list[Factor] | None = None,
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Masked mean cross-entropy plus reverse-mode gradients.
+) -> tuple[float, dict[str, np.ndarray], np.ndarray, list[Factor]]:
+    """Masked mean cross-entropy plus reverse-mode gradients, the logits and the applied factors.
 
     Frozen parameter groups (the map predictor in light mode or under pinned ``factors``) receive exact
     zero gradients; ``dropout_rng`` and ``factors`` act as in :func:`_forward_tape`.
@@ -516,7 +526,7 @@ def loss_and_gradients(
     if int(np.asarray(mask).sum()) == 0:
         raise ValueError("empty training mask")
     tape = Tape()
-    logits, _, P = _forward_tape(
+    logits, applied, P = _forward_tape(
         tape, features, structure, state, config, dropout_rng=dropout_rng, factors=factors
     )
     loss = ad.softmax_cross_entropy(logits, labels, mask)
@@ -525,7 +535,7 @@ def loss_and_gradients(
         name: (P[name].grad if P[name].grad is not None else np.zeros_like(value))
         for name, value in state.params.items()
     }
-    return float(loss.value), grads, logits.value
+    return float(loss.value), grads, logits.value, applied
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -644,7 +654,8 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
     history: list[dict] = []
     since_best = 0
     # Without sheaf dropout a training forward equals the evaluation forward,
-    # so the next step's logits are this step's validation logits.
+    # so the next step's logits and factors are this step's validation logits
+    # and the operators that the spectral probe reads.
     reuse_step = not (config.dropout_rate > 0.0)
     next_step = None
 
@@ -654,14 +665,16 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
         )
 
     for epoch in range(1, budget.max_epochs + 1):
-        loss, grads, logits = next_step or step()
+        loss, grads, logits = (next_step or step())[:3]
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch, loss)
         _adam_step(state, grads, config, budget)
 
+        # free the probe's factors before the next step builds its own
+        next_step = factors = None
         if reuse_step and epoch < budget.max_epochs:
             next_step = step()
-            eval_logits = next_step[2]
+            _, _, eval_logits, factors = next_step
         else:
             eval_logits = forward(features, H, state, config)
         row = {
@@ -671,7 +684,8 @@ def train(dataset, config: ModelConfig, budget: TrainingBudget) -> TrainResult:
             "val_acc": accuracy(eval_logits, labels, val_mask),
         }
         if budget.eigencheck_every and epoch % budget.eigencheck_every == 0:
-            _, factors, _ = _forward_tape(Tape(), features, structure, state, config)
+            if factors is None:
+                factors = _evaluate(features, structure, state, config)[1]
             row["lambda_max"] = max(map(lanczos_lambda_max, dict.fromkeys(factors)))  # static layers share one
         history.append(row)
 

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from hypersheaf import autodiff as ad
 from hypersheaf.cli import main as cli_main
 from hypersheaf.data import SyntheticConfig, generate_synthetic
 from hypersheaf.laplacian import build_laplacian
@@ -33,6 +32,8 @@ from hypersheaf.theorems import (
     check_counterexample,
     run_all_theorem_checks,
 )
+
+from gradcheck import finite_difference_check
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -149,16 +150,16 @@ def _gradcheck_instance(seed: int, config: ModelConfig) -> None:
 
     def build_loss(params):
         state.params.update(params)
-        loss, grads, _ = loss_and_gradients(
+        loss, grads, _, _ = loss_and_gradients(
             ds.features, structure, ds.labels, ds.masks[0], state, config, factors=factors
         )
         return loss, grads
 
-    ad.finite_difference_check(
+    finite_difference_check(
         build_loss, state.params, n_probes=32, rng=np.random.default_rng(seed)
     )
     if config.light_mode:
-        _, grads, _ = loss_and_gradients(ds.features, structure, ds.labels, ds.masks[0], state, config)
+        _, grads, _, _ = loss_and_gradients(ds.features, structure, ds.labels, ds.masks[0], state, config)
         for name in state.phi_names():
             assert np.all(grads[name] == 0.0), f"{name} gradient not exactly zero"
 

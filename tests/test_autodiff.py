@@ -1,8 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from hypersheaf import autodiff as ad
 from hypersheaf.autodiff import SegmentPlan, Tape
+
+from gradcheck import finite_difference_check
 
 
 def numeric_grad(f, x, step=1e-6):
@@ -241,6 +246,57 @@ def test_backward_requires_scalar():
         tape.backward(out)
 
 
+def test_backward_releases_each_swept_node():
+    tape = Tape()
+    x = tape.tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = tape.tensor(np.array([0.5, 1.5, -1.0]), requires_grad=True)
+    unused = ad.tanh(x)  # recorded, but the loss does not reach it
+    loss = ad.reduce_sum(ad.mul(ad.mul(x, x), w))
+    values = [node.value for node in tape.nodes]
+    tape.backward(loss)
+    assert len(tape.nodes) == len(values) == 4
+    for node, value in zip(tape.nodes, values):
+        assert node._backward is None and node.grad is None and node.tape is None
+        assert node.value is value
+    assert unused in tape.nodes
+    # leaves keep their gradients
+    np.testing.assert_array_equal(x.grad, 2.0 * x.value * w.value)
+    np.testing.assert_array_equal(w.grad, x.value**2)
+    with pytest.raises(ValueError, match="already been swept"):
+        tape.backward(loss)
+
+
+def test_a_released_tape_is_freed_by_reference_counting():
+    def build(sweep):
+        tape = Tape()
+        x = tape.tensor(np.arange(4.0), requires_grad=True)
+        loss = ad.reduce_sum(ad.sqrt(ad.add(ad.mul(x, x), 1.0)))
+        if sweep:
+            tape.backward(loss)
+        else:
+            tape.release()
+        return weakref.ref(tape)
+
+    gc.collect()
+    gc.disable()
+    try:
+        swept, released = build(sweep=True), build(sweep=False)
+        assert swept() is None and released() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_released_tape_cannot_be_swept():
+    tape = Tape()
+    x = tape.tensor(np.ones(2), requires_grad=True)
+    loss = ad.reduce_sum(ad.mul(x, x))
+    tape.release()
+    assert all(node._backward is None and node.tape is None for node in tape.nodes)
+    with pytest.raises(ValueError, match="already been swept or released"):
+        tape.backward(loss)
+
+
 def test_finite_difference_check_passes_and_fails():
     def quadratic(params):
         tape = Tape()
@@ -250,7 +306,7 @@ def test_finite_difference_check_passes_and_fails():
         return float(loss.value), {"x": x.grad}
 
     params = {"x": np.array([1.0, -2.0, 3.0])}
-    worst = ad.finite_difference_check(quadratic, params, n_probes=3)
+    worst = finite_difference_check(quadratic, params, n_probes=3)
     assert worst["x"] < 1e-6
 
     def wrong(params):
@@ -258,7 +314,7 @@ def test_finite_difference_check_passes_and_fails():
         return loss, {"x": grads["x"] * 1.5}
 
     with pytest.raises(AssertionError, match="gradient mismatch"):
-        ad.finite_difference_check(wrong, params, n_probes=3)
+        finite_difference_check(wrong, params, n_probes=3)
 
 
 def test_complex_ops_match_finite_differences():
@@ -291,7 +347,7 @@ def test_complex_ops_match_finite_differences():
         tape.backward(loss)
         return float(loss.value), {name: t.grad for name, t in T.items()}
 
-    worst = ad.finite_difference_check(build_loss, params, n_probes=12, rel_tol=1e-6)
+    worst = finite_difference_check(build_loss, params, n_probes=12, rel_tol=1e-6)
     assert set(worst) == set(shapes)
 
 

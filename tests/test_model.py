@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from hypersheaf.model import (
 from hypersheaf import model
 from hypersheaf.spectral import lanczos_lambda_max, random_instance
 
+from gradcheck import finite_difference_check
 
 
 def dense_signless(structure, config, M):
@@ -139,7 +142,7 @@ def test_layer_norm_node_gradient_matches_finite_differences():
         return float(loss.value), {"Xr": X.grad.real, "Xi": X.grad.imag, "gamma": gamma.grad, "beta": beta.grad}
 
     params = {"Xr": X.real.copy(), "Xi": X.imag.copy(), "gamma": gamma, "beta": beta}
-    ad.finite_difference_check(build_loss, params, n_probes=40, step=1e-6, rel_tol=1e-6, rng=np.random.default_rng(4))
+    finite_difference_check(build_loss, params, n_probes=40, step=1e-6, rel_tol=1e-6, rng=np.random.default_rng(4))
 
 
 # --- sheaf prediction -------------------------------------------------------
@@ -283,7 +286,7 @@ def check_signless_node_gradients(shape, real_signal):
         tape.backward(loss)
         return float(loss.value), {name: t.grad for name, t in T.items()}
 
-    ad.finite_difference_check(
+    finite_difference_check(
         build_loss, params, n_probes=32, rel_tol=1e-4, rng=np.random.default_rng(27)
     )
 
@@ -343,7 +346,7 @@ def test_inverse_sqrt_node_gradient_matches_finite_differences(d):
         tape.backward(loss)
         return float(loss.value), {"A": A.grad}
 
-    ad.finite_difference_check(
+    finite_difference_check(
         build_loss, {"A": D.copy()}, n_probes=32, rel_tol=1e-6, rng=np.random.default_rng(61)
     )
 
@@ -462,6 +465,21 @@ def test_probe_runs_lanczos_once_per_distinct_factor(monkeypatch, dynamic, runs)
     assert len(calls) == runs
 
 
+@pytest.mark.parametrize("dropout, probe_forwards", [(0.0, 1), (0.3, 3)])
+def test_probe_reads_the_next_steps_factors(monkeypatch, dropout, probe_forwards):
+    # without sheaf dropout the probe of epochs 1 and 2 reads the factors of the
+    # next step's forward, and only the last epoch's probe runs its own
+    ds = small_dataset(seed=26)
+    config = ModelConfig(num_layers=2, stalk_dim=2, hidden_width=4, seed=26, dropout_rate=dropout)
+    forwards = {}
+    for every in (0, 1):
+        calls = _count_calls(monkeypatch, model, "_forward_tape")
+        train(ds, config, TrainingBudget(max_epochs=3, patience=3, eigencheck_every=every))
+        forwards[every] = len(calls)
+        monkeypatch.undo()
+    assert forwards[1] - forwards[0] == probe_forwards
+
+
 # --- gradients ----------------------------------------------------------------
 
 
@@ -478,10 +496,10 @@ def gradcheck_config(config, seed, n_probes=12):
 
     def build_loss(params):
         state.params.update(params)
-        loss, grads, _ = loss_and_gradients(ds.features, structure, ds.labels, mask, state, config)
+        loss, grads, _, _ = loss_and_gradients(ds.features, structure, ds.labels, mask, state, config)
         return loss, grads
 
-    return ad.finite_difference_check(
+    return finite_difference_check(
         build_loss, state.params, n_probes=n_probes, rng=np.random.default_rng(seed)
     )
 
@@ -509,7 +527,7 @@ def test_light_mode_gradients_for_phi_are_exactly_zero():
     structure = IncidenceStructure.build(ds.hypergraph)
     config = ModelConfig(num_layers=2, stalk_dim=2, hidden_width=3, seed=16, light_mode=True)
     state = init_state(config, ds.features.shape[1], 2)
-    _, grads, _ = loss_and_gradients(ds.features, structure, ds.labels, ds.masks[0], state, config)
+    _, grads, _, _ = loss_and_gradients(ds.features, structure, ds.labels, ds.masks[0], state, config)
     for name in state.phi_names():
         assert np.all(grads[name] == 0.0)
     assert np.any(grads["proj_W"] != 0.0)
@@ -530,12 +548,12 @@ def test_light_mode_gradcheck_with_frozen_operator():
 
     def build_loss(params):
         state.params.update(params)
-        loss, grads, _ = loss_and_gradients(
+        loss, grads, _, _ = loss_and_gradients(
             ds.features, structure, ds.labels, ds.masks[0], state, config, factors=factors
         )
         return loss, grads
 
-    ad.finite_difference_check(
+    finite_difference_check(
         build_loss, state.params, n_probes=12, rng=np.random.default_rng(17)
     )
 
@@ -591,7 +609,7 @@ def reference_train(ds, config, budget):
     best_state, best_val, best_epoch, since_best = state.copy(), -1.0, 0, 0
     history = []
     for epoch in range(1, budget.max_epochs + 1):
-        loss, grads, logits = loss_and_gradients(
+        loss, grads, logits, _ = loss_and_gradients(
             ds.features, structure, labels, train_mask, state, config, dropout_rng=dropout_rng
         )
         _adam_step(state, grads, config, budget)
@@ -774,6 +792,82 @@ def test_second_train_on_a_hypergraph_builds_no_structure(monkeypatch, tmp_path)
     assert copy.hypergraph == ds.hypergraph and copy.hypergraph is not ds.hypergraph
     assert train(copy, config, budget).history == first.history
     assert len(builds) == 2  # its node and edge plans
+
+
+def _garbage_left_by(call):
+    """The unreachable objects that ``call()`` leaves for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+    finally:
+        gc.enable()
+    return gc.collect()
+
+
+GARBAGE_TRAIN_CASES = {
+    "light": ({}, {}),
+    "full-maps": ({"light_mode": False, "map_shape": "full"}, {}),
+    "full-dynamic-dropout": (
+        {"light_mode": False, "map_shape": "full", "dynamic_sheaf": True, "dropout_rate": 0.2}, {}
+    ),
+    "light-probe": ({}, {"eigencheck_every": 1}),
+}
+
+
+@pytest.mark.parametrize("case", list(GARBAGE_TRAIN_CASES))
+def test_training_leaves_no_cyclic_garbage(case):
+    # each swept tape, and each forward-only tape, is freed by reference counting
+    ds = small_dataset(seed=42, n=30)
+    config_fields, budget_fields = GARBAGE_TRAIN_CASES[case]
+    config, budget = synthetic_benchmark_config(seed=42)
+    config = dataclasses.replace(config, **config_fields)
+    budget = dataclasses.replace(budget, max_epochs=3, patience=3, **budget_fields)
+    train(ds, config, budget)  # builds and caches the hypergraph's structure
+    assert _garbage_left_by(lambda: train(ds, config, budget)) == 0
+
+
+def test_model_entry_points_leave_no_cyclic_garbage():
+    ds = small_dataset(seed=43)
+    structure = IncidenceStructure.build(ds.hypergraph)
+    config = ModelConfig(num_layers=2, stalk_dim=2, hidden_width=4, seed=43, map_shape="full")
+    state = init_state(config, ds.features.shape[1], 2)
+    n, d, f = structure.n, config.stalk_dim, config.hidden_width
+    X = np.random.default_rng(43).standard_normal((n * d, f)) + 0j
+    phi = {"W": state.params["phi0_W"], "b": state.params["phi0_b"]}
+    sheaf = predict_sheaf(X, ds.hypergraph, phi, config)
+    calls = {
+        "forward": lambda: forward(ds.features, ds.hypergraph, state, config),
+        "loss_and_gradients": lambda: loss_and_gradients(
+            ds.features, structure, ds.labels, ds.masks[0], state, config
+        ),
+        "predict_sheaf": lambda: predict_sheaf(X, ds.hypergraph, phi, config),
+        "diffusion_layer": lambda: diffusion_layer(
+            X, ds.hypergraph, sheaf, np.eye(d), np.eye(f), gamma=np.eye(2), beta=np.zeros(2)
+        ),
+    }
+    assert {name: _garbage_left_by(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_training_memory_peak_does_not_grow_with_epochs(full):
+    # a step's graph is freed when the step returns, so six epochs peak where
+    # one does; left to the cyclic collector, the peak doubled by epoch three
+    ds = generate_synthetic(SyntheticConfig(n=500, classes=5, intra_per_class=30, inter_per_pair=10, seed=0))
+    IncidenceStructure.build(ds.hypergraph)
+    config, budget = synthetic_benchmark_config(seed=0)
+    if full:
+        config = dataclasses.replace(config, light_mode=False, map_shape="full")
+    peaks = []
+    for epochs in (1, 6):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            train(ds, config, dataclasses.replace(budget, max_epochs=epochs, patience=epochs))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], f"peak {peaks[1] / 2**20:.2f} MiB at 6 epochs, {peaks[0] / 2**20:.2f} at 1"
 
 
 def test_divergence_raises_with_epoch_index():
