@@ -66,13 +66,15 @@ def _pin_malloc_thresholds() -> None:
     glibc serves a block above its mmap threshold with fresh pages and gives
     free heap top above its trim threshold back to the system, and raises
     both as the process frees large blocks.  The signal-sized temporaries of
-    the ``Z^dagger Z`` kernel (1.4 MB each at 2,700 incidences, d = 2, 16
-    columns) therefore landed on fresh pages in some processes and on reused
-    heap in others, by what each had freed before: on a 2-core Xeon one
-    ``Factor.gram`` took 2 to 3 ms without page faults in one process and
-    5 to 6 ms with about 1,300 in the next.  Pinned, every process reuses its
-    heap, at the cost of keeping up to 64 MiB of freed heap.  Thresholds set
-    through glibc's ``MALLOC_*_THRESHOLD_`` variables are left as they are.
+    the ``Z^dagger Z`` kernel (the gathered signal rows, 1.4 MB per half at
+    2,700 incidences, d = 2, 16 columns; the per-(hyperedge, role) copies,
+    0.55 MB at 540 hyperedges) therefore land on fresh pages in some
+    processes and on reused heap in others, by what each has freed before:
+    on a 2-core Xeon one ``apply_laplacian`` of that size took 0.6 ms with
+    3 page faults pinned and 4.1 ms with about 1,400 at glibc's initial
+    thresholds.  Pinned, every process reuses its heap, at the cost of
+    keeping up to 64 MiB of freed heap.  Thresholds set through glibc's
+    ``MALLOC_*_THRESHOLD_`` variables are left as they are.
     """
     import ctypes, os, sys  # here, so the package namespace stays clean
 

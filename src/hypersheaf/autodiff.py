@@ -360,30 +360,34 @@ class SegmentPlan:
     its rows one by one, in input order, as ``np.add.at`` does (numpy sums
     pairwise instead when the block is one contiguous column, a length held
     by a single segment of one-value rows).  ``rank`` puts the sums in
-    segment order."""
+    segment order.  ``major`` orders the rows by (segment length, segment,
+    position) instead, so a run's ``k`` segments are one ``(k, L, ...)``
+    block, each segment's rows side by side."""
 
     seg_ids: np.ndarray
     num_segments: int
     order: np.ndarray
     runs: tuple[tuple[int, int, int, int], ...]  # (first, end segment, first, end row) of each length
     rank: np.ndarray  # position of each segment among the runs
+    major: np.ndarray
 
     @classmethod
     def build(cls, seg_ids: np.ndarray, num_segments: int) -> "SegmentPlan":
         seg_ids = np.asarray(seg_ids, dtype=np.int64)
         counts = np.bincount(seg_ids, minlength=num_segments)
         # array methods, cheaper than numpy's wrappers on the small plans of one-off hypergraphs
-        order = seg_ids.argsort(kind="stable")
-        seg = seg_ids[order]
+        by_segment = seg_ids.argsort(kind="stable")
+        seg = seg_ids[by_segment]
+        length = counts[seg]
         position = np.arange(len(seg)) - (counts.cumsum() - counts)[seg]
-        order = order[((counts[seg] * (counts.max(initial=0) + 1) + position) * num_segments + seg).argsort()]
+        order = by_segment[((length * (counts.max(initial=0) + 1) + position) * num_segments + seg).argsort()]
         by_length = counts.argsort(kind="stable")
         lengths = counts[by_length]
         bounds = [0, *((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist(), num_segments]
         ends = [0, *lengths.cumsum().tolist()]
         runs = tuple((lo, hi, ends[lo], ends[hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo)
-        plan = cls(seg_ids, num_segments, order, runs, by_length.argsort())
-        for a in (seg_ids, order, plan.rank):
+        plan = cls(seg_ids, num_segments, order, runs, by_length.argsort(), by_segment[length.argsort(kind="stable")])
+        for a in (seg_ids, order, plan.rank, plan.major):
             a.setflags(write=False)
         return plan
 

@@ -16,8 +16,10 @@ The operator is stored as its real blocks ``M`` alone; the scalar weights
 ``w`` come from :meth:`IncidenceStructure.weights`.  :class:`IncidenceStructure`
 fixes the canonical incidence order, built once per hypergraph object, and
 :class:`Factor` is the one vectorised ``Z^dagger Z`` kernel, prepared once
-per operator: full blocks run as real batched products on the float view of
-the signal, scaled by ``w`` per incidence.  The complex ``Z`` is formed only
+per operator: full blocks run as one real product per run of equal-length
+segments on the float view of the signal, each segment's blocks side by
+side, and ``w`` is applied per (hyperedge, role), never per incidence.  The
+complex ``Z`` is formed only
 by :attr:`Factor.blocks`, for the dense export :meth:`LaplacianBundle.dense`
 and the block-sparse ``LaplacianBundle.L``; both sum ``conj(Z_k)^T Z_l``
 over the pairs of incidences of each hyperedge, so they are Hermitian to
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import SegmentPlan, _product
+from .autodiff import SegmentPlan
 from .blockmatrix import BlockComplexMatrix, _check_dense_cap
 from .hypergraph import DirectedHypergraph, _incidence_arrays
 # read as laplacian.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it
@@ -63,7 +65,13 @@ DEGREE_EPS = 1e-8  # degree-block jitter that keeps an isolated vertex's root fi
 @dataclass(frozen=True)
 class IncidenceStructure:
     """Canonical incidence order of one hypergraph (edge by edge, tails before
-    heads) with the index plans that every factor-based path shares."""
+    heads) with the index plans that every factor-based path shares.
+
+    ``pair_plan`` groups the incidences by (hyperedge, role): segment ``2 e``
+    holds the tails of ``e`` and ``2 e + 1`` its heads.  ``pair_node`` is the
+    vertex of each row of ``pair_plan.major``, and ``node_pair`` the pair of
+    each row of ``node_plan.major``: the rows that the full-block
+    :class:`Factor` gathers."""
 
     n: int
     m: int
@@ -73,6 +81,9 @@ class IncidenceStructure:
     delta: np.ndarray
     node_plan: SegmentPlan
     edge_plan: SegmentPlan
+    pair_plan: SegmentPlan
+    pair_node: np.ndarray
+    node_pair: np.ndarray
 
     @classmethod
     def build(cls, H: DirectedHypergraph) -> "IncidenceStructure":
@@ -80,12 +91,24 @@ class IncidenceStructure:
         if cls not in H._derived:
             inc_node, inc_edge, inc_is_tail = _incidence_arrays(H)
             delta = np.array([float(e.degree) for e in H.hyperedges])
-            delta.setflags(write=False)
+            node_plan = SegmentPlan.build(inc_node, H.num_vertices)
+            pair_plan = SegmentPlan.build(2 * inc_edge + ~inc_is_tail, 2 * H.num_hyperedges)
+            pair_node, node_pair = inc_node[pair_plan.major], pair_plan.seg_ids[node_plan.major]
+            for a in (delta, pair_node, node_pair):
+                a.setflags(write=False)
             H._derived[cls] = cls(
                 H.num_vertices, H.num_hyperedges, inc_node, inc_edge, inc_is_tail, delta,
-                SegmentPlan.build(inc_node, H.num_vertices), SegmentPlan.build(inc_edge, H.num_hyperedges),
+                node_plan, SegmentPlan.build(inc_edge, H.num_hyperedges), pair_plan, pair_node, node_pair,
             )
         return H._derived[cls]
+
+    @functools.cached_property
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_edge_pairs` of ``inc_edge``, computed once and read-only."""
+        pairs = _edge_pairs(self.inc_edge)
+        for a in pairs:
+            a.setflags(write=False)
+        return pairs
 
     def phases(self, q: float) -> np.ndarray:
         """Per-incidence directional coefficient ``S_k`` (complex, unit modulus)."""
@@ -100,7 +123,7 @@ def incidence_maps(structure: IncidenceStructure, A: SheafAssignment) -> np.ndar
     """``A.maps`` as stored, once ``A`` is checked to cover exactly the incidences of
     ``structure`` in their roles: both are in canonical order, so their arrays are equal."""
     arrays = [(s.inc_node, s.inc_edge, s.inc_is_tail) for s in (A, structure)]
-    if all(map(np.array_equal, *arrays)):
+    if all(a is b or np.array_equal(a, b) for a, b in zip(*arrays)):  # usually the same cached arrays
         return A.maps
     ours, theirs = ({(u, e): t for u, e, t in zip(*(a.tolist() for a in s))} for s in arrays)
     if ours.keys() != theirs.keys() or len(A.maps) != len(structure.inc_node):
@@ -114,44 +137,64 @@ def incidence_maps(structure: IncidenceStructure, A: SheafAssignment) -> np.ndar
 class Factor:
     """The factor ``Z``, ``Z_k = w_k M_k``, prepared once for repeated products.
 
-    Each half gathers its rows in the order of its own segment plan: the
-    edge half holds the blocks and the vertex index in edge-plan order, the
-    node half the conjugate blocks and the edge index in node-plan order, so
-    both sum with ``sum_ordered`` and reorder nothing per call.  Full blocks
-    stay real (``M``, and ``M^T``, each with its weights) and run as real
-    batched products on the float view of the signal; diagonal blocks
-    ``(I, d)`` become the complex ``w M``, applied elementwise.  ``w`` is the
-    ``(I,)`` weight of :meth:`IncidenceStructure.weights`; ``w`` and ``M``
-    are kept in canonical order.
+    ``w`` (the ``(I,)`` weight of :meth:`IncidenceStructure.weights`) and
+    ``M`` are kept in canonical order.  Full blocks ``(I, d, d)`` form no
+    per-incidence product: a segment's ``L`` blocks lie side by side as one
+    real ``d x (L d)`` matrix (``M_k`` on the edge half, ``M_k^T`` on the
+    node half), and one ``np.matmul`` per run of equal-length segments
+    multiplies it with the segment's stacked signal rows on the float view.
+    ``w_k`` depends on ``k`` only through its hyperedge and role, so the edge
+    half sums tails and heads apart (``pair_plan``) and weights the two sums,
+    and the node half gathers from ``conj(w)``-weighted copies of its input
+    per (hyperedge, role).  Diagonal blocks ``(I, d)`` become the complex
+    ``w M``, applied elementwise to rows gathered in each half's plan order
+    and summed with ``sum_ordered``.
     """
 
     def __init__(self, structure: IncidenceStructure, w: np.ndarray, M: np.ndarray):
         self.structure, self.w, self.M = structure, w, M
-        eo, no = structure.edge_plan.order, structure.node_plan.order
-        self._edge_node, self._node_edge = structure.inc_node[eo], structure.inc_edge[no]
         if M.ndim == 2:
+            eo, no = structure.edge_plan.order, structure.node_plan.order
+            self._edge_node, self._node_edge = structure.inc_node[eo], structure.inc_edge[no]
             Z = (w[:, None] * M)[:, :, None]
-            self._edge, self._node = (Z[eo], None), (np.conj(Z)[no], None)
-        else:
-            self._edge = (M[eo], w[eo][:, None, None])
-            self._node = (np.swapaxes(M, 1, 2)[no], np.conj(w)[no][:, None, None])
+            self._edge, self._node = Z[eo], np.conj(Z)[no]
+        else:  # each segment's M_k^T (edge half) or M_k (node half) stacked, then viewed side by side
+            self._edge = _run_views(np.swapaxes(M, 1, 2).take(structure.pair_plan.major, axis=0), structure.pair_plan)
+            self._node = _run_views(M.take(structure.node_plan.major, axis=0), structure.node_plan)
+
+    @functools.cached_property
+    def _pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """``w`` per (hyperedge, role) and its conjugate, ``(m, 2, 1, 1)``: tails, then heads, and
+        zero for a role without incidences."""
+        c = np.zeros(2 * self.structure.m, dtype=self.w.dtype)
+        c[self.structure.pair_plan.seg_ids] = self.w
+        c = c.reshape(-1, 2, 1, 1)
+        return c, np.conj(c)
+
+    def _conj_weighted(self, Y: np.ndarray) -> np.ndarray:
+        """``conj(w) Y_e`` per (hyperedge, role), ``(2 m, d, f)`` for ``Y`` ``(m, d, f)``; row
+        ``pair_plan.seg_ids[k]`` is ``conj(w_k) Y_{e_k}`` to the bit."""
+        return (self._pair_weights[1] * Y[:, None]).reshape((-1,) + Y.shape[1:])
 
     @staticmethod
-    def _rowwise(blocks: np.ndarray, scale: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
-        """``blocks_k rows_k`` per row, full blocks times ``scale_k``; a complex128 result
-        overwrites the fresh gather ``rows`` (diagonal) or the real product's output (full)."""
-        if scale is None:
-            return np.multiply(blocks, rows, out=rows) if rows.dtype == complex else blocks * rows
-        out = _product(blocks, rows)
-        return np.multiply(out, scale, out=out) if out.dtype == complex else scale * out
+    def _rowwise(blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Diagonal ``blocks_k rows_k`` per row; a complex128 result overwrites the fresh gather ``rows``."""
+        return np.multiply(blocks, rows, out=rows) if rows.dtype == complex else blocks * rows
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """``Z X`` ``(m, d, f)`` for a real or complex signal ``X`` ``(n, d, f)``."""
-        return self.structure.edge_plan.sum_ordered(self._rowwise(*self._edge, X[self._edge_node]))
+        s = self.structure
+        if self.M.ndim == 2:
+            return s.edge_plan.sum_ordered(self._rowwise(self._edge, X[self._edge_node]))
+        sums = _run_products(self._edge, X.take(s.pair_node, axis=0), 2 * s.m, s.pair_plan.rank.reshape(-1, 2))
+        return np.add.reduce(self._pair_weights[0] * sums, axis=1)  # tails plus heads
 
     def adjoint(self, Y: np.ndarray) -> np.ndarray:
         """``Z^dagger Y`` ``(n, d, f)`` for ``Y`` ``(m, d, f)``."""
-        return self.structure.node_plan.sum_ordered(self._rowwise(*self._node, Y[self._node_edge]))
+        s = self.structure
+        if self.M.ndim == 2:
+            return s.node_plan.sum_ordered(self._rowwise(self._node, Y[self._node_edge]))
+        return _run_products(self._node, self._conj_weighted(Y).take(s.node_pair, axis=0), s.n, s.node_plan.rank)
 
     def gram(self, X: np.ndarray) -> np.ndarray:
         """``Z^dagger Z X``: the signless operator applied to ``X`` ``(n, d, f)``."""
@@ -163,6 +206,29 @@ class Factor:
         if self.M.ndim == 2:
             return (self.w[:, None] * self.M)[:, :, None] * np.eye(self.M.shape[1])
         return self.w[:, None, None] * self.M
+
+
+def _run_views(stacked: np.ndarray, plan: SegmentPlan) -> tuple:
+    """Per run of ``plan``, its segments' blocks side by side as a ``(segments, d, L d)`` view of
+    ``stacked`` ``(I, d, d)`` (rows in ``plan.major`` order), each matrix the transpose of its
+    segment's ``L d x d`` stack: no copy."""
+    d = stacked.shape[-1]
+    return tuple(
+        (lo, hi, first, end, stacked[first:end].reshape(hi - lo, (end - first) // (hi - lo) * d, d).swapaxes(1, 2))
+        for lo, hi, first, end in plan.runs
+    )
+
+
+def _run_products(runs: tuple, rows: np.ndarray, num_segments: int, rank: np.ndarray) -> np.ndarray:
+    """Segment sums of ``blocks_k rows_k``, read out in ``rank`` order, for ``rows`` gathered in
+    segment-major order: one real product per run of the side-by-side blocks with the segments'
+    stacked rows (the float view of complex rows), so each sum is formed inside its product."""
+    v = rows.view(rows.real.dtype)  # a fresh gather, contiguous
+    out = np.empty((num_segments,) + v.shape[1:])
+    for lo, hi, first, end, blocks in runs:
+        np.matmul(blocks, v[first:end].reshape(hi - lo, blocks.shape[-1], v.shape[-1]), out=out[lo:hi])
+    sums = out[rank]
+    return sums.view(complex) if rows.dtype.kind == "c" else sums
 
 
 def _edge_pairs(inc_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,10 +312,10 @@ class LaplacianBundle:
     @functools.cached_property
     def L(self) -> BlockComplexMatrix:
         """Block-sparse ``diag - Z^dagger Z``, assembled on first access; block ``(u, v)``
-        sums ``conj(Z_k)^T Z_l`` over the pairs of :func:`_edge_pairs` with ``k = (u, e)``,
+        sums ``conj(Z_k)^T Z_l`` over the pairs ``structure.edge_pairs`` with ``k = (u, e)``,
         ``l = (v, e)``.  Kept for the benchmark's block checks; :meth:`dense` exports."""
         s, n, d = self.structure, self.n, self.d
-        left, right = _edge_pairs(s.inc_edge)
+        left, right = s.edge_pairs
         Z = self.factor.blocks
         blocks = -(np.conj(np.swapaxes(Z[left], 1, 2)) @ Z[right])
         diag = np.broadcast_to(np.eye(d), (n, d, d)) if self.normalized else self.D_V
@@ -262,11 +328,14 @@ class LaplacianBundle:
         the pairs that share a block.  The cap is checked before any work."""
         s, n, d = self.structure, self.n, self.d
         _check_dense_cap(n * d, n * d)
-        left, right = _edge_pairs(s.inc_edge)
+        left, right = s.edge_pairs
         key = s.inc_node[left] * n + s.inc_node[right]
-        order = np.argsort(key, kind="stable")
+        order = key.argsort(kind="stable")
         key, left, right = key[order], left[order], right[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        first = np.empty(len(key), dtype=bool)  # the first pair of each block; cheaper than np.diff
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = first.nonzero()[0]
         Z, out = self.factor.blocks, np.zeros((n, d, n, d), dtype=complex)
         sums = np.add.reduceat(np.conj(np.swapaxes(Z[left], 1, 2)) @ Z[right], starts)
         out[key[starts] // n, :, key[starts] % n, :] = -sums

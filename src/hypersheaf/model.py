@@ -274,7 +274,8 @@ def _apply_signless(M: Tensor, X: Tensor, factor: Factor) -> Tensor:
     ``Q_N`` is Hermitian, so the signal's gradient is ``Q_N G`` for the
     output gradient ``G``.  The real blocks' gradient is
     ``Re(conj(w_k) (U_e G_u^H + V_e X_u^H))`` with the edge halves ``U = Z X``
-    (kept from the forward) and ``V = Z G``, two real batched products.
+    (kept from the forward) and ``V = Z G``, two real batched products;
+    ``conj(w_k) U_e`` is weighted per (hyperedge, role), then gathered.
     """
     x = X.value
     U = factor.apply(x)
@@ -284,9 +285,10 @@ def _apply_signless(M: Tensor, X: Tensor, factor: Factor) -> Tensor:
         if X.requires_grad:
             X.accumulate(factor.adjoint(V))
         if M.requires_grad:
-            s, cw = factor.structure, np.conj(factor.w)[:, None, None]
-            u, e, diagonal = s.inc_node, s.inc_edge, M.value.ndim == 2
-            M.accumulate(_real_outer(cw * U[e], G[u], diagonal) + _real_outer(cw * V[e], x[u], diagonal))
+            s, diagonal = factor.structure, M.value.ndim == 2
+            pair, u = s.pair_plan.seg_ids, s.inc_node
+            cu, cv = (factor._conj_weighted(E).take(pair, axis=0) for E in (U, V))
+            M.accumulate(_real_outer(cu, G.take(u, axis=0), diagonal) + _real_outer(cv, x.take(u, axis=0), diagonal))
 
     return ad.record(X.tape, factor.adjoint(U), (M, X), backward)
 

@@ -20,7 +20,7 @@ from .hypergraph import DirectedHypergraph, Hyperedge, _incidence_arrays, format
 # read as spectral.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it;
 # hermitian_eigenvalues stays on it only for that test, until ROADMAP item 1 re-points it
 from .jacobi import jacobi_eigh
-from .laplacian import Factor, LaplacianBundle, _edge_pairs, apply_laplacian, build_laplacian
+from .laplacian import Factor, LaplacianBundle, apply_laplacian, build_laplacian
 from .sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf, tail_coefficient
 
 __all__ = [
@@ -149,7 +149,7 @@ def dirichlet_energy(
     scaled = np.einsum("uab,ub->ua", bundle.dv_inv_sqrt, x.reshape(n, d))
     phase = np.where(A.inc_is_tail, tail_coefficient(A.config.q), 1.0 + 0.0j)
     proj = ((phase[:, None, None] * A.maps) @ scaled[A.inc_node, :, None])[..., 0]
-    left, right = _edge_pairs(A.inc_edge)
+    left, right = bundle.structure.edge_pairs  # A's incidences, as build_laplacian checked
     left, right = left[left < right], right[left < right]
     diff = proj[left] - proj[right]
     delta = np.bincount(A.inc_edge, minlength=H.num_hyperedges)[A.inc_edge[left]]

@@ -186,6 +186,20 @@ def test_grouped_segment_sums_match_add_at(case, rows):
         np.testing.assert_array_equal(got, oracle)
 
 
+@pytest.mark.parametrize("case", list(_grouped_sum_cases()))
+def test_segment_major_order_lays_each_segment_side_by_side(case):
+    # the rows of a run's k segments of length L form one (k, L) block: row j
+    # holds the rows of the run's j-th segment, in input order
+    seg, num_segments = _grouped_sum_cases()[case]
+    plan = SegmentPlan.build(seg, num_segments)
+    assert sorted(plan.major.tolist()) == list(range(len(seg)))
+    by_rank = np.argsort(plan.rank)
+    for lo, hi, first, end in plan.runs:
+        block = plan.major[first:end].reshape(hi - lo, (end - first) // (hi - lo))
+        for segment, rows in zip(by_rank[lo:hi], block):
+            np.testing.assert_array_equal(rows, np.flatnonzero(seg == segment))
+
+
 def test_concat_and_reshape_gradients():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 2))

@@ -273,18 +273,47 @@ def test_matrix_free_apply_matches_dense(normalized):
         assert np.max(np.abs(dense - free)) / scale < 1e-10
 
 
-@pytest.mark.parametrize("signal", ["real", "complex"])
-@pytest.mark.parametrize("q", [0.0, 0.1, 0.25])
-@pytest.mark.parametrize("shape", ["diagonal", "full"])
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_kernel_matches_dense_factor_products(d, shape, q, signal):
-    # the prepared factor runs real products on float views for full blocks
-    # and elementwise products for diagonal ones; the oracle is the dense Z
-    # placed block by block from w_k M_k
-    rng = np.random.default_rng(100 * d + int(100 * q) + (shape == "full"))
-    H, _ = random_instance(rng, n_range=(5, 9), m_range=(3, 7))
+def _kernel_cases():
+    # (d, shape, q, signal, graph, columns); the grid keeps its ids, and each
+    # edge case of the full-block layout is one more case for both shapes
+    grid = [
+        pytest.param(d, shape, q, signal, "random", 3, id=f"{d}-{shape}-{q}-{signal}")
+        for d in (1, 2, 3, 4) for shape in ("diagonal", "full") for q in (0.0, 0.1, 0.25)
+        for signal in ("complex", "real")
+    ]
+    edge_cases = [
+        (6, "random", 3),  # the largest stalk the model takes
+        (2, "undirected", 3),  # every head half is empty
+        (2, "isolated", 3),  # one node segment is empty
+        (1, "random", 1),  # one column, as Lanczos applies it
+        (3, "random", 1),
+    ]
+    return grid + [
+        pytest.param(d, shape, 0.1, "complex", graph, f, id=f"{d}-{shape}-0.1-complex-{graph}-f{f}")
+        for d, graph, f in edge_cases for shape in ("diagonal", "full")
+    ]
+
+
+KERNEL_TOL_RELATIVE = 2e-15  # worst of 7.9e-16 (edge half) and 5.2e-16 (node half) on unused seeds
+
+
+@pytest.mark.parametrize("d, shape, q, signal, graph, f", _kernel_cases())
+def test_kernel_matches_dense_factor_products(d, shape, q, signal, graph, f):
+    # the prepared factor runs one real product per run of equal-length
+    # segments for full blocks and elementwise products for diagonal ones; the
+    # oracle is the dense Z placed block by block from w_k M_k
+    seed = 100 * d + int(100 * q) + (shape == "full") + {"random": 0, "undirected": 7, "isolated": 11}[graph]
+    rng = np.random.default_rng(seed + 1000 * (f == 1))
+    directed = 0.0 if graph == "undirected" else 0.6  # 0.6 is random_instance's default
+    H, _ = random_instance(rng, n_range=(5, 9), m_range=(3, 7), directed_fraction=directed)
+    if graph == "isolated":
+        H = DirectedHypergraph(H.num_vertices + 1, H.hyperedges)
     structure = IncidenceStructure.build(H)
-    num_inc, f = len(structure.inc_node), 3
+    if graph == "undirected":
+        assert structure.inc_is_tail.all()
+    if graph == "isolated":
+        assert structure.node_plan.runs[0][2:] == (0, 0)  # the zero-length run comes first
+    num_inc = len(structure.inc_node)
     w = structure.weights(q)
     M = rng.standard_normal((num_inc, d) if shape == "diagonal" else (num_inc, d, d))
     Z = np.zeros((structure.m * d, structure.n * d), dtype=complex)
@@ -306,12 +335,22 @@ def test_kernel_matches_dense_factor_products(d, shape, q, signal):
     if signal == "complex":  # a single-precision signal goes through its own float view
         got = factor.gram(X.astype(np.complex64)).reshape(-1, f)
         np.testing.assert_allclose(got, Z.conj().T @ (Z @ x), rtol=0, atol=1e-5)
+    if graph == "isolated":  # the jittered normalized operator applies as its dense export
+        A = build_fixed_sheaf(H, SheafConfig(q=q, d=d, map_shape="full"), rng_seed=seed)
+        bundle = build_laplacian(H, A, normalized=True, jitter=DEGREE_EPS)
+        np.testing.assert_allclose(apply_laplacian(bundle, x), bundle.dense() @ x, rtol=0, atol=1e-12)
+
+
+def _relative_gap(got, oracle):
+    return np.max(np.abs(got - oracle)) / np.max(np.abs(oracle))
 
 
 def test_node_order_gathers_sum_the_same_rows_bit_for_bit():
     # the node half and the degree blocks gather their rows in node order
     # instead of reordering the products; each vertex still sums the same
-    # rows in the same order, so D_V, bundle.M and the node half keep their bytes
+    # rows in the same order, so D_V, bundle.M and the diagonal node half keep
+    # their bytes.  Full blocks sum each vertex's rows inside one product,
+    # within KERNEL_TOL_RELATIVE of the same sums
     rng = np.random.default_rng(2718)
     for _ in range(300):
         H, A = random_instance(rng)
@@ -325,21 +364,24 @@ def test_node_order_gathers_sum_the_same_rows_bit_for_bit():
         Y = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
         cw, rows = np.conj(w)[:, None, None], Y[s.inc_edge]
         diagonal = np.ascontiguousarray(np.diagonal(M, axis1=1, axis2=2))
-        products = {  # per incidence in edge order, with the factor's arithmetic
-            "full": (np.swapaxes(M, 1, 2) @ rows.view(float)).view(complex) * cw,
-            "diagonal": (np.conj(w[:, None] * diagonal))[:, :, None] * rows,
-        }
-        for blocks, edge_order in ((M, products["full"]), (diagonal, products["diagonal"])):
-            assert Factor(s, w, blocks).adjoint(Y).tobytes() == s.node_plan.apply(edge_order).tobytes()
+        full = (np.swapaxes(M, 1, 2) @ rows.view(float)).view(complex) * cw  # per incidence, edge order
+        oracle = np.zeros((s.n, d, f), dtype=complex)
+        np.add.at(oracle, s.inc_node, full)
+        assert _relative_gap(Factor(s, w, M).adjoint(Y), oracle) <= KERNEL_TOL_RELATIVE
+        products = (np.conj(w[:, None] * diagonal))[:, :, None] * rows  # the factor's arithmetic
+        assert Factor(s, w, diagonal).adjoint(Y).tobytes() == s.node_plan.apply(products).tobytes()
 
 
 @pytest.mark.parametrize("shape", ["full", "diagonal"])
 @pytest.mark.parametrize("f", [1, 5])
 def test_edge_half_sums_the_canonical_products_bit_for_bit(shape, f):
-    # the edge half gathers blocks, weights and rows in edge-plan order; each
-    # hyperedge (3 to 19 incidences) still adds the canonical-order products
-    # w_k M_k X_{u_k} one by one, as np.add.at does, so a misaligned
-    # permutation of blocks, weights or rows cannot hide in rounding
+    # diagonal blocks: the edge half gathers blocks, weights and rows in
+    # edge-plan order, and each hyperedge (3 to 19 incidences) still adds the
+    # canonical-order products w_k M_k X_{u_k} one by one, as np.add.at does,
+    # so a misaligned permutation of blocks, weights or rows cannot hide in
+    # rounding.  Full blocks sum the tails and the heads of each hyperedge
+    # inside one product each and weight the two sums; they must agree with
+    # the same np.add.at sums within KERNEL_TOL_RELATIVE
     rng = np.random.default_rng(1913 + f)
     n, d = 40, 3
     edges = []
@@ -351,13 +393,30 @@ def test_edge_half_sums_the_canonical_products_bit_for_bit(shape, f):
     w = s.weights(0.3)
     M = rng.standard_normal((len(s.inc_node), d) if shape == "diagonal" else (len(s.inc_node), d, d))
     X = rng.standard_normal((n, d, f)) + 1j * rng.standard_normal((n, d, f))
-    if shape == "full":  # the factor's arithmetic: a real product on the float view, then the weight
+    if shape == "full":
         products = (M @ X[s.inc_node].view(float)).view(complex) * w[:, None, None]
-    else:
+    else:  # the factor's arithmetic
         products = (w[:, None] * M)[:, :, None] * X[s.inc_node]
     oracle = np.zeros((s.m, d, f), dtype=complex)
     np.add.at(oracle, s.inc_edge, products)
-    assert Factor(s, w, M).apply(X).tobytes() == oracle.tobytes()
+    if shape == "full":
+        assert _relative_gap(Factor(s, w, M).apply(X), oracle) <= KERNEL_TOL_RELATIVE
+    else:
+        assert Factor(s, w, M).apply(X).tobytes() == oracle.tobytes()
+
+
+def test_pair_weighting_is_the_per_incidence_weighting_bit_for_bit():
+    # the full-map gradient weights U per (hyperedge, role) and gathers it: every
+    # incidence of a pair has the same w_k, so the rows equal conj(w_k) U_{e_k}
+    rng = np.random.default_rng(577)
+    for _ in range(200):
+        H, A = random_instance(rng)
+        s = IncidenceStructure.build(H)
+        w, d, f = s.weights(A.config.q), A.config.d, int(rng.integers(1, 4))
+        U = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
+        for M in (A.maps, np.ascontiguousarray(np.diagonal(A.maps, axis1=1, axis2=2))):
+            rows = Factor(s, w, M)._conj_weighted(U)[s.pair_plan.seg_ids]
+            assert rows.tobytes() == (np.conj(w)[:, None, None] * U[s.inc_edge]).tobytes()
 
 
 def test_structure_is_built_once_per_hypergraph_and_read_only():
@@ -369,9 +428,9 @@ def test_structure_is_built_once_per_hypergraph_and_read_only():
     A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=2, map_shape="full"))
     assert _incidence_arrays(H)[0] is s.inc_node
     np.testing.assert_array_equal(A.inc_node, s.inc_node)
-    arrays = [s.inc_node, s.inc_edge, s.inc_is_tail, s.delta]
-    for plan in (s.node_plan, s.edge_plan):
-        arrays += [plan.seg_ids, plan.order, plan.rank]
+    arrays = [s.inc_node, s.inc_edge, s.inc_is_tail, s.delta, s.pair_node, s.node_pair, *s.edge_pairs]
+    for plan in (s.node_plan, s.edge_plan, s.pair_plan):
+        arrays += [plan.seg_ids, plan.order, plan.rank, plan.major]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -380,11 +439,12 @@ def test_structure_is_built_once_per_hypergraph_and_read_only():
     assert twin == H and hash(twin) == hash(H) == key and repr(twin) == repr(H)
     t = IncidenceStructure.build(twin)
     assert t is not s and twin == H and hash(twin) == key
-    for a, b in [(t, s), (t.node_plan, s.node_plan), (t.edge_plan, s.edge_plan)]:
+    for a, b in [(t, s), (t.node_plan, s.node_plan), (t.edge_plan, s.edge_plan), (t.pair_plan, s.pair_plan)]:
         for name, value in vars(b).items():
             if isinstance(value, np.ndarray):
                 np.testing.assert_array_equal(getattr(a, name), value)
     assert t.node_plan.runs == s.node_plan.runs and t.edge_plan.runs == s.edge_plan.runs
+    assert t.pair_plan.runs == s.pair_plan.runs
 
 
 def test_dense_factor_places_weighted_blocks():

@@ -791,7 +791,7 @@ def test_second_train_on_a_hypergraph_builds_no_structure(monkeypatch, tmp_path)
     copy = read_dataset(tmp_path / "data")
     assert copy.hypergraph == ds.hypergraph and copy.hypergraph is not ds.hypergraph
     assert train(copy, config, budget).history == first.history
-    assert len(builds) == 2  # its node and edge plans
+    assert len(builds) == 3  # its node, edge and (hyperedge, role) plans
 
 
 def _garbage_left_by(call):
