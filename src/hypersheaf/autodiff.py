@@ -321,7 +321,7 @@ def gather(a: Tensor, plan: "SegmentPlan"):
         if a.requires_grad:
             a.accumulate(plan.apply(g))
 
-    return record(a.tape, a.value[plan.seg_ids], (a,), backward)
+    return record(a.tape, a.value.take(plan.seg_ids, axis=0), (a,), backward)
 
 
 def unwound_matmul(parts, w: Tensor):
@@ -392,12 +392,9 @@ class SegmentPlan:
         return plan
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Segment sums of rows in input order, that of ``seg_ids``."""
-        return self.sum_ordered(values[self.order])
-
-    def sum_ordered(self, ordered: np.ndarray) -> np.ndarray:
-        """Segment sums of rows already in plan order, ``values[order]``; a run of
-        empty segments reduces a zero-row block to zeros."""
+        """Segment sums of rows in input order, that of ``seg_ids``; a run of empty
+        segments reduces a zero-row block to zeros."""
+        ordered = values.take(self.order, axis=0)
         rest = ordered.shape[1:]
         out = np.empty((self.num_segments,) + rest, dtype=ordered.dtype)
         for lo, hi, first, end in self.runs:
@@ -408,7 +405,7 @@ class SegmentPlan:
 def segment_sum(a: Tensor, plan: SegmentPlan):
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g[plan.seg_ids])
+            a.accumulate(g.take(plan.seg_ids, axis=0))
 
     return record(a.tape, plan.apply(a.value), (a,), backward)
 

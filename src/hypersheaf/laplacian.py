@@ -16,10 +16,10 @@ The operator is stored as its real blocks ``M`` alone; the scalar weights
 ``w`` come from :meth:`IncidenceStructure.weights`.  :class:`IncidenceStructure`
 fixes the canonical incidence order, built once per hypergraph object, and
 :class:`Factor` is the one vectorised ``Z^dagger Z`` kernel, prepared once
-per operator: full blocks run as one real product per run of equal-length
-segments on the float view of the signal, each segment's blocks side by
-side, and ``w`` is applied per (hyperedge, role), never per incidence.  The
-complex ``Z`` is formed only
+per operator: the blocks (diagonal ones embedded as full ones) run as one
+real product per run of equal-length segments on the float view of the
+signal, each segment's blocks side by side, and ``w`` is applied per
+(hyperedge, role), never per incidence.  The complex ``Z`` is formed only
 by :attr:`Factor.blocks`, for the dense export :meth:`LaplacianBundle.dense`
 and the block-sparse ``LaplacianBundle.L``; both sum ``conj(Z_k)^T Z_l``
 over the pairs of incidences of each hyperedge, so they are Hermitian to
@@ -70,8 +70,7 @@ class IncidenceStructure:
     ``pair_plan`` groups the incidences by (hyperedge, role): segment ``2 e``
     holds the tails of ``e`` and ``2 e + 1`` its heads.  ``pair_node`` is the
     vertex of each row of ``pair_plan.major``, and ``node_pair`` the pair of
-    each row of ``node_plan.major``: the rows that the full-block
-    :class:`Factor` gathers."""
+    each row of ``node_plan.major``: the rows that :class:`Factor` gathers."""
 
     n: int
     m: int
@@ -138,29 +137,30 @@ class Factor:
     """The factor ``Z``, ``Z_k = w_k M_k``, prepared once for repeated products.
 
     ``w`` (the ``(I,)`` weight of :meth:`IncidenceStructure.weights`) and
-    ``M`` are kept in canonical order.  Full blocks ``(I, d, d)`` form no
-    per-incidence product: a segment's ``L`` blocks lie side by side as one
-    real ``d x (L d)`` matrix (``M_k`` on the edge half, ``M_k^T`` on the
-    node half), and one ``np.matmul`` per run of equal-length segments
-    multiplies it with the segment's stacked signal rows on the float view.
-    ``w_k`` depends on ``k`` only through its hyperedge and role, so the edge
-    half sums tails and heads apart (``pair_plan``) and weights the two sums,
-    and the node half gathers from ``conj(w)``-weighted copies of its input
-    per (hyperedge, role).  Diagonal blocks ``(I, d)`` become the complex
-    ``w M``, applied elementwise to rows gathered in each half's plan order
-    and summed with ``sum_ordered``.
+    ``M`` are kept in canonical order, ``M`` as the caller passed it.  A
+    diagonal ``M`` ``(I, d)`` is embedded once as ``(I, d, d)`` blocks with
+    zeros off the diagonal, so every factor takes the same path.  No
+    per-incidence product is formed: a segment's ``L`` blocks lie side by
+    side as one real ``d x (L d)`` matrix (``M_k`` on the edge half,
+    ``M_k^T`` on the node half), and one ``np.matmul`` per run of
+    equal-length segments multiplies it with the segment's stacked signal
+    rows on the float view.  ``w_k`` depends on ``k`` only through its
+    hyperedge and role, so the edge half sums tails and heads apart
+    (``pair_plan``) and weights the two sums, and the node half gathers from
+    ``conj(w)``-weighted copies of its input per (hyperedge, role).
     """
 
     def __init__(self, structure: IncidenceStructure, w: np.ndarray, M: np.ndarray):
         self.structure, self.w, self.M = structure, w, M
-        if M.ndim == 2:
-            eo, no = structure.edge_plan.order, structure.node_plan.order
-            self._edge_node, self._node_edge = structure.inc_node[eo], structure.inc_edge[no]
-            Z = (w[:, None] * M)[:, :, None]
-            self._edge, self._node = Z[eo], np.conj(Z)[no]
-        else:  # each segment's M_k^T (edge half) or M_k (node half) stacked, then viewed side by side
-            self._edge = _run_views(np.swapaxes(M, 1, 2).take(structure.pair_plan.major, axis=0), structure.pair_plan)
-            self._node = _run_views(M.take(structure.node_plan.major, axis=0), structure.node_plan)
+        blocks = M
+        if M.ndim == 2:  # a diagonal M, embedded once with zeros off the diagonal
+            d = M.shape[1]
+            blocks = np.zeros((len(M), d, d), dtype=M.dtype)
+            blocks[:, range(d), range(d)] = M
+        self._blocks = blocks
+        # each segment's M_k^T (edge half) or M_k (node half) stacked, then viewed side by side
+        self._edge = _run_views(np.swapaxes(blocks, 1, 2).take(structure.pair_plan.major, axis=0), structure.pair_plan)
+        self._node = _run_views(blocks.take(structure.node_plan.major, axis=0), structure.node_plan)
 
     @functools.cached_property
     def _pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -176,24 +176,15 @@ class Factor:
         ``pair_plan.seg_ids[k]`` is ``conj(w_k) Y_{e_k}`` to the bit."""
         return (self._pair_weights[1] * Y[:, None]).reshape((-1,) + Y.shape[1:])
 
-    @staticmethod
-    def _rowwise(blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Diagonal ``blocks_k rows_k`` per row; a complex128 result overwrites the fresh gather ``rows``."""
-        return np.multiply(blocks, rows, out=rows) if rows.dtype == complex else blocks * rows
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """``Z X`` ``(m, d, f)`` for a real or complex signal ``X`` ``(n, d, f)``."""
         s = self.structure
-        if self.M.ndim == 2:
-            return s.edge_plan.sum_ordered(self._rowwise(self._edge, X[self._edge_node]))
         sums = _run_products(self._edge, X.take(s.pair_node, axis=0), 2 * s.m, s.pair_plan.rank.reshape(-1, 2))
         return np.add.reduce(self._pair_weights[0] * sums, axis=1)  # tails plus heads
 
     def adjoint(self, Y: np.ndarray) -> np.ndarray:
         """``Z^dagger Y`` ``(n, d, f)`` for ``Y`` ``(m, d, f)``."""
         s = self.structure
-        if self.M.ndim == 2:
-            return s.node_plan.sum_ordered(self._rowwise(self._node, Y[self._node_edge]))
         return _run_products(self._node, self._conj_weighted(Y).take(s.node_pair, axis=0), s.n, s.node_plan.rank)
 
     def gram(self, X: np.ndarray) -> np.ndarray:
@@ -203,9 +194,7 @@ class Factor:
     @property
     def blocks(self) -> np.ndarray:
         """The complex blocks ``Z_k`` ``(I, d, d)``; diagonal ``M`` is expanded."""
-        if self.M.ndim == 2:
-            return (self.w[:, None] * self.M)[:, :, None] * np.eye(self.M.shape[1])
-        return self.w[:, None, None] * self.M
+        return self.w[:, None, None] * self._blocks
 
 
 def _run_views(stacked: np.ndarray, plan: SegmentPlan) -> tuple:
@@ -241,9 +230,8 @@ def _edge_pairs(inc_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _degree_blocks(structure: IncidenceStructure, F: np.ndarray) -> np.ndarray:
-    F = F[structure.node_plan.order]  # node order, as Factor.adjoint gathers
     # a contiguous F^T keeps the stacked product off numpy's strided loop; the values are the same
-    return structure.node_plan.sum_ordered(np.ascontiguousarray(np.swapaxes(F, 1, 2)) @ F)
+    return structure.node_plan.apply(np.ascontiguousarray(np.swapaxes(F, 1, 2)) @ F)
 
 
 def build_incidence(H: DirectedHypergraph, A: SheafAssignment) -> BlockComplexMatrix:

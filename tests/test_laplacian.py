@@ -294,14 +294,16 @@ def _kernel_cases():
     ]
 
 
-KERNEL_TOL_RELATIVE = 2e-15  # worst of 7.9e-16 (edge half) and 5.2e-16 (node half) on unused seeds
+# worst on unused seeds: 7.9e-16 (edge half) and 5.2e-16 (node half) for full
+# blocks, 6.7e-16 and 3.9e-16 for diagonal ones
+KERNEL_TOL_RELATIVE = 2e-15
 
 
 @pytest.mark.parametrize("d, shape, q, signal, graph, f", _kernel_cases())
 def test_kernel_matches_dense_factor_products(d, shape, q, signal, graph, f):
     # the prepared factor runs one real product per run of equal-length
-    # segments for full blocks and elementwise products for diagonal ones; the
-    # oracle is the dense Z placed block by block from w_k M_k
+    # segments, diagonal blocks embedded as full ones; the oracle is the dense
+    # Z placed block by block from w_k M_k
     seed = 100 * d + int(100 * q) + (shape == "full") + {"random": 0, "undirected": 7, "isolated": 11}[graph]
     rng = np.random.default_rng(seed + 1000 * (f == 1))
     directed = 0.0 if graph == "undirected" else 0.6  # 0.6 is random_instance's default
@@ -346,11 +348,10 @@ def _relative_gap(got, oracle):
 
 
 def test_node_order_gathers_sum_the_same_rows_bit_for_bit():
-    # the node half and the degree blocks gather their rows in node order
-    # instead of reordering the products; each vertex still sums the same
-    # rows in the same order, so D_V, bundle.M and the diagonal node half keep
-    # their bytes.  Full blocks sum each vertex's rows inside one product,
-    # within KERNEL_TOL_RELATIVE of the same sums
+    # the degree blocks sum each vertex's rows in the same order as
+    # node_plan.apply, so D_V and bundle.M keep their bytes.  The node half
+    # sums each vertex's rows inside one product, for full and diagonal
+    # blocks alike, within KERNEL_TOL_RELATIVE of the np.add.at sums
     rng = np.random.default_rng(2718)
     for _ in range(300):
         H, A = random_instance(rng)
@@ -364,24 +365,22 @@ def test_node_order_gathers_sum_the_same_rows_bit_for_bit():
         Y = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
         cw, rows = np.conj(w)[:, None, None], Y[s.inc_edge]
         diagonal = np.ascontiguousarray(np.diagonal(M, axis1=1, axis2=2))
-        full = (np.swapaxes(M, 1, 2) @ rows.view(float)).view(complex) * cw  # per incidence, edge order
-        oracle = np.zeros((s.n, d, f), dtype=complex)
-        np.add.at(oracle, s.inc_node, full)
-        assert _relative_gap(Factor(s, w, M).adjoint(Y), oracle) <= KERNEL_TOL_RELATIVE
-        products = (np.conj(w[:, None] * diagonal))[:, :, None] * rows  # the factor's arithmetic
-        assert Factor(s, w, diagonal).adjoint(Y).tobytes() == s.node_plan.apply(products).tobytes()
+        for blocks, products in [  # per incidence, edge order
+            (M, (np.swapaxes(M, 1, 2) @ rows.view(float)).view(complex) * cw),
+            (diagonal, (np.conj(w[:, None] * diagonal))[:, :, None] * rows),
+        ]:
+            oracle = np.zeros((s.n, d, f), dtype=complex)
+            np.add.at(oracle, s.inc_node, products)
+            assert _relative_gap(Factor(s, w, blocks).adjoint(Y), oracle) <= KERNEL_TOL_RELATIVE
 
 
 @pytest.mark.parametrize("shape", ["full", "diagonal"])
 @pytest.mark.parametrize("f", [1, 5])
 def test_edge_half_sums_the_canonical_products_bit_for_bit(shape, f):
-    # diagonal blocks: the edge half gathers blocks, weights and rows in
-    # edge-plan order, and each hyperedge (3 to 19 incidences) still adds the
-    # canonical-order products w_k M_k X_{u_k} one by one, as np.add.at does,
-    # so a misaligned permutation of blocks, weights or rows cannot hide in
-    # rounding.  Full blocks sum the tails and the heads of each hyperedge
-    # inside one product each and weight the two sums; they must agree with
-    # the same np.add.at sums within KERNEL_TOL_RELATIVE
+    # the edge half sums the tails and the heads of each hyperedge (3 to 19
+    # incidences) inside one product each and weights the two sums, for full
+    # and diagonal blocks alike; the result must agree with the canonical-order
+    # products w_k M_k X_{u_k} summed by np.add.at within KERNEL_TOL_RELATIVE
     rng = np.random.default_rng(1913 + f)
     n, d = 40, 3
     edges = []
@@ -395,14 +394,36 @@ def test_edge_half_sums_the_canonical_products_bit_for_bit(shape, f):
     X = rng.standard_normal((n, d, f)) + 1j * rng.standard_normal((n, d, f))
     if shape == "full":
         products = (M @ X[s.inc_node].view(float)).view(complex) * w[:, None, None]
-    else:  # the factor's arithmetic
+    else:
         products = (w[:, None] * M)[:, :, None] * X[s.inc_node]
     oracle = np.zeros((s.m, d, f), dtype=complex)
     np.add.at(oracle, s.inc_edge, products)
-    if shape == "full":
-        assert _relative_gap(Factor(s, w, M).apply(X), oracle) <= KERNEL_TOL_RELATIVE
-    else:
-        assert Factor(s, w, M).apply(X).tobytes() == oracle.tobytes()
+    assert _relative_gap(Factor(s, w, M).apply(X), oracle) <= KERNEL_TOL_RELATIVE
+
+
+def test_diagonal_factor_is_its_embedded_blocks_bit_for_bit():
+    # a diagonal M takes the full-block path as (I, d, d) blocks with zeros off
+    # the diagonal, so every product equals that of the embedded blocks, and
+    # the factor keeps M as passed
+    rng = np.random.default_rng(4242)
+    for d in range(1, 7):
+        for _ in range(20):
+            H, A = random_instance(rng, d_choices=(d,))
+            s = IncidenceStructure.build(H)
+            w, f = s.weights(A.config.q), int(rng.integers(1, 4))
+            M = rng.standard_normal((len(s.inc_node), d))
+            embedded = np.stack([np.diag(m) for m in M])
+            diagonal, full = Factor(s, w, M), Factor(s, w, embedded)
+            assert diagonal.M is M
+            X = rng.standard_normal((s.n, d, f)) + 1j * rng.standard_normal((s.n, d, f))
+            Y = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
+            for got, expected in [
+                (diagonal.apply(X), full.apply(X)),
+                (diagonal.adjoint(Y), full.adjoint(Y)),
+                (diagonal.gram(X), full.gram(X)),
+                (diagonal.blocks, full.blocks),
+            ]:
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def test_pair_weighting_is_the_per_incidence_weighting_bit_for_bit():
