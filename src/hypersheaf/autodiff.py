@@ -8,13 +8,14 @@ Wirtinger derivative), so a holomorphic op ``f`` passes ``g conj(f'(z))``
 back to its input.  A real tensor keeps the real part of what it is sent.
 
 Operations involving only constants are not recorded, which keeps graphs
-small when large parts of a computation are detached.
+small when large parts of a computation are detached, and a forward-only
+pass whose leaves take no gradient records nothing.  A vector-Jacobian
+product therefore runs only for a node with a parent that takes a gradient.
 
 A recorded node holds its tape and a closure over its parents, so a graph
 is a reference cycle until it is released.  A tape is swept once:
 ``backward`` releases each node as soon as its vector-Jacobian product has
-run, and ``release`` drops the graph of a pass that is never swept.  A
-released tape is then freed by reference counting, not by the cyclic
+run.  A swept tape is then freed by reference counting, not by the cyclic
 collector; it keeps its node values, and leaf tensors keep their ``.grad``.
 """
 
@@ -53,11 +54,11 @@ __all__ = [
 
 
 class Tape:
-    """Ordered record of differentiable operations, swept or released once."""
+    """Ordered record of differentiable operations, swept once."""
 
     def __init__(self):
         self.nodes: list[Tensor] = []
-        self.released = False
+        self.swept = False
 
     def tensor(self, value, requires_grad=False) -> "Tensor":
         return Tensor(self, value, requires_grad=requires_grad)
@@ -72,23 +73,14 @@ class Tape:
         """
         if loss.value.ndim != 0:
             raise ValueError("backward expects a scalar loss")
-        self._close()
+        if self.swept:
+            raise ValueError("this tape has already been swept; record a new one")
+        self.swept = True
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
             node.tape = node.grad = node._backward = None
-
-    def release(self) -> None:
-        """Drop the graph of a pass that is not swept, keeping the node values."""
-        self._close()
-        for node in self.nodes:
-            node.tape = node.grad = node._backward = None
-
-    def _close(self) -> None:
-        if self.released:
-            raise ValueError("this tape has already been swept or released; record a new one")
-        self.released = True
 
 
 class Tensor:
@@ -126,7 +118,8 @@ def record(tape: Tape, value: np.ndarray, parents: tuple[Tensor, ...], backward)
     """Record an operation whose vector-Jacobian product ``backward(g)`` supplies.
 
     ``backward`` accumulates into every parent that requires a gradient.
-    Nothing is recorded when no parent does.
+    Nothing is recorded when no parent does, so a single-parent ``backward``
+    accumulates unconditionally.
     """
     out = Tensor(tape, value, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -148,70 +141,57 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def add(a, b):
-    tape = (a if isinstance(a, Tensor) else b).tape
-    a, b = _as_tensor(tape, a), _as_tensor(tape, b)
-    value = a.value + b.value
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.value.shape))
-
-    return record(tape, value, (a, b), backward)
-
-
-def sub(a, b):
-    tape = (a if isinstance(a, Tensor) else b).tape
-    a, b = _as_tensor(tape, a), _as_tensor(tape, b)
-    value = a.value - b.value
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.value.shape))
-
-    return record(tape, value, (a, b), backward)
-
-
 def _conj(x: np.ndarray) -> np.ndarray:
     """Complex conjugate; a real array is returned as is, without a copy."""
     return np.conj(x) if x.dtype.kind == "c" else x
 
 
-def mul(a, b):
+def _binary(a, b, op, vjp_a, vjp_b):
+    """Record ``op(a, b)`` for broadcasting operands, either one a constant; ``vjp_a(g, x, y)`` and
+    ``vjp_b(g, x, y)`` give each operand's product at values ``x, y``, before unbroadcasting."""
     tape = (a if isinstance(a, Tensor) else b).tape
     a, b = _as_tensor(tape, a), _as_tensor(tape, b)
-    value = a.value * b.value
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g * _conj(b.value), a.value.shape))
+            a.accumulate(_unbroadcast(vjp_a(g, a.value, b.value), a.value.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(g * _conj(a.value), b.value.shape))
+            b.accumulate(_unbroadcast(vjp_b(g, a.value, b.value), b.value.shape))
 
-    return record(tape, value, (a, b), backward)
+    return record(tape, op(a.value, b.value), (a, b), backward)
+
+
+def add(a, b):
+    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+
+
+def sub(a, b):
+    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+
+
+def mul(a, b):
+    return _binary(a, b, np.multiply, lambda g, x, y: g * _conj(y), lambda g, x, y: g * _conj(x))
 
 
 def div(a, b):
-    tape = (a if isinstance(a, Tensor) else b).tape
-    a, b = _as_tensor(tape, a), _as_tensor(tape, b)
-    value = a.value / b.value
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g / _conj(b.value), a.value.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g * _conj(a.value) / (_conj(b.value) ** 2), b.value.shape))
-
-    return record(tape, value, (a, b), backward)
+    return _binary(
+        a, b, np.divide, lambda g, x, y: g / _conj(y), lambda g, x, y: -g * _conj(x) / (_conj(y) ** 2)
+    )
 
 
 def _float_view(x: np.ndarray) -> np.ndarray:
     """A complex array's last axis as interleaved (re, im) floats."""
     return np.ascontiguousarray(x).view(x.real.dtype)
+
+
+def _real_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re(a b^H)`` over the last two axes of complex ``a``, as one real product of the float
+    views; a real ``b`` pairs with ``Re(a)`` instead."""
+    if b.dtype.kind == "c":
+        a, b = _float_view(a), _float_view(b)
+    else:
+        a = a.real
+    return a @ np.swapaxes(b, -1, -2)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,8 +223,8 @@ def matmul(a, b):
                     # bits; an (n, d, f) signal stack would be slower and round differently
                     bh = np.ascontiguousarray(bh)
                 ga = _product(g, bh)
-            else:  # a real target takes Re(g b^H): one real product of the float views
-                ga = _float_view(g) @ np.swapaxes(_float_view(b.value), -1, -2)
+            else:  # a real target takes Re(g b^H)
+                ga = _real_outer(g, b.value)
             a.accumulate(_unbroadcast(ga, a.value.shape))
         if b.requires_grad:
             if b.value.dtype.kind == "c" or a.value.dtype.kind != "c" or b.value.ndim != 2:
@@ -259,17 +239,12 @@ def matmul(a, b):
 
 
 def real(a: Tensor):
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g)
-
-    return record(a.tape, np.real(a.value), (a,), backward)
+    return record(a.tape, np.real(a.value), (a,), a.accumulate)
 
 
 def imag(a: Tensor):
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(1j * g)
+        a.accumulate(1j * g)
 
     return record(a.tape, np.imag(a.value), (a,), backward)
 
@@ -280,8 +255,7 @@ def transpose(a: Tensor, axes: tuple[int, ...]):
     inverse = np.argsort(axes)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.transpose(g, inverse))
+        a.accumulate(np.transpose(g, inverse))
 
     return record(a.tape, np.ascontiguousarray(np.transpose(a.value, axes)), (a,), backward)
 
@@ -290,8 +264,7 @@ def reshape(a: Tensor, shape):
     old = a.value.shape
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.reshape(old))
+        a.accumulate(g.reshape(old))
 
     return record(a.tape, a.value.reshape(shape), (a,), backward)
 
@@ -318,8 +291,7 @@ def gather(a: Tensor, plan: "SegmentPlan"):
     """Rows ``a[plan.seg_ids]``; the backward sums duplicates with ``plan.apply``."""
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(plan.apply(g))
+        a.accumulate(plan.apply(g))
 
     return record(a.tape, a.value.take(plan.seg_ids, axis=0), (a,), backward)
 
@@ -404,21 +376,15 @@ class SegmentPlan:
 
 def segment_sum(a: Tensor, plan: SegmentPlan):
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.take(plan.seg_ids, axis=0))
+        a.accumulate(g.take(plan.seg_ids, axis=0))
 
     return record(a.tape, plan.apply(a.value), (a,), backward)
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims=False):
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a.accumulate(np.broadcast_to(g, a.value.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a.accumulate(np.broadcast_to(gg, a.value.shape).copy())
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        a.accumulate(np.broadcast_to(gg, a.value.shape).copy())
 
     return record(a.tape, a.value.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -427,8 +393,7 @@ def sigmoid(a: Tensor):
     value = 1.0 / (1.0 + np.exp(-a.value))
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * value * (1.0 - value))
+        a.accumulate(g * value * (1.0 - value))
 
     return record(a.tape, value, (a,), backward)
 
@@ -437,8 +402,7 @@ def tanh(a: Tensor):
     value = np.tanh(a.value)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.0 - value**2))
+        a.accumulate(g * (1.0 - value**2))
 
     return record(a.tape, value, (a,), backward)
 
@@ -447,8 +411,7 @@ def relu(a: Tensor):
     mask = a.value > 0
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * mask)
+        a.accumulate(g * mask)
 
     return record(a.tape, a.value * mask, (a,), backward)
 
@@ -457,8 +420,7 @@ def sqrt(a: Tensor):
     value = np.sqrt(a.value)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * 0.5 / value)
+        a.accumulate(g * 0.5 / value)
 
     return record(a.tape, value, (a,), backward)
 
@@ -482,10 +444,9 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray):
     value = np.array(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
     def backward(g):
-        if logits.requires_grad:
-            grad = probs.copy()
-            grad[np.arange(len(labels)), labels] -= 1.0
-            grad *= mask[:, None] / count
-            logits.accumulate(g * grad)
+        grad = probs.copy()
+        grad[np.arange(len(labels)), labels] -= 1.0
+        grad *= mask[:, None] / count
+        logits.accumulate(g * grad)
 
     return record(logits.tape, value, (logits,), backward)

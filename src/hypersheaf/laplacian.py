@@ -16,9 +16,9 @@ The operator is stored as its real blocks ``M`` alone; the scalar weights
 ``w`` come from :meth:`IncidenceStructure.weights`.  :class:`IncidenceStructure`
 fixes the canonical incidence order, built once per hypergraph object, and
 :class:`Factor` is the one vectorised ``Z^dagger Z`` kernel, prepared once
-per operator: the blocks (diagonal ones embedded as full ones) run as one
-real product per run of equal-length segments on the float view of the
-signal, each segment's blocks side by side, and ``w`` is applied per
+per operator: the ``(I, d, d)`` blocks run as one real product per run of
+equal-length segments on the float view of the signal, each segment's
+blocks side by side, and ``w`` is applied per
 (hyperedge, role), never per incidence.  The complex ``Z`` is formed only
 by :attr:`Factor.blocks`, for the dense export :meth:`LaplacianBundle.dense`
 and the block-sparse ``LaplacianBundle.L``; both sum ``conj(Z_k)^T Z_l``
@@ -137,9 +137,8 @@ class Factor:
     """The factor ``Z``, ``Z_k = w_k M_k``, prepared once for repeated products.
 
     ``w`` (the ``(I,)`` weight of :meth:`IncidenceStructure.weights`) and
-    ``M`` are kept in canonical order, ``M`` as the caller passed it.  A
-    diagonal ``M`` ``(I, d)`` is embedded once as ``(I, d, d)`` blocks with
-    zeros off the diagonal, so every factor takes the same path.  No
+    the real blocks ``M`` ``(I, d, d)`` are kept in canonical order, ``M`` as
+    the caller passed it; any other shape of ``M`` raises ``ValueError``.  No
     per-incidence product is formed: a segment's ``L`` blocks lie side by
     side as one real ``d x (L d)`` matrix (``M_k`` on the edge half,
     ``M_k^T`` on the node half), and one ``np.matmul`` per run of
@@ -151,16 +150,13 @@ class Factor:
     """
 
     def __init__(self, structure: IncidenceStructure, w: np.ndarray, M: np.ndarray):
+        num_inc = len(structure.inc_node)
+        if M.shape != (num_inc,) + M.shape[-1:] * 2:
+            raise ValueError(f"factor blocks M must have shape ({num_inc}, d, d), got {M.shape}")
         self.structure, self.w, self.M = structure, w, M
-        blocks = M
-        if M.ndim == 2:  # a diagonal M, embedded once with zeros off the diagonal
-            d = M.shape[1]
-            blocks = np.zeros((len(M), d, d), dtype=M.dtype)
-            blocks[:, range(d), range(d)] = M
-        self._blocks = blocks
         # each segment's M_k^T (edge half) or M_k (node half) stacked, then viewed side by side
-        self._edge = _run_views(np.swapaxes(blocks, 1, 2).take(structure.pair_plan.major, axis=0), structure.pair_plan)
-        self._node = _run_views(blocks.take(structure.node_plan.major, axis=0), structure.node_plan)
+        self._edge = _run_views(np.swapaxes(M, 1, 2).take(structure.pair_plan.major, axis=0), structure.pair_plan)
+        self._node = _run_views(M.take(structure.node_plan.major, axis=0), structure.node_plan)
 
     @functools.cached_property
     def _pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +189,8 @@ class Factor:
 
     @property
     def blocks(self) -> np.ndarray:
-        """The complex blocks ``Z_k`` ``(I, d, d)``; diagonal ``M`` is expanded."""
-        return self.w[:, None, None] * self._blocks
+        """The complex blocks ``Z_k = w_k M_k`` ``(I, d, d)``."""
+        return self.w[:, None, None] * self.M
 
 
 def _run_views(stacked: np.ndarray, plan: SegmentPlan) -> tuple:

@@ -22,13 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .hypergraph import DirectedHypergraph, _check_integer_fields
-from .laplacian import (
-    DEGREE_EPS,
-    Factor,
-    IncidenceStructure,
-    _spd_inverse_sqrt,
-    incidence_maps,
-)
+from .laplacian import DEGREE_EPS, Factor, IncidenceStructure, _spd_inverse_sqrt, build_laplacian
 from .sheaf import SheafAssignment, SheafConfig
 from .spectral import lanczos_lambda_max
 
@@ -234,11 +228,24 @@ def _inverse_sqrt(D: Tensor) -> Tensor:
     return ad.record(D.tape, root, (D,), lambda G: D.accumulate(_root_derivative(w, V, G)))
 
 
+def _diagonal_blocks(diagonals: Tensor) -> Tensor:
+    """``(I, d)`` diagonals as ``(I, d, d)`` blocks with zeros off the diagonal, as one tape node;
+    the backward reads the diagonal of the output gradient."""
+    d = diagonals.shape[-1]
+    blocks = np.zeros(diagonals.shape + (d,))
+    blocks[:, range(d), range(d)] = diagonals.value
+    return ad.record(
+        diagonals.tape, blocks, (diagonals,), lambda g: diagonals.accumulate(np.diagonal(g, axis1=1, axis2=2))
+    )
+
+
 def _operator_blocks(maps: Tensor, structure: IncidenceStructure, config: ModelConfig) -> Tensor:
-    """Real normalized factor blocks ``M_k = F_k D_{u_k}^{-1/2}``, so ``Z_k = w_k M_k``.
+    """Real normalized factor blocks ``M_k = F_k D_{u_k}^{-1/2}`` ``(I, d, d)``, so ``Z_k = w_k M_k``.
 
     The complex weight ``w_k = S_k delta_e^{-1/2}`` is a constant that
-    :func:`_apply_signless` applies.  Full degree blocks take their roots
+    :func:`_apply_signless` applies.  Diagonal maps ``(I, d)`` take their
+    degree roots elementwise, the full branch's roots to the bit, and are
+    embedded by :func:`_diagonal_blocks`; full degree blocks take their roots
     ``D_u^{-1/2}`` from one :func:`_inverse_sqrt` node.
     """
     d = config.stalk_dim
@@ -246,25 +253,12 @@ def _operator_blocks(maps: Tensor, structure: IncidenceStructure, config: ModelC
         gram = ad.mul(maps, maps)
         D = ad.segment_sum(gram, structure.node_plan)
         dinv = ad.div(1.0, ad.sqrt(ad.add(D, DEGREE_EPS)))
-        return ad.mul(maps, ad.gather(dinv, structure.node_plan))
+        return _diagonal_blocks(ad.mul(maps, ad.gather(dinv, structure.node_plan)))
     gram = ad.matmul(ad.transpose(maps, (0, 2, 1)), maps)
     D = ad.segment_sum(gram, structure.node_plan)
     D = ad.add(D, DEGREE_EPS * np.eye(d)[None, :, :])
     dinv = _inverse_sqrt(D)
     return ad.matmul(maps, ad.gather(dinv, structure.node_plan))
-
-
-def _real_outer(a: np.ndarray, b: np.ndarray, diagonal: bool) -> np.ndarray:
-    """Per-incidence ``Re(a b^H)`` of ``(I, d, f)`` arrays, as real products of float views.
-
-    Returns ``(I, d, d)``, or its diagonal ``(I, d)`` when ``diagonal``.  A real
-    ``b`` pairs with ``Re(a)`` instead of the float view of ``a``.
-    """
-    if b.dtype.kind == "c":
-        a, b = ad._float_view(a), ad._float_view(b)
-    else:
-        a = a.real
-    return (a * b).sum(axis=-1) if diagonal else a @ np.swapaxes(b, 1, 2)
 
 
 def _apply_signless(M: Tensor, X: Tensor, factor: Factor) -> Tensor:
@@ -274,7 +268,8 @@ def _apply_signless(M: Tensor, X: Tensor, factor: Factor) -> Tensor:
     ``Q_N`` is Hermitian, so the signal's gradient is ``Q_N G`` for the
     output gradient ``G``.  The real blocks' gradient is
     ``Re(conj(w_k) (U_e G_u^H + V_e X_u^H))`` with the edge halves ``U = Z X``
-    (kept from the forward) and ``V = Z G``, two real batched products;
+    (kept from the forward) and ``V = Z G``, two real batched products
+    (:func:`.autodiff._real_outer`);
     ``conj(w_k) U_e`` is weighted per (hyperedge, role), then gathered.
     """
     x = X.value
@@ -285,10 +280,10 @@ def _apply_signless(M: Tensor, X: Tensor, factor: Factor) -> Tensor:
         if X.requires_grad:
             X.accumulate(factor.adjoint(V))
         if M.requires_grad:
-            s, diagonal = factor.structure, M.value.ndim == 2
+            s = factor.structure
             pair, u = s.pair_plan.seg_ids, s.inc_node
             cu, cv = (factor._conj_weighted(E).take(pair, axis=0) for E in (U, V))
-            M.accumulate(_real_outer(cu, G.take(u, axis=0), diagonal) + _real_outer(cv, x.take(u, axis=0), diagonal))
+            M.accumulate(ad._real_outer(cu, G.take(u, axis=0)) + ad._real_outer(cv, x.take(u, axis=0)))
 
     return ad.record(X.tape, factor.adjoint(U), (M, X), backward)
 
@@ -351,19 +346,20 @@ def _forward_tape(
     structure: IncidenceStructure,
     state: ModelState,
     config: ModelConfig,
+    trainable: set[str],
     *,
     dropout_rng: np.random.Generator | None = None,
     factors: list[Factor] | None = None,
 ) -> tuple[Tensor, list[Factor], dict[str, Tensor]]:
     """The logits, the :class:`Factor` that each layer applied and the parameter tensors.
 
+    Only the parameters named in ``trainable`` take gradients, so a pass with none records nothing.
     A static sheaf predicts its maps at layer 0 and applies that one factor in every layer; a dynamic
     sheaf predicts a factor per layer.  ``factors`` pins them instead: layer ``l`` applies ``factors[l]``
     as a constant, so no map is predicted or differentiated.  Sheaf dropout is drawn from ``dropout_rng``
     exactly when one is passed and the rate is positive.
     """
     n, d, f = structure.n, config.stalk_dim, config.hidden_width
-    trainable = _trainable_names(state, config)
     P = {
         name: tape.tensor(value, requires_grad=name in trainable)
         for name, value in state.params.items()
@@ -414,11 +410,9 @@ def forward(
 def _evaluate(
     features: np.ndarray, structure: IncidenceStructure, state: ModelState, config: ModelConfig
 ) -> tuple[np.ndarray, list[Factor]]:
-    """The logits and the :class:`Factor` of each layer from a forward pass that keeps no graph:
-    its tape is released, so nothing waits for the cyclic collector."""
-    tape = Tape()
-    logits, factors, _ = _forward_tape(tape, features, structure, state, config)
-    tape.release()
+    """The logits and the :class:`Factor` of each layer from a forward pass that records no graph,
+    so nothing waits for the cyclic collector."""
+    logits, factors, _ = _forward_tape(Tape(), features, structure, state, config, set())
     return logits.value, factors
 
 
@@ -437,7 +431,8 @@ def diffusion_layer(
 ) -> np.ndarray:
     """One diffusion step on a complex signal of shape (n*d, f).
 
-    Computes ``Q_N (I (x) W1) X W2`` with the maps taken from ``sheaf``,
+    Computes ``Q_N (I (x) W1) X W2`` with ``Q_N`` the factor of
+    ``build_laplacian(H, sheaf, normalized=True, jitter=DEGREE_EPS)``,
     optionally adds the residual, normalizes (when ``gamma``/``beta`` are
     given) and applies the complex rectifier.  With identity weights and
     everything optional disabled this is exactly ``(I - L_N) X``.
@@ -452,18 +447,13 @@ def diffusion_layer(
         num_layers=1,
         stalk_dim=d,
         hidden_width=f,
-        q=sheaf.config.q,
-        map_shape="diagonal" if sheaf.config.map_shape == "diagonal" else "full",
         residual=residual,
         left_projection=left_projection,
         use_layer_norm=gamma is not None,
     )
-    F = incidence_maps(structure, sheaf)
-    if config.map_shape == "diagonal":
-        F = np.diagonal(F, axis1=1, axis2=2).copy()
+    bundle = build_laplacian(H, sheaf, normalized=True, jitter=DEGREE_EPS)
     tape = Tape()
-    M = _operator_blocks(tape.tensor(F), structure, config)
-    factor = Factor(structure, structure.weights(config.q), M.value)
+    M, factor = tape.tensor(bundle.M), bundle.factor
     W1, W2, gamma, beta = (None if v is None else tape.tensor(v) for v in (W1, W2, gamma, beta))
     X = tape.tensor(X.reshape(n, d, f))
     Y = _diffuse(X, M, factor, W1, W2, gamma, beta, config).value
@@ -490,13 +480,12 @@ def predict_sheaf(
         raise ValueError(f"signal must have shape {(n * d, f)}, got {X.shape}")
     tape = Tape()
     phi = {k: tape.tensor(v) for k, v in phi_params.items()}
-    maps = _predict_maps(tape.tensor(X.reshape(n, d, f)), structure, phi, config).value
+    maps = _predict_maps(tape.tensor(X.reshape(n, d, f)), structure, phi, config)
     if config.map_shape == "diagonal":
-        diagonal, maps = maps, np.zeros((len(maps), d, d))
-        maps[:, np.arange(d), np.arange(d)] = diagonal
+        maps = _diagonal_blocks(maps)
     return SheafAssignment.from_arrays(
         SheafConfig(q=config.q, d=d, map_shape=config.map_shape),
-        structure.inc_node, structure.inc_edge, structure.inc_is_tail, maps,
+        structure.inc_node, structure.inc_edge, structure.inc_is_tail, maps.value,
     )
 
 
@@ -529,7 +518,8 @@ def loss_and_gradients(
         raise ValueError("empty training mask")
     tape = Tape()
     logits, applied, P = _forward_tape(
-        tape, features, structure, state, config, dropout_rng=dropout_rng, factors=factors
+        tape, features, structure, state, config, _trainable_names(state, config),
+        dropout_rng=dropout_rng, factors=factors,
     )
     loss = ad.softmax_cross_entropy(logits, labels, mask)
     tape.backward(loss)

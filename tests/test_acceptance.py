@@ -146,7 +146,7 @@ def _gradcheck_instance(seed: int, config: ModelConfig) -> None:
 
     factors = None
     if config.light_mode:
-        _, factors, _ = _forward_tape(Tape(), ds.features, structure, state, config)
+        _, factors, _ = _forward_tape(Tape(), ds.features, structure, state, config, set())
 
     def build_loss(params):
         state.params.update(params)

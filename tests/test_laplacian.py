@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersheaf import laplacian
+from hypersheaf.autodiff import Tape
 from hypersheaf.blockmatrix import DENSE_EXPORT_CAP, BlockComplexMatrix
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge, _incidence_arrays
 from hypersheaf.laplacian import (
@@ -25,6 +27,7 @@ from hypersheaf.laplacian import (
     format_dense_matrix,
     parse_dense_matrix,
 )
+from hypersheaf.model import _diagonal_blocks
 from hypersheaf.sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf, directional_coefficient
 from hypersheaf.spectral import random_instance
 from hypersheaf.theorems import counterexample_hypergraph
@@ -302,8 +305,8 @@ KERNEL_TOL_RELATIVE = 2e-15
 @pytest.mark.parametrize("d, shape, q, signal, graph, f", _kernel_cases())
 def test_kernel_matches_dense_factor_products(d, shape, q, signal, graph, f):
     # the prepared factor runs one real product per run of equal-length
-    # segments, diagonal blocks embedded as full ones; the oracle is the dense
-    # Z placed block by block from w_k M_k
+    # segments, diagonal blocks as full ones with zeros off the diagonal; the
+    # oracle is the dense Z placed block by block from w_k M_k
     seed = 100 * d + int(100 * q) + (shape == "full") + {"random": 0, "undirected": 7, "isolated": 11}[graph]
     rng = np.random.default_rng(seed + 1000 * (f == 1))
     directed = 0.0 if graph == "undirected" else 0.6  # 0.6 is random_instance's default
@@ -318,9 +321,11 @@ def test_kernel_matches_dense_factor_products(d, shape, q, signal, graph, f):
     num_inc = len(structure.inc_node)
     w = structure.weights(q)
     M = rng.standard_normal((num_inc, d) if shape == "diagonal" else (num_inc, d, d))
+    if shape == "diagonal":
+        M = np.stack([np.diag(m) for m in M])
     Z = np.zeros((structure.m * d, structure.n * d), dtype=complex)
     for k, (u, e) in enumerate(zip(structure.inc_node, structure.inc_edge)):
-        Z[e * d:(e + 1) * d, u * d:(u + 1) * d] = w[k] * (np.diag(M[k]) if shape == "diagonal" else M[k])
+        Z[e * d:(e + 1) * d, u * d:(u + 1) * d] = w[k] * M[k]
     factor = Factor(structure, w, M)
     X = rng.standard_normal((structure.n, d, f))
     Y = rng.standard_normal((structure.m, d, f))
@@ -367,7 +372,7 @@ def test_node_order_gathers_sum_the_same_rows_bit_for_bit():
         diagonal = np.ascontiguousarray(np.diagonal(M, axis1=1, axis2=2))
         for blocks, products in [  # per incidence, edge order
             (M, (np.swapaxes(M, 1, 2) @ rows.view(float)).view(complex) * cw),
-            (diagonal, (np.conj(w[:, None] * diagonal))[:, :, None] * rows),
+            (np.stack([np.diag(m) for m in diagonal]), (np.conj(w[:, None] * diagonal))[:, :, None] * rows),
         ]:
             oracle = np.zeros((s.n, d, f), dtype=complex)
             np.add.at(oracle, s.inc_node, products)
@@ -396,25 +401,27 @@ def test_edge_half_sums_the_canonical_products_bit_for_bit(shape, f):
         products = (M @ X[s.inc_node].view(float)).view(complex) * w[:, None, None]
     else:
         products = (w[:, None] * M)[:, :, None] * X[s.inc_node]
+        M = np.stack([np.diag(m) for m in M])
     oracle = np.zeros((s.m, d, f), dtype=complex)
     np.add.at(oracle, s.inc_edge, products)
     assert _relative_gap(Factor(s, w, M).apply(X), oracle) <= KERNEL_TOL_RELATIVE
 
 
 def test_diagonal_factor_is_its_embedded_blocks_bit_for_bit():
-    # a diagonal M takes the full-block path as (I, d, d) blocks with zeros off
-    # the diagonal, so every product equals that of the embedded blocks, and
-    # the factor keeps M as passed
+    # the model embeds diagonal maps as (I, d, d) blocks with zeros off the
+    # diagonal, so every product equals that of the np.diag blocks, and the
+    # factor keeps M as passed
     rng = np.random.default_rng(4242)
     for d in range(1, 7):
         for _ in range(20):
             H, A = random_instance(rng, d_choices=(d,))
             s = IncidenceStructure.build(H)
             w, f = s.weights(A.config.q), int(rng.integers(1, 4))
-            M = rng.standard_normal((len(s.inc_node), d))
-            embedded = np.stack([np.diag(m) for m in M])
+            diagonals = rng.standard_normal((len(s.inc_node), d))
+            M = _diagonal_blocks(Tape().tensor(diagonals)).value
+            embedded = np.stack([np.diag(m) for m in diagonals])
             diagonal, full = Factor(s, w, M), Factor(s, w, embedded)
-            assert diagonal.M is M
+            assert diagonal.M is M and M.tobytes() == embedded.tobytes()
             X = rng.standard_normal((s.n, d, f)) + 1j * rng.standard_normal((s.n, d, f))
             Y = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
             for got, expected in [
@@ -426,6 +433,16 @@ def test_diagonal_factor_is_its_embedded_blocks_bit_for_bit():
                 assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("shape", ["I,d", "I-1,d,d", "I,d,d+1"])
+def test_factor_rejects_blocks_that_are_not_one_square_block_per_incidence(shape):
+    H, A = random_instance(np.random.default_rng(31), d_choices=(3,))
+    s = IncidenceStructure.build(H)
+    num_inc, d = len(s.inc_node), 3
+    M = np.ones({"I,d": (num_inc, d), "I-1,d,d": (num_inc - 1, d, d), "I,d,d+1": (num_inc, d, d + 1)}[shape])
+    with pytest.raises(ValueError, match=rf"shape \({num_inc}, d, d\), got {re.escape(str(M.shape))}"):
+        Factor(s, s.weights(A.config.q), M)
+
+
 def test_pair_weighting_is_the_per_incidence_weighting_bit_for_bit():
     # the full-map gradient weights U per (hyperedge, role) and gathers it: every
     # incidence of a pair has the same w_k, so the rows equal conj(w_k) U_{e_k}
@@ -435,7 +452,7 @@ def test_pair_weighting_is_the_per_incidence_weighting_bit_for_bit():
         s = IncidenceStructure.build(H)
         w, d, f = s.weights(A.config.q), A.config.d, int(rng.integers(1, 4))
         U = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
-        for M in (A.maps, np.ascontiguousarray(np.diagonal(A.maps, axis1=1, axis2=2))):
+        for M in (A.maps, np.stack([np.diag(np.diagonal(F)) for F in A.maps])):
             rows = Factor(s, w, M)._conj_weighted(U)[s.pair_plan.seg_ids]
             assert rows.tobytes() == (np.conj(w)[:, None, None] * U[s.inc_edge]).tobytes()
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -43,11 +44,10 @@ from gradcheck import finite_difference_check
 
 def dense_signless(structure, config, M):
     """Oracle for one layer's ``Q_N = Z^dagger Z``: the dense ``Z`` placed block by block,
-    ``w_k M_k`` at ``(e, u)``, from the real blocks ``M`` (``(I, d)`` when diagonal)."""
+    ``w_k M_k`` at ``(e, u)``, from the real blocks ``M`` ``(I, d, d)``."""
     d = config.stalk_dim
-    blocks = M[:, :, None] * np.eye(d) if M.ndim == 2 else M
     Z = np.zeros((structure.m, d, structure.n, d), dtype=complex)
-    Z[structure.inc_edge, :, structure.inc_node, :] = structure.weights(config.q)[:, None, None] * blocks
+    Z[structure.inc_edge, :, structure.inc_node, :] = structure.weights(config.q)[:, None, None] * M
     Z = Z.reshape(structure.m * d, structure.n * d)
     return Z.conj().T @ Z
 
@@ -351,6 +351,23 @@ def test_inverse_sqrt_node_gradient_matches_finite_differences(d):
     )
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_diagonal_operator_blocks_are_the_full_branch_on_embedded_maps(d):
+    # the elementwise degree root of diagonal maps is a fast path: on the
+    # np.diag-embedded maps the full branch's eigh root gives the same bits,
+    # also at a vertex whose maps are all zero, as sheaf dropout leaves them
+    rng = np.random.default_rng(70 + d)
+    for seed in range(7):
+        structure = IncidenceStructure.build(small_dataset(seed=seed, n=12).hypergraph)
+        maps = rng.standard_normal((len(structure.inc_node), d))
+        maps[rng.random(len(maps)) < 0.3] = 0.0
+        blocks = {}
+        for shape, value in (("diagonal", maps), ("full", np.stack([np.diag(m) for m in maps]))):
+            config = ModelConfig(num_layers=1, stalk_dim=d, hidden_width=2, map_shape=shape)
+            blocks[shape] = _operator_blocks(Tape().tensor(value), structure, config).value
+        assert blocks["diagonal"].tobytes() == blocks["full"].tobytes()
+
+
 def test_full_operator_blocks_record_few_tape_nodes():
     # the 45-step Newton-Schulz iteration this replaced recorded about 230
     structure, config, maps, _ = signless_node_case("full")
@@ -369,7 +386,8 @@ def training_step_tape(full):
     state = init_state(config, ds.features.shape[1], 2)
     tape = Tape()
     logits, _, _ = _forward_tape(
-        tape, ds.features, structure, state, config, dropout_rng=np.random.default_rng(0)
+        tape, ds.features, structure, state, config, model._trainable_names(state, config),
+        dropout_rng=np.random.default_rng(0),
     )
     ad.softmax_cross_entropy(logits, ds.labels, ds.masks[0])
     return tape
@@ -466,13 +484,13 @@ def test_forward_returns_the_factor_of_each_layer(case):
     structure = IncidenceStructure.build(ds.hypergraph)
     state = init_state(config, ds.features.shape[1], 2)
     logits, factors, _ = _forward_tape(
-        Tape(), ds.features, structure, state, config, dropout_rng=np.random.default_rng(0)
+        Tape(), ds.features, structure, state, config, set(), dropout_rng=np.random.default_rng(0)
     )
     # a static sheaf applies one operator in every layer, a dynamic one its own per layer
     distinct = len({id(factor) for factor in factors})
     assert len(factors) == 3 and distinct == (3 if config.dynamic_sheaf else 1)
     # pinned, the same operators give the same logits bit for bit
-    pinned, again, _ = _forward_tape(Tape(), ds.features, structure, state, config, factors=factors)
+    pinned, again, _ = _forward_tape(Tape(), ds.features, structure, state, config, set(), factors=factors)
     assert pinned.value.tobytes() == logits.value.tobytes()
     assert again == factors
 
@@ -565,7 +583,7 @@ def test_light_mode_gradcheck_with_frozen_operator():
     noise = np.random.default_rng(117)
     for value in state.params.values():
         value += 0.01 * noise.standard_normal(value.shape)
-    _, factors, _ = _forward_tape(Tape(), ds.features, structure, state, config)
+    _, factors, _ = _forward_tape(Tape(), ds.features, structure, state, config, set())
 
     def build_loss(params):
         state.params.update(params)
@@ -762,7 +780,7 @@ def test_lambda_max_matches_eigvalsh(n, seed, shape):
     config = ModelConfig(num_layers=1, stalk_dim=2, hidden_width=4, seed=seed, map_shape=shape)
     structure = IncidenceStructure.build(ds.hypergraph)
     state = init_state(config, ds.features.shape[1], 3)
-    _, (factor,), _ = _forward_tape(Tape(), ds.features, structure, state, config)
+    _, (factor,), _ = _forward_tape(Tape(), ds.features, structure, state, config, set())
     Q = dense_signless(structure, config, factor.M)
     x = np.random.default_rng(0).standard_normal((structure.n, 2, 3)) + 0j
     np.testing.assert_allclose(factor.gram(x).reshape(-1, 3), Q @ x.reshape(-1, 3), rtol=0, atol=1e-12)
@@ -834,6 +852,36 @@ GARBAGE_TRAIN_CASES = {
     ),
     "light-probe": ({}, {"eigencheck_every": 1}),
 }
+
+
+@pytest.mark.parametrize("case", ["light", "full-dynamic"])
+def test_evaluate_records_nothing_and_is_freed_by_reference_counting(monkeypatch, case):
+    # the forward-only pass takes no gradient, so its tape stays empty and no
+    # graph waits for the cyclic collector; its logits are the training pass's
+    ds = small_dataset(seed=44)
+    structure = IncidenceStructure.build(ds.hypergraph)
+    config = synthetic_benchmark_config(seed=44)[0]
+    if case == "full-dynamic":
+        config = dataclasses.replace(config, light_mode=False, map_shape="full", dynamic_sheaf=True)
+    state = init_state(config, ds.features.shape[1], 2)
+    tapes = []
+
+    class WatchedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append((weakref.ref(self), self.nodes))
+
+    monkeypatch.setattr(model, "Tape", WatchedTape)
+    gc.collect()
+    gc.disable()
+    try:
+        logits = model._evaluate(ds.features, structure, state, config)[0]
+        [(tape, nodes)] = tapes
+        assert nodes == [] and tape() is None
+    finally:
+        gc.enable()
+    trained = loss_and_gradients(ds.features, structure, ds.labels, ds.masks[0], state, config)[2]
+    assert logits.tobytes() == trained.tobytes()
 
 
 @pytest.mark.parametrize("case", list(GARBAGE_TRAIN_CASES))
@@ -922,34 +970,45 @@ LIGHT_RECORD = {
 }
 
 
-@pytest.mark.regression
-@pytest.mark.parametrize("seed", sorted(LIGHT_RECORD))
-def test_light_training_matches_record(seed):
+# the same fields for the reference config with light mode off and diagonal
+# maps, the one training path that differentiates diagonal operator blocks
+DIAGONAL_RECORD = {
+    1: (0.2598913616360551, 0.916, 0.896, 0.896, 11, 11.198111331550479),
+    2: (0.21144974052513985, 0.944, 0.848, 0.896, 20, 13.395210299270298),
+    3: (0.23206363246850867, 0.9, 0.896, 0.896, 20, 13.644202817470754),
+}
+
+
+def check_training_record(record, seed, **fields):
+    """Train the reference config with ``fields`` replaced for 20 epochs at n = 500 and compare
+    the final loss, accuracies, best epoch and parameter norm with ``record[seed]``."""
     ds = generate_synthetic(SyntheticConfig(n=500, classes=5, intra_per_class=30, inter_per_pair=10, seed=seed))
     config, budget = synthetic_benchmark_config(seed=seed)
-    result = train(ds, config, dataclasses.replace(budget, max_epochs=20, patience=20))
-    loss, train_acc, val_acc, test_acc, best_epoch, norm = LIGHT_RECORD[seed]
+    result = train(ds, dataclasses.replace(config, **fields), dataclasses.replace(budget, max_epochs=20, patience=20))
+    loss, train_acc, val_acc, test_acc, best_epoch, norm = record[seed]
     last = result.history[-1]
     assert last["train_loss"] == pytest.approx(loss, rel=1e-7, abs=0)
     assert (last["train_acc"], last["val_acc"]) == (train_acc, val_acc)
     assert (result.test_acc, result.best_epoch) == (test_acc, best_epoch)
     params = np.concatenate([v.ravel() for v in result.state.params.values()])
     assert np.linalg.norm(params) == pytest.approx(norm, rel=1e-7, abs=0)
+
+
+@pytest.mark.regression
+@pytest.mark.parametrize("seed", sorted(LIGHT_RECORD))
+def test_light_training_matches_record(seed):
+    check_training_record(LIGHT_RECORD, seed)
 
 
 @pytest.mark.regression
 @pytest.mark.parametrize("seed", sorted(FULL_MAP_RECORD))
 def test_full_map_training_matches_record(seed):
     # the train-full benchmark config (reference config, full maps, light mode
-    # off) for 20 epochs at n = 500; about 1 s per seed
-    ds = generate_synthetic(SyntheticConfig(n=500, classes=5, intra_per_class=30, inter_per_pair=10, seed=seed))
-    config, budget = synthetic_benchmark_config(seed=seed)
-    config = dataclasses.replace(config, light_mode=False, map_shape="full")
-    result = train(ds, config, dataclasses.replace(budget, max_epochs=20, patience=20))
-    loss, train_acc, val_acc, test_acc, best_epoch, norm = FULL_MAP_RECORD[seed]
-    last = result.history[-1]
-    assert last["train_loss"] == pytest.approx(loss, rel=1e-7, abs=0)
-    assert (last["train_acc"], last["val_acc"]) == (train_acc, val_acc)
-    assert (result.test_acc, result.best_epoch) == (test_acc, best_epoch)
-    params = np.concatenate([v.ravel() for v in result.state.params.values()])
-    assert np.linalg.norm(params) == pytest.approx(norm, rel=1e-7, abs=0)
+    # off); about 1 s per seed
+    check_training_record(FULL_MAP_RECORD, seed, light_mode=False, map_shape="full")
+
+
+@pytest.mark.regression
+@pytest.mark.parametrize("seed", sorted(DIAGONAL_RECORD))
+def test_diagonal_map_training_matches_record(seed):
+    check_training_record(DIAGONAL_RECORD, seed, light_mode=False)
