@@ -184,26 +184,16 @@ def _float_view(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).view(x.real.dtype)
 
 
-def _real_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``Re(a b^H)`` over the last two axes of complex ``a``, as one real product of the float
-    views; a real ``b`` pairs with ``Re(a)`` instead."""
-    if b.dtype.kind == "c":
-        a, b = _float_view(a), _float_view(b)
-    else:
-        a = a.real
-    return a @ np.swapaxes(b, -1, -2)
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``, with a real operand kept on a real BLAS path.
 
     A real matrix acting from the left is applied to the other operand's
-    interleaved (re, im) float view.  A complex stack times a real matrix is
-    one 2-D product, not one product per batch entry.
+    interleaved (re, im) float view.  A real or complex stack times a real
+    matrix is one 2-D product, not one product per batch entry.
     """
     if a.dtype.kind != "c" and b.dtype.kind == "c" and b.ndim >= 2:
         return (a @ _float_view(b)).view(complex)
-    if a.dtype.kind == "c" and b.dtype.kind != "c" and b.ndim == 2:
+    if b.dtype.kind != "c" and b.ndim == 2 and a.ndim > 2:
         return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
     return a @ b
 
@@ -215,6 +205,7 @@ def matmul(a, b):
     value = _product(a.value, b.value)
 
     def backward(g):
+        # a real target keeps the real part of its gradient, so it takes Re(g) before its product
         if a.requires_grad:
             if a.value.dtype.kind == "c" or b.value.dtype.kind != "c":
                 bh = np.swapaxes(_conj(b.value), -1, -2)
@@ -222,17 +213,20 @@ def matmul(a, b):
                     # stacked d x d blocks multiply faster from a contiguous copy, to the same
                     # bits; an (n, d, f) signal stack would be slower and round differently
                     bh = np.ascontiguousarray(bh)
-                ga = _product(g, bh)
-            else:  # a real target takes Re(g b^H)
-                ga = _real_outer(g, b.value)
+                ga = _product(g if a.value.dtype.kind == "c" else g.real, bh)
+            else:  # Re(g b^H), one real product of the float views
+                ga = _float_view(g) @ np.swapaxes(_float_view(b.value), -1, -2)
             a.accumulate(_unbroadcast(ga, a.value.shape))
         if b.requires_grad:
-            if b.value.dtype.kind == "c" or a.value.dtype.kind != "c" or b.value.ndim != 2:
+            if b.value.dtype.kind == "c" or b.value.ndim != 2:
                 gb = _product(np.swapaxes(_conj(a.value), -1, -2), g)
-            else:  # Re(a^H g) summed over the stack, from one product of the float views
+            elif a.value.dtype.kind == "c":  # Re(a^H g) summed over the stack, from one product of the float views
                 k, f = b.value.shape
                 P = _float_view(a.value.reshape(-1, k)).T @ _float_view(g.reshape(-1, f))
                 gb = P[::2, ::2] + P[1::2, 1::2]
+            else:  # a^T Re(g) summed over the stack, as one 2-D product
+                k, f = b.value.shape
+                gb = a.value.reshape(-1, k).T @ g.real.reshape(-1, f)
             b.accumulate(_unbroadcast(gb, b.value.shape))
 
     return record(tape, value, (a, b), backward)
@@ -249,6 +243,7 @@ def imag(a: Tensor):
     return record(a.tape, np.imag(a.value), (a,), backward)
 
 
+# no package caller (full maps reach their blocks in one model node); perfbench/layertrace.py traces it
 def transpose(a: Tensor, axes: tuple[int, ...]):
     """``np.transpose`` as a contiguous copy: a strided view would send a following
     stacked ``matmul`` of small blocks down numpy's slow loop (the values are the same)."""
@@ -296,6 +291,14 @@ def gather(a: Tensor, plan: "SegmentPlan"):
     return record(a.tape, a.value.take(plan.seg_ids, axis=0), (a,), backward)
 
 
+def _unwound(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float view of ``x`` flattened to ``(rows, pair k)`` and, for its unwound block ``[[A], [B]]``
+    at the top of a weight, the weight rows that meet its columns: ``A``'s and ``B``'s interleaved like
+    the (re, im) columns, or ``A``'s alone for a real ``x``."""
+    k, pair = int(np.prod(x.shape[1:])), 2 if x.dtype.kind == "c" else 1
+    return _float_view(x).reshape(-1, pair * k), (np.arange(k)[:, None] + k * np.arange(pair)).ravel()
+
+
 def unwound_matmul(parts, w: Tensor):
     """``[Re x_1, Im x_1, Re x_2, Im x_2, ...] @ w`` for ``x_i`` flattened to ``(rows, k_i)`` and a real
     ``w`` ``(sum 2 k_i, p)``, as one node that copies no real or imaginary part: a block ``[[A], [B]]``
@@ -303,10 +306,10 @@ def unwound_matmul(parts, w: Tensor):
     ``B`` interleaved like its (re, im) columns.  A real ``x`` meets ``A`` alone."""
     views, rows, lo = [], [], 0
     for x in parts:
-        k, pair = int(np.prod(x.value.shape[1:])), 2 if x.value.dtype.kind == "c" else 1
-        views.append(_float_view(x.value).reshape(-1, pair * k))
-        rows.append((lo + np.arange(k)[:, None] + k * np.arange(pair)).ravel())
-        lo += 2 * k
+        v, r = _unwound(x.value)
+        views.append(v)
+        rows.append(lo + r)
+        lo += 2 * int(np.prod(x.value.shape[1:]))
     blocks = [w.value[r] for r in rows]
 
     def backward(g):

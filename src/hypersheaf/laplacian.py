@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import SegmentPlan
+from .autodiff import SegmentPlan, _float_view
 from .blockmatrix import BlockComplexMatrix, _check_dense_cap
 from .hypergraph import DirectedHypergraph, _incidence_arrays
 # read as laplacian.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it
@@ -100,6 +100,13 @@ class IncidenceStructure:
                 node_plan, SegmentPlan.build(inc_edge, H.num_hyperedges), pair_plan, pair_node, node_pair,
             )
         return H._derived[cls]
+
+    @functools.cached_property
+    def pair_row(self) -> np.ndarray:
+        """The row of ``pair_plan.major`` that holds each incidence, read-only."""
+        row = self.pair_plan.major.argsort()
+        row.setflags(write=False)
+        return row
 
     @functools.cached_property
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -172,11 +179,33 @@ class Factor:
         ``pair_plan.seg_ids[k]`` is ``conj(w_k) Y_{e_k}`` to the bit."""
         return (self._pair_weights[1] * Y[:, None]).reshape((-1,) + Y.shape[1:])
 
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """``X``'s rows ``(I, d, f)`` in ``pair_plan.major`` order, the operand that :meth:`apply` gathers."""
+        return X.take(self.structure.pair_node, axis=0)
+
     def apply(self, X: np.ndarray) -> np.ndarray:
         """``Z X`` ``(m, d, f)`` for a real or complex signal ``X`` ``(n, d, f)``."""
+        return self.apply_rows(self.rows(X))
+
+    def apply_rows(self, R: np.ndarray) -> np.ndarray:
+        """``Z X`` from ``X``'s gathered :meth:`rows` ``R``."""
         s = self.structure
-        sums = _run_products(self._edge, X.take(s.pair_node, axis=0), 2 * s.m, s.pair_plan.rank.reshape(-1, 2))
+        sums = _run_products(self._edge, R, 2 * s.m, s.pair_plan.rank.reshape(-1, 2))
         return np.add.reduce(self._pair_weights[0] * sums, axis=1)  # tails plus heads
+
+    def block_gradient(self, Y: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """``Re(conj(w_k) Y_{e_k} X_{u_k}^H)`` ``(I, d, d)``, the gradient of ``Re <Y, Z X>`` in ``M``,
+        for ``Y`` ``(m, d, f)`` and ``X``'s :meth:`rows` ``R``.  ``conj(w_k) Y_{e_k}`` depends on ``k``
+        only through its (hyperedge, role), so one real product per run of ``pair_plan`` multiplies
+        each segment's stacked rows with it on the float views (with its ``Re`` for a real ``R``)."""
+        s, d = self.structure, self.M.shape[-1]
+        P = self._conj_weighted(Y).take(s.pair_plan.rank.argsort(), axis=0)  # segments in run order
+        R, P = (R.view(float), _float_view(P)) if R.dtype.kind == "c" else (R, np.ascontiguousarray(P.real))
+        out = np.empty((len(R), d, d))  # X_k (conj(w_k) Y_{e_k})^H per row, the transposed block
+        for lo, hi, first, end in s.pair_plan.runs:
+            rows = R[first:end].reshape(hi - lo, (end - first) // (hi - lo) * d, R.shape[-1])
+            np.matmul(rows, np.swapaxes(P[lo:hi], 1, 2), out=out[first:end].reshape(rows.shape[:2] + (d,)))
+        return np.swapaxes(out.take(s.pair_row, axis=0), 1, 2)
 
     def adjoint(self, Y: np.ndarray) -> np.ndarray:
         """``Z^dagger Y`` ``(n, d, f)`` for ``Y`` ``(m, d, f)``."""

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .hypergraph import DirectedHypergraph, _check_integer_fields
-from .laplacian import DEGREE_EPS, Factor, IncidenceStructure, _spd_inverse_sqrt, build_laplacian
+from .laplacian import DEGREE_EPS, Factor, IncidenceStructure, _degree_blocks, _spd_inverse_sqrt, build_laplacian
 from .sheaf import SheafAssignment, SheafConfig
 from .spectral import lanczos_lambda_max
 
@@ -193,21 +193,40 @@ def _predict_maps(
 ) -> Tensor:
     """Per-incidence map entries from node and aggregated hyperedge features.
 
-    Returns a tensor of shape ``(I, d)`` for diagonal maps or ``(I, d, d)``
-    for full maps.
+    ``h_k = [Re x_u, Im x_u] W_node + agg_{v in e} [Re x_v, Im x_v] W_edge + b`` for ``W = [W_node; W_edge]``,
+    one tape node, then the sheaf activation.  A linear map commutes with the hyperedge mean or sum, so
+    both products run once per vertex and only their ``p`` output columns reach the incidences.
+    Returns a tensor of shape ``(I, d)`` for diagonal maps or ``(I, d, d)`` for full maps.
     """
-    node = ad.gather(X, structure.node_plan)
-    edge = ad.segment_sum(node, structure.edge_plan)
-    if config.hyperedge_aggregation == "mean":
-        edge = ad.mul(edge, (1.0 / structure.delta)[:, None, None])
-    edge = ad.gather(edge, structure.edge_plan)
-    h = ad.add(ad.unwound_matmul([node, edge], phi["W"]), phi["b"])
+    s, W, b = structure, phi["W"], phi["b"]
+    shape = (len(s.inc_node),) + (config.stalk_dim,) * (1 if config.map_shape == "diagonal" else 2)
+    agg = (1.0 / s.delta)[:, None] if config.hyperedge_aggregation == "mean" else 1.0
+    view, rows = ad._unwound(X.value)
+    edge_rows = rows + 2 * int(np.prod(X.shape[1:]))  # the hyperedge block follows the node block
+    W_node, W_edge = W.value[rows], W.value[edge_rows]
+    node, edge = view @ W_node, view @ W_edge  # (n, p) each
+    edge = s.edge_plan.apply(edge.take(s.inc_node, axis=0)) * agg
+    h = node.take(s.inc_node, axis=0) + edge.take(s.inc_edge, axis=0) + b.value
+
+    def backward(g):
+        g = g.reshape(len(g), -1)
+        g_node = s.node_plan.apply(g)
+        g_edge = s.node_plan.apply((s.edge_plan.apply(g) * agg).take(s.inc_edge, axis=0))
+        if X.requires_grad:
+            gx = g_node @ W_node.T + g_edge @ W_edge.T
+            X.accumulate(gx.view(X.value.dtype).reshape(X.shape))
+        if W.requires_grad:
+            gw = np.zeros_like(W.value)
+            gw[rows], gw[edge_rows] = view.T @ g_node, view.T @ g_edge
+            W.accumulate(gw)
+        if b.requires_grad:
+            b.accumulate(g.sum(axis=0))
+
+    h = ad.record(W.tape, h.reshape(shape), (X, W, b), backward)
     if config.sheaf_activation == "sigmoid":
         h = ad.sigmoid(h)
     elif config.sheaf_activation == "tanh":
         h = ad.tanh(h)
-    if config.map_shape == "full":
-        return ad.reshape(h, (len(structure.inc_node), config.stalk_dim, config.stalk_dim))
     return h
 
 
@@ -221,11 +240,21 @@ def _root_derivative(w: np.ndarray, V: np.ndarray, G: np.ndarray) -> np.ndarray:
     return V @ ((Vt @ G @ V) * F) @ Vt
 
 
-def _inverse_sqrt(D: Tensor) -> Tensor:
-    """Inverse square roots of SPD blocks ``(n, d, d)``, as one tape node: the forward is
-    assembly's :func:`_spd_inverse_sqrt`, the backward :func:`_root_derivative`."""
-    root, w, V = _spd_inverse_sqrt(D.value)
-    return ad.record(D.tape, root, (D,), lambda G: D.accumulate(_root_derivative(w, V, G)))
+def _normalized_blocks(maps: Tensor, structure: IncidenceStructure) -> Tensor:
+    """Full maps ``F`` ``(I, d, d)`` to ``M_k = F_k D_{u_k}^{-1/2}``, ``D_u = sum F^T F + DEGREE_EPS I``,
+    as one tape node.  The roots are assembly's :func:`_spd_inverse_sqrt`; the backward sends
+    ``dR_u = sum F_k^T G_k`` through :func:`_root_derivative` to ``dD`` and returns
+    ``G_k R_u^T + F_k (dD + dD^T)_u``."""
+    F, s = maps.value, structure
+    root, w, V = _spd_inverse_sqrt(_degree_blocks(s, F), jitter=DEGREE_EPS)
+    R = root.take(s.inc_node, axis=0)
+
+    def backward(G):
+        dD = _root_derivative(w, V, s.node_plan.apply(np.swapaxes(F, 1, 2) @ G))
+        S = (dD + np.swapaxes(dD, 1, 2)).take(s.inc_node, axis=0)
+        maps.accumulate(G @ np.ascontiguousarray(np.swapaxes(R, 1, 2)) + F @ S)
+
+    return ad.record(maps.tape, F @ R, (maps,), backward)
 
 
 def _diagonal_blocks(diagonals: Tensor) -> Tensor:
@@ -245,20 +274,14 @@ def _operator_blocks(maps: Tensor, structure: IncidenceStructure, config: ModelC
     The complex weight ``w_k = S_k delta_e^{-1/2}`` is a constant that
     :func:`_apply_signless` applies.  Diagonal maps ``(I, d)`` take their
     degree roots elementwise, the full branch's roots to the bit, and are
-    embedded by :func:`_diagonal_blocks`; full degree blocks take their roots
-    ``D_u^{-1/2}`` from one :func:`_inverse_sqrt` node.
+    embedded by :func:`_diagonal_blocks`; full maps are one :func:`_normalized_blocks` node.
     """
-    d = config.stalk_dim
     if config.map_shape == "diagonal":
         gram = ad.mul(maps, maps)
         D = ad.segment_sum(gram, structure.node_plan)
         dinv = ad.div(1.0, ad.sqrt(ad.add(D, DEGREE_EPS)))
         return _diagonal_blocks(ad.mul(maps, ad.gather(dinv, structure.node_plan)))
-    gram = ad.matmul(ad.transpose(maps, (0, 2, 1)), maps)
-    D = ad.segment_sum(gram, structure.node_plan)
-    D = ad.add(D, DEGREE_EPS * np.eye(d)[None, :, :])
-    dinv = _inverse_sqrt(D)
-    return ad.matmul(maps, ad.gather(dinv, structure.node_plan))
+    return _normalized_blocks(maps, structure)
 
 
 def _apply_signless(M: Tensor, X: Tensor, factor: Factor) -> Tensor:
@@ -268,22 +291,22 @@ def _apply_signless(M: Tensor, X: Tensor, factor: Factor) -> Tensor:
     ``Q_N`` is Hermitian, so the signal's gradient is ``Q_N G`` for the
     output gradient ``G``.  The real blocks' gradient is
     ``Re(conj(w_k) (U_e G_u^H + V_e X_u^H))`` with the edge halves ``U = Z X``
-    (kept from the forward) and ``V = Z G``, two real batched products
-    (:func:`.autodiff._real_outer`);
-    ``conj(w_k) U_e`` is weighted per (hyperedge, role), then gathered.
+    (kept from the forward) and ``V = Z G``: :meth:`.Factor.block_gradient`
+    on the rows of ``G`` and ``X`` that the two applies gather, ``X``'s kept
+    only when ``M`` takes a gradient.
     """
-    x = X.value
-    U = factor.apply(x)
+    x_rows = factor.rows(X.value)
+    U = factor.apply_rows(x_rows)
+    x_rows = x_rows if M.requires_grad else None
 
     def backward(G):
-        V = factor.apply(G)
+        g_rows = factor.rows(G)
+        V = factor.apply_rows(g_rows)
+        if M.requires_grad:
+            M.accumulate(factor.block_gradient(U, g_rows) + factor.block_gradient(V, x_rows))
+        del g_rows  # freed before the adjoint runs
         if X.requires_grad:
             X.accumulate(factor.adjoint(V))
-        if M.requires_grad:
-            s = factor.structure
-            pair, u = s.pair_plan.seg_ids, s.inc_node
-            cu, cv = (factor._conj_weighted(E).take(pair, axis=0) for E in (U, V))
-            M.accumulate(ad._real_outer(cu, G.take(u, axis=0)) + ad._real_outer(cv, x.take(u, axis=0)))
 
     return ad.record(X.tape, factor.adjoint(U), (M, X), backward)
 

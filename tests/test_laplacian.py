@@ -457,6 +457,30 @@ def test_pair_weighting_is_the_per_incidence_weighting_bit_for_bit():
             assert rows.tobytes() == (np.conj(w)[:, None, None] * U[s.inc_edge]).tobytes()
 
 
+def test_block_gradient_matches_the_per_incidence_outer_products():
+    # oracle: Re(conj(w_k) Y_{e_k} X_{u_k}^H) incidence by incidence, the expression
+    # the model's full-map gradient used before the per-run products
+    rng = np.random.default_rng(578)
+    empty_roles = 0
+    for draw in range(200):
+        H, A = random_instance(rng)
+        s = IncidenceStructure.build(H)
+        w, d, f = s.weights(A.config.q), A.config.d, int(rng.integers(1, 4))
+        factor = Factor(s, w, A.maps)
+        Y = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
+        X = rng.standard_normal((s.n, d, f))
+        if draw % 2:
+            X = X + 1j * rng.standard_normal((s.n, d, f))
+        expected = np.real(
+            np.conj(w)[:, None, None] * Y[s.inc_edge] @ np.conj(np.swapaxes(X[s.inc_node], 1, 2))
+        )
+        got = factor.block_gradient(Y, factor.rows(X))
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        empty_roles += int(np.any(np.bincount(s.pair_plan.seg_ids, minlength=2 * s.m) == 0))
+    assert empty_roles > 0  # undirected hyperedges leave their head role empty
+
+
 def test_structure_is_built_once_per_hypergraph_and_read_only():
     H, _ = random_instance(np.random.default_rng(41), n_range=(8, 12))
     key = hash(H)
@@ -466,7 +490,7 @@ def test_structure_is_built_once_per_hypergraph_and_read_only():
     A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=2, map_shape="full"))
     assert _incidence_arrays(H)[0] is s.inc_node
     np.testing.assert_array_equal(A.inc_node, s.inc_node)
-    arrays = [s.inc_node, s.inc_edge, s.inc_is_tail, s.delta, s.pair_node, s.node_pair, *s.edge_pairs]
+    arrays = [s.inc_node, s.inc_edge, s.inc_is_tail, s.delta, s.pair_node, s.node_pair, *s.edge_pairs, s.pair_row]
     for plan in (s.node_plan, s.edge_plan, s.pair_plan):
         arrays += [plan.seg_ids, plan.order, plan.rank, plan.major]
     for a in arrays:
