@@ -35,8 +35,6 @@ __all__ = [
     "mul",
     "div",
     "matmul",
-    "real",
-    "imag",
     "transpose",
     "reshape",
     "concat",
@@ -230,17 +228,6 @@ def matmul(a, b):
             b.accumulate(_unbroadcast(gb, b.value.shape))
 
     return record(tape, value, (a, b), backward)
-
-
-def real(a: Tensor):
-    return record(a.tape, np.real(a.value), (a,), a.accumulate)
-
-
-def imag(a: Tensor):
-    def backward(g):
-        a.accumulate(1j * g)
-
-    return record(a.tape, np.imag(a.value), (a,), backward)
 
 
 # no package caller (full maps reach their blocks in one model node); perfbench/layertrace.py traces it

@@ -8,7 +8,6 @@ format.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -95,20 +94,6 @@ class DirectedHypergraph:
                 yield u, j, "tail"
             for u in e.head:
                 yield u, j, "head"
-
-
-def _incidence_arrays(H: DirectedHypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:meth:`DirectedHypergraph.incidences` as read-only ``(inc_node, inc_edge, inc_is_tail)``, built once."""
-    if "incidences" not in H._derived:
-        chain, edges = itertools.chain.from_iterable, H.hyperedges
-        inc_node = np.fromiter(chain(e.tail + e.head for e in edges), dtype=np.int64)
-        inc_edge = np.repeat(np.arange(len(edges)), np.array([e.degree for e in edges], dtype=np.int64))
-        roles = chain((True,) * len(e.tail) + (False,) * len(e.head) for e in edges)
-        arrays = inc_node, inc_edge, np.fromiter(roles, dtype=bool)
-        for a in arrays:
-            a.setflags(write=False)
-        H._derived["incidences"] = arrays
-    return H._derived["incidences"]
 
 
 @dataclass(frozen=True)

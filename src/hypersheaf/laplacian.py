@@ -12,9 +12,9 @@ Stacked, the blocks form the factor ``Z``, and
     L   = D_V - Z^dagger Z     (unnormalized)
     L_N = I - Z^dagger Z       (normalized)
 
-The operator is stored as its real blocks ``M`` alone; the scalar weights
-``w`` come from :meth:`IncidenceStructure.weights`.  :class:`IncidenceStructure`
-fixes the canonical incidence order, built once per hypergraph object, and
+The operator is stored as its real blocks ``M`` alone, in the order of the
+hypergraph's :class:`~.sheaf.IncidenceStructure`, which a sheaf built on it
+holds; the scalar weights ``w`` come from the structure's ``weights``.
 :class:`Factor` is the one vectorised ``Z^dagger Z`` kernel, prepared once
 per operator: the ``(I, d, d)`` blocks run as one real product per run of
 equal-length segments on the float view of the signal, each segment's
@@ -36,14 +36,13 @@ import numpy as np
 
 from .autodiff import SegmentPlan, _float_view
 from .blockmatrix import BlockComplexMatrix, _check_dense_cap
-from .hypergraph import DirectedHypergraph, _incidence_arrays
+from .hypergraph import DirectedHypergraph
 # read as laplacian.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it
 from .jacobi import jacobi_eigh  # noqa: F401
-from .sheaf import SheafAssignment, tail_coefficient
+from .sheaf import IncidenceStructure, SheafAssignment
 
 __all__ = [
     "NodeSignal",
-    "IncidenceStructure",
     "LaplacianBundle",
     "Factor",
     "incidence_maps",
@@ -62,77 +61,20 @@ NodeSignal = np.ndarray
 DEGREE_EPS = 1e-8  # degree-block jitter that keeps an isolated vertex's root finite
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
-    """Canonical incidence order of one hypergraph (edge by edge, tails before
-    heads) with the index plans that every factor-based path shares.
-
-    ``pair_plan`` groups the incidences by (hyperedge, role): segment ``2 e``
-    holds the tails of ``e`` and ``2 e + 1`` its heads.  ``pair_node`` is the
-    vertex of each row of ``pair_plan.major``, and ``node_pair`` the pair of
-    each row of ``node_plan.major``: the rows that :class:`Factor` gathers."""
-
-    n: int
-    m: int
-    inc_node: np.ndarray
-    inc_edge: np.ndarray
-    inc_is_tail: np.ndarray
-    delta: np.ndarray
-    node_plan: SegmentPlan
-    edge_plan: SegmentPlan
-    pair_plan: SegmentPlan
-    pair_node: np.ndarray
-    node_pair: np.ndarray
-
-    @classmethod
-    def build(cls, H: DirectedHypergraph) -> "IncidenceStructure":
-        """The structure of ``H``, read-only and built once per hypergraph object."""
-        if cls not in H._derived:
-            inc_node, inc_edge, inc_is_tail = _incidence_arrays(H)
-            delta = np.array([float(e.degree) for e in H.hyperedges])
-            node_plan = SegmentPlan.build(inc_node, H.num_vertices)
-            pair_plan = SegmentPlan.build(2 * inc_edge + ~inc_is_tail, 2 * H.num_hyperedges)
-            pair_node, node_pair = inc_node[pair_plan.major], pair_plan.seg_ids[node_plan.major]
-            for a in (delta, pair_node, node_pair):
-                a.setflags(write=False)
-            H._derived[cls] = cls(
-                H.num_vertices, H.num_hyperedges, inc_node, inc_edge, inc_is_tail, delta,
-                node_plan, SegmentPlan.build(inc_edge, H.num_hyperedges), pair_plan, pair_node, node_pair,
-            )
-        return H._derived[cls]
-
-    @functools.cached_property
-    def pair_row(self) -> np.ndarray:
-        """The row of ``pair_plan.major`` that holds each incidence, read-only."""
-        row = self.pair_plan.major.argsort()
-        row.setflags(write=False)
-        return row
-
-    @functools.cached_property
-    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_edge_pairs` of ``inc_edge``, computed once and read-only."""
-        pairs = _edge_pairs(self.inc_edge)
-        for a in pairs:
-            a.setflags(write=False)
-        return pairs
-
-    def phases(self, q: float) -> np.ndarray:
-        """Per-incidence directional coefficient ``S_k`` (complex, unit modulus)."""
-        return np.where(self.inc_is_tail, tail_coefficient(q), 1.0 + 0.0j)
-
-    def weights(self, q: float) -> np.ndarray:
-        """Per-incidence complex weight ``w_k = S_k delta_e^{-1/2}``, so ``Z_k = w_k M_k``."""
-        return self.phases(q) / np.sqrt(self.delta[self.inc_edge])
-
-
 def incidence_maps(structure: IncidenceStructure, A: SheafAssignment) -> np.ndarray:
     """``A.maps`` as stored, once ``A`` is checked to cover exactly the incidences of
-    ``structure`` in their roles: both are in canonical order, so their arrays are equal."""
-    arrays = [(s.inc_node, s.inc_edge, s.inc_is_tail) for s in (A, structure)]
-    if all(a is b or np.array_equal(a, b) for a, b in zip(*arrays)):  # usually the same cached arrays
-        return A.maps
+    ``structure`` in their roles: ``A`` is built over that structure, or over an equal one."""
+    if A.structure is not structure:
+        _check_same_incidences(A.structure, structure)
+    return A.maps
+
+
+def _check_same_incidences(sheaf: IncidenceStructure, hypergraph: IncidenceStructure) -> None:
+    arrays = [(s.inc_node, s.inc_edge, s.inc_is_tail) for s in (sheaf, hypergraph)]
+    if all(np.array_equal(a, b) for a, b in zip(*arrays)):  # both in canonical order: the same incidences
+        return
     ours, theirs = ({(u, e): t for u, e, t in zip(*(a.tolist() for a in s))} for s in arrays)
-    if ours.keys() != theirs.keys() or len(A.maps) != len(structure.inc_node):
+    if ours.keys() != theirs.keys() or len(sheaf.inc_node) != len(hypergraph.inc_node):
         extra, missing = sorted(ours.keys() - theirs.keys()), sorted(theirs.keys() - ours.keys())
         raise ValueError(f"sheaf/hypergraph incidence mismatch: missing={missing[:4]} extra={extra[:4]}")
     key = next(k for k, tail in theirs.items() if ours[k] != tail)
@@ -245,15 +187,6 @@ def _run_products(runs: tuple, rows: np.ndarray, num_segments: int, rank: np.nda
     return sums.view(complex) if rows.dtype.kind == "c" else sums
 
 
-def _edge_pairs(inc_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``(k, l)`` of every ordered pair of incidences of one hyperedge, ``k`` major;
-    ``inc_edge`` is in canonical order, so each hyperedge's rows are contiguous."""
-    first = np.searchsorted(inc_edge, inc_edge)
-    size = np.searchsorted(inc_edge, inc_edge, side="right") - first
-    left = np.repeat(np.arange(len(size)), size)
-    return left, np.arange(len(left)) + np.repeat(first - np.cumsum(size) + size, size)
-
-
 def _degree_blocks(structure: IncidenceStructure, F: np.ndarray) -> np.ndarray:
     # a contiguous F^T keeps the stacked product off numpy's strided loop; the values are the same
     return structure.node_plan.apply(np.ascontiguousarray(np.swapaxes(F, 1, 2)) @ F)
@@ -300,7 +233,6 @@ class LaplacianBundle:
     """The Laplacian kept as the real factor blocks ``M`` of ``Z = w M``; :meth:`dense`
     exports it, and the block-sparse ``L`` is assembled on first access only."""
 
-    hypergraph: DirectedHypergraph
     sheaf: SheafAssignment
     structure: IncidenceStructure
     M: np.ndarray
@@ -376,7 +308,7 @@ def build_laplacian(
     if normalized:
         dv_inv_sqrt, dv_eigenvalues, _ = _spd_inverse_sqrt(D_V, jitter=jitter)
         M = F @ dv_inv_sqrt[structure.inc_node]
-    return LaplacianBundle(H, A, structure, M, D_V, normalized, dv_inv_sqrt, dv_eigenvalues)
+    return LaplacianBundle(A, structure, M, D_V, normalized, dv_inv_sqrt, dv_eigenvalues)
 
 
 def apply_laplacian(bundle: LaplacianBundle, x: NodeSignal) -> NodeSignal:

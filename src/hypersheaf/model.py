@@ -22,8 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .hypergraph import DirectedHypergraph, _check_integer_fields
-from .laplacian import DEGREE_EPS, Factor, IncidenceStructure, _degree_blocks, _spd_inverse_sqrt, build_laplacian
-from .sheaf import SheafAssignment, SheafConfig
+from .laplacian import DEGREE_EPS, Factor, _degree_blocks, _spd_inverse_sqrt, build_laplacian
+from .sheaf import IncidenceStructure, SheafAssignment, SheafConfig
 from .spectral import lanczos_lambda_max
 
 __all__ = [
@@ -506,10 +506,7 @@ def predict_sheaf(
     maps = _predict_maps(tape.tensor(X.reshape(n, d, f)), structure, phi, config)
     if config.map_shape == "diagonal":
         maps = _diagonal_blocks(maps)
-    return SheafAssignment.from_arrays(
-        SheafConfig(q=config.q, d=d, map_shape=config.map_shape),
-        structure.inc_node, structure.inc_edge, structure.inc_is_tail, maps.value,
-    )
+    return SheafAssignment.over(structure, SheafConfig(q=config.q, d=d, map_shape=config.map_shape), maps.value)
 
 
 # --- loss, gradients, training ----------------------------------------------------

@@ -1,5 +1,8 @@
 """Per-incidence restriction maps with unit-modulus directional coefficients.
 
+A sheaf is a stack of maps over the :class:`IncidenceStructure` of one hypergraph:
+its canonical incidence order and kernel plans, built once per hypergraph object.
+
 Every incidence ``(u, e)`` carries a real ``d x d`` map ``F``.  The complex
 directed map is ``S * F`` where the scalar ``S`` is 1 on head incidences
 and ``exp(-2*pi*i*q)`` on tail incidences; ``q = 0`` erases direction and
@@ -9,15 +12,18 @@ and ``exp(-2*pi*i*q)`` on tail incidences; ``q = 0`` erases direction and
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .hypergraph import DirectedHypergraph, _check_integer_fields, _incidence_arrays
+from .autodiff import SegmentPlan
+from .hypergraph import DirectedHypergraph, Hyperedge, _check_integer_fields
 
 __all__ = [
+    "IncidenceStructure",
     "SheafConfig",
     "SheafAssignment",
     "directional_coefficient",
@@ -31,6 +37,82 @@ MAP_SHAPES = ("trivial", "diagonal", "full")
 def tail_coefficient(q: float) -> complex:
     """The unit-modulus scalar ``exp(-2*pi*i*q)`` applied to tail incidences."""
     return complex(math.cos(2.0 * math.pi * q), -math.sin(2.0 * math.pi * q))
+
+
+@dataclass(frozen=True)
+class IncidenceStructure:
+    """Canonical incidence order of one hypergraph (that of :meth:`DirectedHypergraph.incidences`:
+    edge by edge, tails before heads, vertices ascending) and the index plans all factor paths share.
+
+    ``pair_plan`` groups the incidences by (hyperedge, role): segment ``2 e``
+    holds the tails of ``e`` and ``2 e + 1`` its heads.  ``pair_node`` is the
+    vertex of each row of ``pair_plan.major``, and ``node_pair`` the pair of
+    each row of ``node_plan.major``: the rows that the kernel gathers."""
+
+    n: int
+    m: int
+    inc_node: np.ndarray
+    inc_edge: np.ndarray
+    inc_is_tail: np.ndarray
+    delta: np.ndarray
+    node_plan: SegmentPlan
+    edge_plan: SegmentPlan
+    pair_plan: SegmentPlan
+    pair_node: np.ndarray
+    node_pair: np.ndarray
+
+    @classmethod
+    def build(cls, H: DirectedHypergraph) -> "IncidenceStructure":
+        """The structure of ``H``, read-only and built once per hypergraph object."""
+        if cls not in H._derived:
+            chain, edges = itertools.chain.from_iterable, H.hyperedges
+            degree = np.array([e.degree for e in edges], dtype=np.int64)
+            inc_node = np.fromiter(chain(e.tail + e.head for e in edges), dtype=np.int64)
+            inc_edge = np.repeat(np.arange(len(edges)), degree)
+            inc_is_tail = np.fromiter(chain((True,) * len(e.tail) + (False,) * len(e.head) for e in edges), dtype=bool)
+            node_plan = SegmentPlan.build(inc_node, H.num_vertices)
+            pair_plan = SegmentPlan.build(2 * inc_edge + ~inc_is_tail, 2 * H.num_hyperedges)
+            pair_node, node_pair = inc_node[pair_plan.major], pair_plan.seg_ids[node_plan.major]
+            arrays = inc_node, inc_edge, inc_is_tail, degree.astype(float)
+            for a in (*arrays, pair_node, node_pair):
+                a.setflags(write=False)
+            H._derived[cls] = cls(
+                H.num_vertices, H.num_hyperedges, *arrays,
+                node_plan, SegmentPlan.build(inc_edge, H.num_hyperedges), pair_plan, pair_node, node_pair,
+            )
+        return H._derived[cls]
+
+    @functools.cached_property
+    def pair_row(self) -> np.ndarray:
+        """The row of ``pair_plan.major`` that holds each incidence, read-only."""
+        row = self.pair_plan.major.argsort()
+        row.setflags(write=False)
+        return row
+
+    @functools.cached_property
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_edge_pairs` of ``inc_edge``, computed once and read-only."""
+        pairs = _edge_pairs(self.inc_edge)
+        for a in pairs:
+            a.setflags(write=False)
+        return pairs
+
+    def phases(self, q: float) -> np.ndarray:
+        """Per-incidence directional coefficient ``S_k`` (complex, unit modulus)."""
+        return np.where(self.inc_is_tail, tail_coefficient(q), 1.0 + 0.0j)
+
+    def weights(self, q: float) -> np.ndarray:
+        """Per-incidence complex weight ``w_k = S_k delta_e^{-1/2}``, so ``Z_k = w_k M_k``."""
+        return self.phases(q) / np.sqrt(self.delta[self.inc_edge])
+
+
+def _edge_pairs(inc_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``(k, l)`` of every ordered pair of incidences of one hyperedge, ``k`` major;
+    ``inc_edge`` is in canonical order, so each hyperedge's rows are contiguous."""
+    first = np.searchsorted(inc_edge, inc_edge)
+    size = np.searchsorted(inc_edge, inc_edge, side="right") - first
+    left = np.repeat(np.arange(len(size)), size)
+    return left, np.arange(len(left)) + np.repeat(first - np.cumsum(size) + size, size)
 
 
 @dataclass(frozen=True)
@@ -50,11 +132,11 @@ class SheafConfig:
 
 
 class SheafAssignment:
-    """Immutable real restriction maps, kept as read-only per-incidence arrays.
+    """Immutable real restriction maps over one hypergraph's incidences.
 
-    Rows are in canonical incidence order, that of :meth:`DirectedHypergraph.incidences`
-    (edge by edge, tails before heads, vertices ascending): ``inc_node``, ``inc_edge``,
-    ``inc_is_tail`` and the ``(I, d, d)`` stack ``maps`` that assembly reads as it is.
+    ``structure`` is the :class:`IncidenceStructure` of the hypergraph the sheaf
+    was built on, and ``maps`` the read-only ``(I, d, d)`` stack in its canonical
+    order, the rows that assembly reads as they are.
     """
 
     def __init__(
@@ -63,42 +145,38 @@ class SheafAssignment:
         maps: Mapping[tuple[int, int], np.ndarray],
         roles: Mapping[tuple[int, int], str],
     ):
-        """From ``(u, e)``-keyed maps and roles (``"tail"`` or ``"head"``) in any key order."""
+        """From ``(u, e)``-keyed maps and roles (``"tail"`` or ``"head"``) in any key order, over
+        the smallest hypergraph with exactly those incidences."""
         if set(maps) != set(roles):
             raise ValueError("maps and roles must cover the same incidences")
         keys = sorted(maps, key=lambda k: (k[1], roles[k] != "tail", k[0]))
         d = config.d
+        members = [([], []) for _ in range(max((e for _, e in keys), default=-1) + 1)]  # (tail, head) per edge
         for k in keys:
             if roles[k] not in ("tail", "head"):
                 raise ValueError(f"incidence {k} has role {roles[k]!r}, expected tail or head")
             if np.shape(maps[k]) != (d, d):
                 raise ValueError(f"map for incidence {k} has shape {np.shape(maps[k])}, expected {(d, d)}")
-        inc = np.array(keys, dtype=np.int64).reshape(-1, 2)
-        stack = np.array([maps[k] for k in keys], dtype=float).reshape(-1, d, d)
-        self._store(config, inc[:, 0], inc[:, 1], [roles[k] == "tail" for k in keys], stack)
+            if min(k) < 0:
+                raise ValueError(f"incidence {k} has a negative index")
+            members[k[1]][roles[k] == "head"].append(k[0])
+        H = DirectedHypergraph(max((u for u, _ in keys), default=-1) + 1, tuple(Hyperedge(*m) for m in members))
+        self._store(IncidenceStructure.build(H), config, np.array([maps[k] for k in keys]).reshape(-1, d, d))
 
     @classmethod
-    def from_arrays(cls, config: SheafConfig, inc_node, inc_edge, inc_is_tail, maps) -> "SheafAssignment":
-        """From per-incidence arrays already in canonical order."""
+    def over(cls, structure: IncidenceStructure, config: SheafConfig, maps) -> "SheafAssignment":
+        """From an ``(I, d, d)`` stack in ``structure``'s canonical incidence order."""
         self = cls.__new__(cls)
-        self._store(config, inc_node, inc_edge, inc_is_tail, maps)
+        self._store(structure, config, maps)
         return self
 
-    def _store(self, config, inc_node, inc_edge, inc_is_tail, maps) -> None:
-        """Keep read-only copies, validated once on the stack."""
-        self.config, d, shape = config, config.d, config.map_shape
-        self.inc_node, self.inc_edge = (np.array(a, dtype=np.int64) for a in (inc_node, inc_edge))
-        self.inc_is_tail, self.maps = np.array(inc_is_tail, dtype=bool), np.array(maps, dtype=float)
-        rows = self.maps.shape[:1]
-        shapes = [a.shape for a in (self.inc_node, self.inc_edge, self.inc_is_tail, self.maps)]
-        if shapes != [rows] * 3 + [rows + (d, d)]:
-            raise ValueError(f"expected three (I,) incidence arrays and (I, {d}, {d}) maps, got {shapes}")
-        # canonical order: rows strictly increasing in (edge, is head, vertex)
-        order = (self.inc_edge, 1 - self.inc_is_tail, self.inc_node)
-        de, dh, du = (np.diff(a, prepend=-1) for a in order)
-        ascending = (de > 0) | (de == 0) & ((dh > 0) | (dh == 0) & (du > 0))
+    def _store(self, structure, config, maps) -> None:
+        """Keep a read-only copy of the stack, validated once."""
+        self.structure, self.config, d, shape = structure, config, config.d, config.map_shape
+        self.maps = np.array(maps, dtype=float)
+        if self.maps.shape != (len(structure.inc_node), d, d):
+            raise ValueError(f"expected maps of shape {(len(structure.inc_node), d, d)}, got {self.maps.shape}")
         problems = {
-            "is repeated or out of canonical order": ~ascending,
             "has a non-finite map": ~np.isfinite(self.maps).all(axis=(1, 2)),
             "has a non-identity map in a trivial sheaf":
                 (shape == "trivial") & (self.maps != np.eye(d)).any(axis=(1, 2)),
@@ -108,14 +186,14 @@ class SheafAssignment:
         for problem, bad in problems.items():
             if bad.any():
                 k = np.argmax(bad)  # the first flagged row
-                raise ValueError(f"incidence {(int(self.inc_node[k]), int(self.inc_edge[k]))} {problem}")
-        for arr in (self.inc_node, self.inc_edge, self.inc_is_tail, self.maps):
-            arr.setflags(write=False)
+                raise ValueError(f"incidence {(int(structure.inc_node[k]), int(structure.inc_edge[k]))} {problem}")
+        self.maps.setflags(write=False)
 
     @functools.cached_property
     def _rows(self) -> dict[tuple[int, int], int]:
         """Row of each incidence ``(u, e)``, built on the first keyed lookup."""
-        return {key: k for k, key in enumerate(zip(self.inc_node.tolist(), self.inc_edge.tolist()))}
+        s = self.structure
+        return {key: k for k, key in enumerate(zip(s.inc_node.tolist(), s.inc_edge.tolist()))}
 
     def _row(self, u: int, e: int) -> int:
         try:
@@ -127,7 +205,7 @@ class SheafAssignment:
         return self.maps[self._row(u, e)]
 
     def role_of(self, u: int, e: int) -> str:
-        return "tail" if self.inc_is_tail[self._row(u, e)] else "head"
+        return "tail" if self.structure.inc_is_tail[self._row(u, e)] else "head"
 
     def coefficient(self, u: int, e: int) -> complex:
         """Directional scalar for a covered incidence (1 for heads)."""
@@ -154,8 +232,8 @@ def build_fixed_sheaf(H: DirectedHypergraph, config: SheafConfig, rng_seed: int 
     Deterministic in ``rng_seed``; one draw fills the incidences in the
     hypergraph's canonical order (edge by edge, tails before heads).
     """
-    incidences = _incidence_arrays(H)
-    count, d = len(incidences[0]), config.d
+    structure = IncidenceStructure.build(H)
+    count, d = len(structure.inc_node), config.d
     draw = np.random.default_rng(rng_seed).uniform
     if config.map_shape == "trivial":
         maps = np.broadcast_to(np.eye(d), (count, d, d))
@@ -164,4 +242,4 @@ def build_fixed_sheaf(H: DirectedHypergraph, config: SheafConfig, rng_seed: int 
         maps[:, np.arange(d), np.arange(d)] = draw(-1.0, 1.0, size=(count, d))
     else:
         maps = draw(-1.0, 1.0, size=(count, d, d))
-    return SheafAssignment.from_arrays(config, *incidences, maps)
+    return SheafAssignment.over(structure, config, maps)

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockmatrix import DENSE_EXPORT_CAP
-from .hypergraph import DirectedHypergraph, Hyperedge, _incidence_arrays, format_hypergraph, parse_hypergraph
+from .hypergraph import DirectedHypergraph, Hyperedge, format_hypergraph, parse_hypergraph
 # read as spectral.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it;
 # hermitian_eigenvalues stays on it only for that test, until ROADMAP item 1 re-points it
 from .jacobi import jacobi_eigh
 from .laplacian import Factor, LaplacianBundle, apply_laplacian, build_laplacian
-from .sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf, tail_coefficient
+from .sheaf import IncidenceStructure, SheafAssignment, SheafConfig, build_fixed_sheaf, tail_coefficient
 
 __all__ = [
     "SpectrumReport",
@@ -147,12 +147,13 @@ def dirichlet_energy(
     x = np.asarray(x, dtype=complex).reshape(n * d)
     quad = np.vdot(x, apply_laplacian(bundle, x))
     scaled = np.einsum("uab,ub->ua", bundle.dv_inv_sqrt, x.reshape(n, d))
-    phase = np.where(A.inc_is_tail, tail_coefficient(A.config.q), 1.0 + 0.0j)
-    proj = ((phase[:, None, None] * A.maps) @ scaled[A.inc_node, :, None])[..., 0]
+    s = A.structure  # its own phases and delta, not s.phases or s.weights: a kernel mutation must show here
+    phase = np.where(s.inc_is_tail, tail_coefficient(A.config.q), 1.0 + 0.0j)
+    proj = ((phase[:, None, None] * A.maps) @ scaled[s.inc_node, :, None])[..., 0]
     left, right = bundle.structure.edge_pairs  # A's incidences, as build_laplacian checked
     left, right = left[left < right], right[left < right]
     diff = proj[left] - proj[right]
-    delta = np.bincount(A.inc_edge, minlength=H.num_hyperedges)[A.inc_edge[left]]
+    delta = np.bincount(s.inc_edge, minlength=H.num_hyperedges)[s.inc_edge[left]]
     total = float(np.sum(np.sum(diff.real**2 + diff.imag**2, axis=1) / delta))
     return EnergyReport(
         quadratic_form=float(quad.real),
@@ -232,7 +233,7 @@ def parse_instance(text: str) -> tuple[DirectedHypergraph, SheafAssignment]:
     config = SheafConfig(q=float(fields["q"]), d=int(fields["d"]), map_shape=fields["shape"])
     H = parse_hypergraph("\n".join(ln for ln in lines if not ln.startswith("#")))
     maps = np.array([[float(t) for t in ln.split()[2:]] for ln in lines if ln.startswith("# map")], dtype=float)
-    return H, SheafAssignment.from_arrays(config, *_incidence_arrays(H), maps.reshape(-1, config.d, config.d))
+    return H, SheafAssignment.over(IncidenceStructure.build(H), config, maps.reshape(-1, config.d, config.d))
 
 
 def verify_spectral_suite(

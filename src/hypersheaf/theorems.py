@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import DirectedHypergraph, Hyperedge
-from .laplacian import IncidenceStructure, build_laplacian
+from .laplacian import build_laplacian
 from .reference import reference_laplacian
-from .sheaf import SheafAssignment, SheafConfig, build_fixed_sheaf
+from .sheaf import IncidenceStructure, SheafAssignment, SheafConfig, build_fixed_sheaf
 from .spectral import hermitian_eigenvalues, random_hypergraph
 
 __all__ = [
@@ -112,7 +112,7 @@ def _magnet_scaled_sheaf(H: DirectedHypergraph, q: float) -> SheafAssignment:
     undirected = np.array([e.is_undirected for e in H.hyperedges], dtype=bool)[s.inc_edge]
     maps = np.where(undirected, np.sqrt(2.0), 1.0).reshape(-1, 1, 1)
     config = SheafConfig(q=q, d=1, map_shape="full")
-    return SheafAssignment.from_arrays(config, s.inc_node, s.inc_edge, s.inc_is_tail, maps)
+    return SheafAssignment.over(s, config, maps)
 
 
 def check_magnetic_reduction(

@@ -1,6 +1,22 @@
-"""Central finite differences against a tape's analytic gradients: the oracle of the gradient tests."""
+"""Central finite differences against a tape's analytic gradients: the oracle of the gradient tests,
+with the scalar loss they differentiate."""
 
 import numpy as np
+
+from hypersheaf import autodiff as ad
+
+
+def parts_loss(y: ad.Tensor, w_re, w_im, *, square_imag: bool = False) -> ad.Tensor:
+    """``sum(w_re Re y) + sum(w_im Im y)``, with ``(Im y)^2`` for ``square_imag``, as one scalar
+    tape node; its backward hands ``y`` the tape's gradient ``dL/dRe y + i dL/dIm y``."""
+    re, im = y.value.real, y.value.imag
+    value = np.sum(w_re * re) + np.sum(w_im * (im * im if square_imag else im))
+    slope = np.broadcast_to(w_re + 1j * (w_im * (2.0 * im if square_imag else 1.0)), y.shape)
+
+    def backward(g):
+        y.accumulate(g * slope)
+
+    return ad.record(y.tape, np.asarray(value), (y,), backward)
 
 
 def finite_difference_check(

@@ -16,7 +16,6 @@ from hypersheaf.data import SyntheticConfig, generate_synthetic
 from hypersheaf.laplacian import build_laplacian
 from hypersheaf.model import (
     DEGREE_EPS,
-    IncidenceStructure,
     ModelConfig,
     Tape,
     _forward_tape,
@@ -26,6 +25,7 @@ from hypersheaf.model import (
     synthetic_benchmark_config,
     train,
 )
+from hypersheaf.sheaf import IncidenceStructure
 from hypersheaf.spectral import random_instance, verify_spectral_suite
 from hypersheaf.theorems import (
     COUNTEREXAMPLE_MATRIX,

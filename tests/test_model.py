@@ -14,7 +14,6 @@ from hypersheaf.jacobi import jacobi_eigh
 from hypersheaf.laplacian import Factor, build_laplacian
 from hypersheaf.model import (
     DEGREE_EPS,
-    IncidenceStructure,
     ModelConfig,
     Tape,
     TrainingBudget,
@@ -37,9 +36,10 @@ from hypersheaf.model import (
     _operator_blocks,
 )
 from hypersheaf import model
+from hypersheaf.sheaf import IncidenceStructure
 from hypersheaf.spectral import lanczos_lambda_max, random_instance
 
-from gradcheck import finite_difference_check
+from gradcheck import finite_difference_check, parts_loss
 
 
 def dense_signless(structure, config, M):
@@ -137,7 +137,7 @@ def test_layer_norm_node_gradient_matches_finite_differences():
         X = tape.tensor(p["Xr"] + 1j * p["Xi"], requires_grad=True)
         gamma, beta = tape.tensor(p["gamma"], requires_grad=True), tape.tensor(p["beta"], requires_grad=True)
         Y = _layer_norm_pair(X, gamma, beta, *X.shape)
-        loss = ad.add(ad.reduce_sum(ad.mul(ad.real(Y), weight[0])), ad.reduce_sum(ad.mul(ad.imag(Y), weight[1])))
+        loss = parts_loss(Y, weight[0], weight[1])
         tape.backward(loss)
         return float(loss.value), {"Xr": X.grad.real, "Xi": X.grad.imag, "gamma": gamma.grad, "beta": beta.grad}
 
@@ -280,9 +280,8 @@ def check_signless_node_gradients(shape, real_signal):
         x = T["xr"] if real_signal else ad.add(T["xr"], ad.mul(T["xi"], 1j))
         M = _operator_blocks(T["maps"], structure, config)
         Y = _apply_signless(M, x, Factor(structure, structure.weights(config.q), M.value))
-        yr, yi = ad.real(Y), ad.imag(Y)
         # quadratic in the output, so the signal gradient is not constant
-        loss = ad.add(ad.reduce_sum(ad.mul(yr, wr)), ad.reduce_sum(ad.mul(ad.mul(yi, yi), wi)))
+        loss = parts_loss(Y, wr, wi, square_imag=True)
         tape.backward(loss)
         return float(loss.value), {name: t.grad for name, t in T.items()}
 

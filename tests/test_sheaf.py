@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hypersheaf import laplacian
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.laplacian import (
     DEGREE_EPS,
@@ -13,12 +14,14 @@ from hypersheaf.laplacian import (
 )
 from hypersheaf.model import ModelConfig, diffusion_layer, init_state, predict_sheaf
 from hypersheaf.sheaf import (
+    IncidenceStructure,
     SheafAssignment,
     SheafConfig,
     build_fixed_sheaf,
     directional_coefficient,
 )
-from hypersheaf.spectral import random_hypergraph
+from hypersheaf.spectral import parse_instance, random_hypergraph, random_instance, serialize_instance
+from hypersheaf.theorems import _magnet_scaled_sheaf
 
 
 def one_directed_edge():
@@ -150,6 +153,19 @@ def test_constructor_rejects_mismatched_keys_and_bad_roles():
         SheafAssignment(config, maps, {**roles, (0, 1): "head"})
     with pytest.raises(ValueError, match=r"incidence \(1, 0\) has role 'sideways'"):
         SheafAssignment(config, *one_edge_maps(*[np.eye(1)] * 3, roles=("tail", "sideways", "head")))
+    with pytest.raises(ValueError, match=r"incidence \(-1, 0\) has a negative index"):
+        SheafAssignment(config, {(-1, 0): np.eye(1), (1, 0): np.eye(1)}, {(-1, 0): "tail", (1, 0): "head"})
+
+
+def test_mapping_constructor_builds_the_smallest_hypergraph_with_those_incidences():
+    # hyperedge 1 carries no incidence and stays empty; n and m end at the last vertex and hyperedge used
+    maps, roles = one_edge_maps(*[np.eye(1)] * 3)
+    maps[(1, 2)], roles[(1, 2)] = np.eye(1), "tail"
+    s = SheafAssignment(SheafConfig(q=0.1, d=1), maps, roles).structure
+    t = IncidenceStructure.build(DirectedHypergraph(3, (Hyperedge((0,), (1, 2)), Hyperedge(()), Hyperedge((1,)))))
+    assert (s.n, s.m) == (t.n, t.m) == (3, 3)
+    for name in ("inc_node", "inc_edge", "inc_is_tail", "delta"):
+        assert getattr(s, name).tobytes() == getattr(t, name).tobytes(), name
 
 
 def test_non_finite_map_never_reaches_assembly():
@@ -158,27 +174,21 @@ def test_non_finite_map_never_reaches_assembly():
     maps = np.array(A.maps)
     maps[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match=r"incidence \(1, 0\) has a non-finite map"):
-        SheafAssignment.from_arrays(A.config, A.inc_node, A.inc_edge, A.inc_is_tail, maps)
+        SheafAssignment.over(A.structure, A.config, maps)
 
 
-def test_from_arrays_requires_canonical_order():
-    H = one_directed_edge()
-    A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=1))
-    swapped = [1, 0, 2]  # a head before the tail
-    with pytest.raises(ValueError, match=r"incidence \(0, 0\) is repeated or out of canonical order"):
-        SheafAssignment.from_arrays(
-            A.config, A.inc_node[swapped], A.inc_edge[swapped], A.inc_is_tail[swapped], A.maps
-        )
-    repeated = [0, 1, 1]
-    with pytest.raises(ValueError, match=r"incidence \(1, 0\) is repeated"):
-        SheafAssignment.from_arrays(
-            A.config, A.inc_node[repeated], A.inc_edge[repeated], A.inc_is_tail[repeated], A.maps
-        )
+def test_stack_constructor_requires_one_map_per_incidence():
+    A = build_fixed_sheaf(one_directed_edge(), SheafConfig(q=0.1, d=1))
+    with pytest.raises(ValueError, match=r"expected maps of shape \(3, 1, 1\), got \(2, 1, 1\)"):
+        SheafAssignment.over(A.structure, A.config, A.maps[:2])
+    with pytest.raises(ValueError, match=r"expected maps of shape \(3, 1, 1\), got \(3, 2, 2\)"):
+        SheafAssignment.over(A.structure, A.config, np.ones((3, 2, 2)))
 
 
 def test_stored_arrays_are_read_only():
     A = build_fixed_sheaf(one_directed_edge(), SheafConfig(q=0.1, d=2, map_shape="full"))
-    for arr in (A.inc_node, A.inc_edge, A.inc_is_tail, A.maps):
+    s = A.structure
+    for arr in (s.inc_node, s.inc_edge, s.inc_is_tail, A.maps):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
     with pytest.raises(ValueError):
@@ -194,8 +204,10 @@ def test_shuffled_mapping_gives_the_canonical_stack_and_operator():
     B = SheafAssignment(
         A.config, {k: np.array(A.map_for(*k)) for k in shuffled}, {k: A.role_of(*k) for k in shuffled}
     )
-    for name in ("inc_node", "inc_edge", "inc_is_tail", "maps"):
-        assert getattr(B, name).tobytes() == getattr(A, name).tobytes(), name
+    assert B.structure is not A.structure
+    for name in ("inc_node", "inc_edge", "inc_is_tail"):
+        assert getattr(B.structure, name).tobytes() == getattr(A.structure, name).tobytes(), name
+    assert B.maps.tobytes() == A.maps.tobytes()
     for kwargs in ({}, {"normalized": True, "jitter": DEGREE_EPS}):
         assert build_laplacian(H, B, **kwargs).M.tobytes() == build_laplacian(H, A, **kwargs).M.tobytes()
 
@@ -223,8 +235,9 @@ def test_fixed_sheaf_matches_a_draw_one_incidence_at_a_time(shape, d):
         A = build_fixed_sheaf(H, config, rng_seed=17)
         # bytes, so a -0.0 off-diagonal (which np.diag never writes) shows
         assert A.maps.tobytes() == reference_sheaf_maps(H, config, 17).tobytes()
+        s = A.structure
         assert [(u, e, "tail" if t else "head") for u, e, t in
-                zip(A.inc_node.tolist(), A.inc_edge.tolist(), A.inc_is_tail.tolist())] == list(H.incidences())
+                zip(s.inc_node.tolist(), s.inc_edge.tolist(), s.inc_is_tail.tolist())] == list(H.incidences())
 
 
 def test_production_paths_never_look_maps_up_one_incidence_at_a_time(monkeypatch):
@@ -249,3 +262,35 @@ def test_production_paths_never_look_maps_up_one_incidence_at_a_time(monkeypatch
             params = init_state(config, input_width=1, num_classes=2).params
             phi = {k.split("_", 1)[1]: v for k, v in params.items() if k.startswith("phi0_")}
             build_laplacian(H, predict_sheaf(X, H, phi, config))
+
+
+def test_every_sheaf_constructor_holds_its_hypergraphs_structure(monkeypatch):
+    # a sheaf built over IncidenceStructure.build(H) is checked against H by identity alone
+    def compare(*args):
+        raise AssertionError("incidence arrays compared")
+
+    rng = np.random.default_rng(12)
+    H, A = random_instance(rng, n_range=(6, 10))
+    n, d, f = H.num_vertices, 2, 3
+    config = ModelConfig(num_layers=1, stalk_dim=d, hidden_width=f, map_shape="full")
+    phi = {k.split("_", 1)[1]: v for k, v in init_state(config, 1, 2).params.items() if k.startswith("phi0_")}
+    X = rng.standard_normal((n * d, f)) + 1j * rng.standard_normal((n * d, f))
+    H2, A2 = parse_instance(serialize_instance(H, A))
+    sheaves = {
+        "random_instance": (H, A),
+        "build_fixed_sheaf": (H, build_fixed_sheaf(H, SheafConfig(q=0.1, d=3, map_shape="diagonal"), rng_seed=1)),
+        "parse_instance": (H2, A2),
+        "_magnet_scaled_sheaf": (H, _magnet_scaled_sheaf(H, 0.1)),
+        "predict_sheaf": (H, predict_sheaf(X, H, phi, config)),
+    }
+    monkeypatch.setattr(laplacian, "_check_same_incidences", compare)
+    for name, (G, B) in sheaves.items():
+        assert B.structure is IncidenceStructure.build(G), name
+        for kwargs in ({}, {"normalized": True, "jitter": DEGREE_EPS}):
+            build_laplacian(G, B, **kwargs)
+    # a sheaf over an equal but distinct hypergraph is compared, and so is a keyed one
+    keyed = SheafAssignment(A.config, {k[:2]: A.map_for(*k[:2]) for k in H.incidences()},
+                            {k[:2]: k[2] for k in H.incidences()})
+    for B in (A2, keyed):
+        with pytest.raises(AssertionError, match="incidence arrays compared"):
+            build_laplacian(H, B)

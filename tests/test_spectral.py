@@ -257,9 +257,7 @@ def test_dirichlet_check_still_catches_a_dropped_phase(monkeypatch):
     # the operator is built without its directional phases while the sum
     # form keeps them; the scaled tolerance must not hide that
     H, A = near_singular_instance()
-    charged = SheafAssignment.from_arrays(
-        SheafConfig(q=0.25, d=4, map_shape="full"), A.inc_node, A.inc_edge, A.inc_is_tail, A.maps
-    )
+    charged = SheafAssignment.over(A.structure, SheafConfig(q=0.25, d=4, map_shape="full"), A.maps)
     monkeypatch.setattr(spectral, "build_laplacian", lambda H, _A, **kw: build_laplacian(H, A, **kw))
     rep = verify_spectral_suite(H, charged)
     gaps = [f for f in rep.failures if f.startswith("dirichlet: energy form gap")]
