@@ -99,11 +99,9 @@ class Tensor:
     def accumulate(self, g: np.ndarray) -> None:
         if g.dtype.kind == "c" and self.value.dtype.kind != "c":
             g = g.real
-        if self.grad is None:
-            # an owned copy: later contributions add into it in place
-            self.grad = np.array(g, dtype=self.value.dtype)
-        else:
-            self.grad += g
+        # the first gradient is kept as sent, not copied, and later ones add out of place:
+        # no backward writes into a gradient it receives
+        self.grad = g.astype(self.value.dtype, copy=False) if self.grad is None else self.grad + g
 
 
 def _as_tensor(tape: Tape, x) -> Tensor:

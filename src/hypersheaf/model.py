@@ -51,32 +51,51 @@ LAYER_NORM_EPS = 1e-5
 
 
 def complex_relu(x: np.ndarray) -> np.ndarray:
-    """Keep entries with strictly positive real part, zero the rest."""
+    """Zero the entries whose real part is not positive, by multiplication: a NaN stays NaN."""
     x = np.asarray(x, dtype=complex)
-    return np.where(x.real > 0, x, 0.0)
+    return x * (x.real > 0)
 
 
 def complex_layer_norm(
     X: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LAYER_NORM_EPS
 ) -> np.ndarray:
-    """Whiten each feature column's (re, im) pairs jointly, then apply the affine.
-
-    Statistics are computed per column across rows: the 2x2 covariance of
-    real and imaginary parts (plus ``eps`` on the diagonal) is inverted by its
-    ``eigh`` root, the one that degree blocks use.
-    """
-    return _whiten(np.asarray(X, dtype=complex), gamma, beta, eps)[0]
+    """Whiten each feature column's (re, im) pairs jointly, then apply the affine: the 2x2 covariance
+    of a column's real and imaginary parts across rows (plus ``eps`` on the diagonal) is inverted by its
+    ``eigh`` root, the one that degree blocks use."""
+    return _whiten(np.array(X, dtype=complex, order="C"), gamma, beta, eps)[0]
 
 
-def _whiten(X: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LAYER_NORM_EPS):
-    """``gamma W c + beta`` per row of ``X`` ``(N, f)``: ``c`` the (re, im) pair of the centred ``C``,
-    ``W = S^{-1/2}`` per column, ``S = mean(c c^T) + eps I = V diag(w) V^T``.  Returns it with ``C``, ``W``,
-    ``w`` and ``V``; a real 2x2 ``A`` acts on pairs as the complex row ``[1, i] A`` on ``(Re, Im)``."""
-    C = X - X.mean(axis=0)
-    cols = np.moveaxis(ad._float_view(C).reshape(C.shape + (2,)), 0, -1)
-    W, w, V = _spd_inverse_sqrt(cols @ np.swapaxes(cols, 1, 2) / len(X) + eps * np.eye(2))
-    a = [1, 1j] @ (np.asarray(gamma, dtype=float) @ W)
-    return a[:, 0] * C.real + a[:, 1] * C.imag + complex(*beta), C, W, w, V
+def _groups(Z: np.ndarray) -> np.ndarray:
+    """The float view of a complex ``Z`` ``(N, f)`` as ``(f / k, N, 2k)``, ``k = gcd(f, 4)``: the (re, im)
+    pairs of ``k`` adjacent columns side by side, one 64-byte line of each row."""
+    return Z.view(float).reshape(len(Z), -1, 2 * math.gcd(Z.shape[1], 4)).transpose(1, 0, 2)
+
+
+def _pair_moments(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``sum_n a_n b_n^T`` per column ``(f, 2, 2)`` for the (re, im) pairs of complex ``A`` and ``B`` ``(N, f)``:
+    the diagonal 2x2 blocks of one real product per column group."""
+    P = np.swapaxes(_groups(A), 1, 2) @ _groups(B)
+    return np.einsum("gjajb->gjab", P.reshape(len(P), P.shape[1] // 2, 2, -1, 2)).reshape(-1, 2, 2)
+
+
+def _pair_map(A: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``A_j u_nj`` into the complex ``out`` for 2x2 blocks ``A`` ``(f, 2, 2)`` and the (re, im) pairs of complex
+    ``U`` ``(N, f)``: one real product per column group with the block-diagonal matrix of its ``A^T``."""
+    groups = _groups(U)
+    k = groups.shape[2] // 2
+    blocks = np.einsum("gjab,jl->gjalb", np.swapaxes(A, 1, 2).reshape(len(groups), k, 2, 2), np.eye(k))
+    np.matmul(groups, blocks.reshape(len(groups), 2 * k, 2 * k), out=_groups(out))
+    return out
+
+
+def _whiten(Z: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LAYER_NORM_EPS):
+    """``gamma W c + beta`` per row of the complex ``Z`` ``(N, f)``, centred in place to ``C`` with pairs ``c``;
+    ``W = S^{-1/2}`` per column, ``S = mean(c c^T) + eps I = V diag(w) V^T``.  Also returns ``C, W, w, V``."""
+    Z -= np.einsum("ni->i", Z.view(float)).view(complex) / len(Z)
+    W, w, V = _spd_inverse_sqrt(_pair_moments(Z, Z) / len(Z) + eps * np.eye(2))
+    out = _pair_map(np.asarray(gamma, dtype=float) @ W, Z, np.empty_like(Z))
+    out += complex(*beta)
+    return out, Z, W, w, V
 
 
 # --- configuration and state ----------------------------------------------------
@@ -311,46 +330,38 @@ def _apply_signless(M: Tensor, X: Tensor, factor: Factor) -> Tensor:
     return ad.record(X.tape, factor.adjoint(U), (M, X), backward)
 
 
-def _layer_norm_pair(X: Tensor, gamma: Tensor, beta: Tensor, n_rows: int, f: int) -> Tensor:
-    """:func:`complex_layer_norm` of ``X`` seen as ``(n_rows, f)``, as one tape node of ``X``'s shape.
+def _layer_norm_pair(Y: Tensor, X: Tensor | None, gamma: Tensor, beta: Tensor, n_rows: int, f: int) -> Tensor:
+    """The layer tail ``crelu(complex_layer_norm(Y [+ X]))`` of ``Y`` seen as ``(n_rows, f)``, as one tape node
+    with parents ``Y``, the residual ``X`` (``None`` for none), ``gamma`` and ``beta``.
 
-    Per column, with ``g`` the output gradient's (re, im) pairs and ``h = gamma^T g``:
-    ``d beta = sum g``, ``d gamma = sum g (W c)^T`` and ``dX = dc - mean(dc)`` for
-    ``dc = W h + (2/N) Q c``, ``Q`` the :func:`_root_derivative` of ``sym(sum h c^T)``.
+    Per column, with ``g`` the pairs of the output gradient times the rectifier's mask and ``K = sum g c^T``:
+    ``d beta = sum g``, ``d gamma = K W^T`` and ``dY = dX = dc - mean(dc)`` for ``dc = W^T gamma^T g + (2/N) Q c``,
+    ``Q`` the :func:`_root_derivative` of ``sym(gamma^T K)``; ``C`` is centred, so ``mean(dc) = W^T gamma^T mean(g)``.
     """
-    out, C, W, w, V = _whiten(X.value.reshape(n_rows, f), gamma.value, beta.value)
+    Z = Y.value + X.value if X is not None else np.array(Y.value, dtype=complex)
+    out, C, W, w, V = _whiten(Z.reshape(n_rows, f), gamma.value, beta.value)
+    keep = out.real > 0
+    out *= keep
 
     def backward(G):
-        G = G.reshape(n_rows, f)
-        g, c = (np.moveaxis(ad._float_view(Z).reshape(n_rows, f, 2), 0, 1) for Z in (G, C))
-        K = np.swapaxes(g, 1, 2) @ c  # sum g c^T per column
+        g = G.reshape(n_rows, f) * keep  # owned: it later holds R c
+        sums = np.einsum("ni->i", g.view(float)).reshape(f, 2)
+        K = _pair_moments(g, C)
         if beta.requires_grad:
-            beta.accumulate(np.array([G.real.sum(), G.imag.sum()]))
+            beta.accumulate(sums.sum(axis=0))
         if gamma.requires_grad:
             gamma.accumulate((K @ np.swapaxes(W, 1, 2)).sum(axis=0))
-        if X.requires_grad:
-            P = gamma.value.T @ K
-            R = (2.0 / n_rows) * _root_derivative(w, V, 0.5 * (P + np.swapaxes(P, 1, 2)))
-            b, r = [1, 1j] @ (np.swapaxes(W, 1, 2) @ gamma.value.T), [1, 1j] @ R
-            dc = b[:, 0] * G.real + b[:, 1] * G.imag + r[:, 0] * C.real + r[:, 1] * C.imag
-            X.accumulate((dc - dc.mean(axis=0)).reshape(X.shape))
+        P = gamma.value.T @ K
+        R = (2.0 / n_rows) * _root_derivative(w, V, 0.5 * (P + np.swapaxes(P, 1, 2)))
+        B = np.swapaxes(W, 1, 2) @ gamma.value.T
+        dZ = _pair_map(B, g, np.empty_like(g))
+        dZ += _pair_map(R, C, g)  # g is spent
+        dZ -= (B @ sums[:, :, None]).ravel().view(complex) / n_rows
+        for parent in (Y, X):
+            if parent is not None and parent.requires_grad:
+                parent.accumulate(dZ.reshape(Y.shape))
 
-    return ad.record(X.tape, out.reshape(X.shape), (X, gamma, beta), backward)
-
-
-def _diffuse(
-    X: Tensor, M: Tensor, factor: Factor, W1: Tensor, W2: Tensor, gamma: Tensor, beta: Tensor,
-    config: ModelConfig,
-) -> Tensor:
-    """``layernorm(Q_N (I_n (x) W1) X W2 [+ X])``: one layer before its rectifier."""
-    n, d, f = factor.structure.n, config.stalk_dim, config.hidden_width
-    H = ad.matmul(W1, X) if config.left_projection else X
-    Y = _apply_signless(M, ad.matmul(H, W2), factor)
-    if config.residual:
-        Y = ad.add(Y, X)
-    if config.use_layer_norm:
-        Y = _layer_norm_pair(Y, gamma, beta, n * d, f)
-    return Y
+    return ad.record(Y.tape, out.reshape(Y.shape), tuple(p for p in (Y, X, gamma, beta) if p is not None), backward)
 
 
 # --- forward ----------------------------------------------------------------
@@ -410,10 +421,14 @@ def _forward_tape(
             M = _operator_blocks(maps, structure, config)
             factor = Factor(structure, w, M.value)
         applied.append(factor)
-        Y = _diffuse(
-            X, M, factor, P[f"W1_{layer}"], P[f"W2_{layer}"], P[f"ln{layer}_gamma"], P[f"ln{layer}_beta"], config,
-        )
-        X = ad.mul(Y, Y.value.real > 0)  # the complex rectifier
+        H = ad.matmul(P[f"W1_{layer}"], X) if config.left_projection else X
+        Y = _apply_signless(M, ad.matmul(H, P[f"W2_{layer}"]), factor)
+        residual = X if config.residual else None
+        if config.use_layer_norm:  # residual, layer norm and rectifier as one node
+            X = _layer_norm_pair(Y, residual, P[f"ln{layer}_gamma"], P[f"ln{layer}_beta"], n * d, f)
+        else:
+            Y = Y if residual is None else ad.add(Y, residual)
+            X = ad.mul(Y, Y.value.real > 0)
 
     hidden = ad.relu(ad.add(ad.unwound_matmul([X], P["cls1_W"]), P["cls1_b"]))
     logits = ad.add(ad.matmul(hidden, P["cls2_W"]), P["cls2_b"])
@@ -440,49 +455,30 @@ def _evaluate(
 
 
 def diffusion_layer(
-    X: np.ndarray,
-    H: DirectedHypergraph,
-    sheaf: SheafAssignment,
-    W1: np.ndarray,
-    W2: np.ndarray,
-    *,
-    residual: bool = False,
-    gamma: np.ndarray | None = None,
-    beta: np.ndarray | None = None,
-    apply_activation: bool = False,
-    left_projection: bool = True,
+    X: np.ndarray, H: DirectedHypergraph, sheaf: SheafAssignment, W1: np.ndarray, W2: np.ndarray, *,
+    residual: bool = False, gamma: np.ndarray | None = None, beta: np.ndarray | None = None,
+    apply_activation: bool = False, left_projection: bool = True,
 ) -> np.ndarray:
-    """One diffusion step on a complex signal of shape (n*d, f).
+    """One diffusion step on a complex signal of shape (n*d, f), outside the tape.
 
     Computes ``Q_N (I (x) W1) X W2`` with ``Q_N`` the factor of
     ``build_laplacian(H, sheaf, normalized=True, jitter=DEGREE_EPS)``,
-    optionally adds the residual, normalizes (when ``gamma``/``beta`` are
-    given) and applies the complex rectifier.  With identity weights and
-    everything optional disabled this is exactly ``(I - L_N) X``.
+    optionally adds the residual, applies :func:`complex_layer_norm` (when
+    ``gamma``/``beta`` are given) and :func:`complex_relu`.  With identity
+    weights and everything optional disabled this is exactly ``(I - L_N) X``.
     """
-    structure = IncidenceStructure.build(H)
-    d, n = sheaf.config.d, structure.n
+    d, n = sheaf.config.d, H.num_vertices
     X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] != n * d:
-        raise ValueError(f"signal must have shape ({n * d}, f), got {X.shape}")
-    f = X.shape[1]
-    config = ModelConfig(
-        num_layers=1,
-        stalk_dim=d,
-        hidden_width=f,
-        residual=residual,
-        left_projection=left_projection,
-        use_layer_norm=gamma is not None,
-    )
-    bundle = build_laplacian(H, sheaf, normalized=True, jitter=DEGREE_EPS)
-    tape = Tape()
-    M, factor = tape.tensor(bundle.M), bundle.factor
-    W1, W2, gamma, beta = (None if v is None else tape.tensor(v) for v in (W1, W2, gamma, beta))
-    X = tape.tensor(X.reshape(n, d, f))
-    Y = _diffuse(X, M, factor, W1, W2, gamma, beta, config).value
-    if apply_activation:
-        Y = complex_relu(Y)
-    return Y.reshape(n * d, f)
+    if X.ndim != 2 or X.shape[0] != n * d or X.shape[1] < 1:
+        raise ValueError(f"signal must have shape ({n * d}, f), f >= 1, got {X.shape}")
+    factor = build_laplacian(H, sheaf, normalized=True, jitter=DEGREE_EPS).factor
+    S = X.reshape(n, d, X.shape[1])
+    S = ad._product(ad._product(np.asarray(W1), S) if left_projection else S, np.asarray(W2))
+    Y = factor.adjoint(factor.apply(S))
+    Y = Y.reshape(X.shape) + X if residual else Y.reshape(X.shape)
+    if gamma is not None:
+        Y = complex_layer_norm(Y, gamma, beta)
+    return complex_relu(Y) if apply_activation else Y
 
 
 def predict_sheaf(

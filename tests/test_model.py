@@ -110,6 +110,23 @@ def test_layer_norm_default_affine_preserves_unit_modulus_energy():
     assert np.mean(np.abs(out) ** 2) == pytest.approx(1.0, rel=2e-2)
 
 
+@pytest.mark.parametrize("f", [1, 2, 3, 4, 6, 8, 16])
+def test_layer_norm_matches_a_per_column_loop(f):
+    # the column groups of the float-view products (k = gcd(f, 4) columns at a time) against one
+    # column at a time: the centred (re, im) pairs c, S = mean(c c^T) + eps I, gamma S^{-1/2} c + beta
+    rng = np.random.default_rng(f)
+    X = rng.standard_normal((50, f)) * rng.uniform(0.1, 3.0, f) + 1j * rng.standard_normal((50, f))
+    gamma, beta = np.array([[1.3, -0.4], [0.2, 0.9]]), np.array([0.3, -0.7])
+    expected = np.empty_like(X)
+    for j in range(f):
+        c = np.stack([X[:, j].real, X[:, j].imag])
+        c -= c.mean(axis=1, keepdims=True)
+        w, V = np.linalg.eigh(c @ c.T / len(X) + model.LAYER_NORM_EPS * np.eye(2))
+        y = gamma @ (V / np.sqrt(w)) @ V.T @ c + beta[:, None]
+        expected[:, j] = y[0] + 1j * y[1]
+    np.testing.assert_allclose(complex_layer_norm(X, gamma, beta), expected, rtol=0, atol=1e-12)
+
+
 def layer_norm_case(seed=0, n_rows=40, f=4):
     # a column scaled by 1e-3 and a near-constant one, whose covariance is
     # almost the eps jitter; gamma and beta away from their initial values
@@ -120,29 +137,63 @@ def layer_norm_case(seed=0, n_rows=40, f=4):
     return X, np.array([[1.3, -0.4], [0.2, 0.9]]), np.array([0.3, -0.7])
 
 
+def layer_tail_case(seed, n_rows=40, f=4):
+    """``Y``, ``gamma`` and ``beta`` of :func:`layer_norm_case` and the complex and real residuals of
+    another draw, so that ``Y + X`` keeps a tiny column and a near-constant one."""
+    Y, gamma, beta = layer_norm_case(seed, n_rows, f)
+    X = 0.5 * layer_norm_case(seed + 100, n_rows, f)[0]
+    return Y, {"complex": X, "real": X.real.copy(), "none": None}, gamma, beta
+
+
+def layer_tail(Y, X, gamma, beta):
+    """The layer tail node on fresh leaves ``Y``, ``X`` (``None`` for no residual), ``gamma`` and ``beta``,
+    with ``Y`` and ``X`` ``(N, f)`` seen as ``(N / 2, 2, f)``; returns the output and the leaves."""
+    tape, shape = Tape(), (len(Y) // 2, 2, Y.shape[1])
+    leaves = {"Y": Y.reshape(shape), "X": None if X is None else X.reshape(shape), "gamma": gamma, "beta": beta}
+    leaves = {k: None if v is None else tape.tensor(v, requires_grad=True) for k, v in leaves.items()}
+    return _layer_norm_pair(*leaves.values(), *Y.shape), leaves
+
+
 def test_layer_norm_node_forward_is_complex_layer_norm_bit_for_bit():
-    X, gamma, beta = layer_norm_case(seed=1, n_rows=60, f=5)
-    tape = Tape()
-    out = _layer_norm_pair(tape.tensor(X.reshape(30, 2, 5)), tape.tensor(gamma), tape.tensor(beta), 60, 5)
-    assert out.shape == (30, 2, 5)
-    assert out.value.reshape(60, 5).tobytes() == complex_layer_norm(X, gamma, beta).tobytes()
+    # the one node of the layer tail is crelu(complex_layer_norm(Y + X)) to the bit, with the residual
+    # complex, real (the first layer's) or off
+    Y, residuals, gamma, beta = layer_tail_case(seed=1, n_rows=60, f=5)
+    for X in residuals.values():
+        out = layer_tail(Y, X, gamma, beta)[0]
+        assert out.shape == (30, 2, 5)
+        expected = complex_relu(complex_layer_norm(Y if X is None else Y + X, gamma, beta))
+        assert out.value.reshape(60, 5).tobytes() == expected.tobytes()
+        assert 0 < np.count_nonzero(out.value) < out.value.size
 
 
 def test_layer_norm_node_gradient_matches_finite_differences():
-    X, gamma, beta = layer_norm_case(seed=2)
-    weight = np.random.default_rng(3).standard_normal((2,) + X.shape)
+    # every parent of the layer tail node, Y, the residual X, gamma and beta, with the residual complex,
+    # real or off.  No probe moves an output across the rectifier's kink: the mask stays fixed
+    Y, residuals, gamma, beta = layer_tail_case(seed=2)
+    weight = np.random.default_rng(3).standard_normal((2,) + Y.shape)
+    for kind, X in residuals.items():
+        mask = layer_tail(Y, X, gamma, beta)[0].value.real > 0
 
-    def build_loss(p):
-        tape = Tape()
-        X = tape.tensor(p["Xr"] + 1j * p["Xi"], requires_grad=True)
-        gamma, beta = tape.tensor(p["gamma"], requires_grad=True), tape.tensor(p["beta"], requires_grad=True)
-        Y = _layer_norm_pair(X, gamma, beta, *X.shape)
-        loss = parts_loss(Y, weight[0], weight[1])
-        tape.backward(loss)
-        return float(loss.value), {"Xr": X.grad.real, "Xi": X.grad.imag, "gamma": gamma.grad, "beta": beta.grad}
+        def build_loss(p):
+            X = p["Xr"] + 1j * p["Xi"] if "Xi" in p else p.get("Xr")
+            out, leaves = layer_tail(p["Yr"] + 1j * p["Yi"], X, p["gamma"], p["beta"])
+            assert np.array_equal(out.value.real > 0, mask), "a probe crossed the rectifier's kink"
+            loss = parts_loss(out, *(w.reshape(out.shape) for w in weight))
+            out.tape.backward(loss)
+            grads = {"Yr": leaves["Y"].grad.real, "Yi": leaves["Y"].grad.imag}
+            if X is not None:
+                grads["Xr"], grads["Xi"] = leaves["X"].grad.real, leaves["X"].grad.imag
+            grads.update(gamma=leaves["gamma"].grad, beta=leaves["beta"].grad)
+            return float(loss.value), {k: v.reshape(p[k].shape) for k, v in grads.items() if k in p}
 
-    params = {"Xr": X.real.copy(), "Xi": X.imag.copy(), "gamma": gamma, "beta": beta}
-    finite_difference_check(build_loss, params, n_probes=40, step=1e-6, rel_tol=1e-6, rng=np.random.default_rng(4))
+        params = {"Yr": Y.real.copy(), "Yi": Y.imag.copy(), "gamma": gamma, "beta": beta}
+        if X is not None:
+            params["Xr"] = X.real.copy()
+        if kind == "complex":
+            params["Xi"] = X.imag.copy()
+        finite_difference_check(
+            build_loss, params, n_probes=40, step=1e-6, rel_tol=1e-6, rng=np.random.default_rng(4)
+        )
 
 
 # --- sheaf prediction -------------------------------------------------------
@@ -215,6 +266,12 @@ def test_diffusion_layer_rejects_a_signal_that_is_not_2d(shape):
         diffusion_layer(np.zeros(shape), H, A, np.eye(A.config.d), np.eye(1))
 
 
+def test_diffusion_layer_rejects_a_signal_without_columns():
+    H, A = small_instance(8)
+    with pytest.raises(ValueError, match="f >= 1"):
+        diffusion_layer(np.zeros((H.num_vertices * A.config.d, 0)), H, A, np.eye(A.config.d), np.eye(0))
+
+
 def test_full_layer_matches_dense_recomputation():
     rng = np.random.default_rng(9)
     H, A = small_instance(9, map_shapes=("full",))
@@ -233,6 +290,24 @@ def test_full_layer_matches_dense_recomputation():
     Q = np.eye(n * d) - bundle.L.to_dense()
     inner = Q @ np.kron(np.eye(n), W1) @ X @ W2 + X
     expected = complex_relu(complex_layer_norm(inner, gamma, beta))
+    assert np.max(np.abs(out - expected)) < 1e-8
+
+
+@pytest.mark.parametrize("residual", [True, False])
+def test_layer_norm_without_activation_is_not_rectified(residual):
+    # with gamma given and apply_activation=False the layer ends at its layer norm: entries with a
+    # negative real part come out as they are
+    rng = np.random.default_rng(10)
+    H, A = small_instance(10, map_shapes=("full",))
+    d, n, f = A.config.d, H.num_vertices, 3
+    X = rng.standard_normal((n * d, f)) + 1j * rng.standard_normal((n * d, f))
+    W1, W2 = rng.standard_normal((d, d)), rng.standard_normal((f, f))
+    gamma, beta = rng.standard_normal((2, 2)), rng.standard_normal(2)
+    out = diffusion_layer(X, H, A, W1, W2, residual=residual, gamma=gamma, beta=beta, apply_activation=False)
+    Q = np.eye(n * d) - build_laplacian(H, A, normalized=True, jitter=DEGREE_EPS).L.to_dense()
+    inner = Q @ np.kron(np.eye(n), W1) @ X @ W2 + (X if residual else 0)
+    expected = complex_layer_norm(inner, gamma, beta)
+    assert np.any(expected.real < -0.1)
     assert np.max(np.abs(out - expected)) < 1e-8
 
 
@@ -408,18 +483,44 @@ def training_step_tape(full):
     return tape
 
 
-@pytest.mark.parametrize("full, nodes", [(False, 21), (True, 24)])
+@pytest.mark.parametrize("full, nodes", [(False, 17), (True, 20)])
 def test_training_step_records_a_fixed_number_of_tape_nodes(full, nodes):
-    # the node count does not depend on the data: the layer norm is one node
-    # and each real/imaginary unwinding one product
+    # the node count does not depend on the data: a layer's residual, layer norm
+    # and rectifier are one node and each real/imaginary unwinding one product
     assert len(training_step_tape(full).nodes) == nodes
 
 
-@pytest.mark.parametrize("full, nbytes", [(False, 239_048), (True, 244_712)])
+@pytest.mark.parametrize("full, nbytes", [(False, 177_608), (True, 183_272)])
 def test_training_step_tape_holds_a_fixed_number_of_bytes(full, nbytes):
     # the bytes held by the node values on this n = 30 instance, pinned so that
     # per-column layer-norm algebra or real/imaginary copies cannot creep back
     assert sum(node.value.nbytes for node in training_step_tape(full).nodes) == nbytes
+
+
+def test_no_backward_writes_into_a_gradient_it_receives(monkeypatch):
+    # a tensor stores its first gradient as sent, without a copy; each stored .grad is made read-only
+    # here, so a backward that wrote in place into a gradient it received would raise
+    accumulate = ad.Tensor.accumulate
+
+    def read_only(self, g):
+        accumulate(self, g)
+        self.grad.setflags(write=False)
+
+    monkeypatch.setattr(ad.Tensor, "accumulate", read_only)
+    ds = small_dataset(seed=5, n=30)
+    structure = IncidenceStructure.build(ds.hypergraph)
+    light, _ = synthetic_benchmark_config(seed=5)
+    for config in (light, dataclasses.replace(light, light_mode=False, map_shape="full")):
+        config = dataclasses.replace(config, dropout_rate=0.3)
+        state = init_state(config, ds.features.shape[1], 2)
+        _, grads, _, _ = loss_and_gradients(
+            ds.features, structure, ds.labels, ds.masks[0], state, config, dropout_rng=np.random.default_rng(0)
+        )
+        assert not grads["W2_0"].flags.writeable
+        assert config.light_mode or not grads["phi0_W"].flags.writeable
+    # a criterion-4 probe: full maps, dynamic sheaf, every parameter group
+    config = ModelConfig(num_layers=2, stalk_dim=2, hidden_width=3, seed=6, map_shape="full", dynamic_sheaf=True)
+    gradcheck_config(config, 6, n_probes=4)
 
 
 # --- forward ----------------------------------------------------------------
