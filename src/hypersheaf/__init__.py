@@ -66,9 +66,9 @@ def _pin_malloc_thresholds() -> None:
     glibc serves a block above its mmap threshold with fresh pages and gives
     free heap top above its trim threshold back to the system, and raises
     both as the process frees large blocks.  The signal-sized temporaries of
-    the ``Z^dagger Z`` kernel (the gathered signal rows, 1.4 MB per half at
-    2,700 incidences, d = 2, 16 columns; the per-(hyperedge, role) copies,
-    0.55 MB at 540 hyperedges) therefore land on fresh pages in some
+    the ``Z^dagger Z`` kernel (each run's gathered signal rows, 1.4 MB per
+    half in all at 2,700 incidences, d = 2, 16 columns; the phased signal
+    stacks, 0.3 MB at 300 vertices) therefore land on fresh pages in some
     processes and on reused heap in others, by what each has freed before:
     on a 2-core Xeon one ``apply_laplacian`` of that size took 0.6 ms with
     3 page faults pinned and 4.1 ms with about 1,400 at glibc's initial

@@ -14,12 +14,12 @@ Stacked, the blocks form the factor ``Z``, and
 
 The operator is stored as its real blocks ``M`` alone, in the order of the
 hypergraph's :class:`~.sheaf.IncidenceStructure`, which a sheaf built on it
-holds; the scalar weights ``w`` come from the structure's ``weights``.
-:class:`Factor` is the one vectorised ``Z^dagger Z`` kernel, prepared once
-per operator: the ``(I, d, d)`` blocks run as one real product per run of
-equal-length segments on the float view of the signal, each segment's
-blocks side by side, and ``w`` is applied per
-(hyperedge, role), never per incidence.  The complex ``Z`` is formed only
+holds, and the charge ``q``.  :class:`Factor` is the one vectorised
+``Z^dagger Z`` kernel, prepared once per operator: ``delta_e^{-1/2}`` is
+folded into the real blocks, the tail phase rides on the signal, and the
+``(I, d, d)`` blocks run as one real product per run of equal-length
+hyperedges or vertices on the float view of the signal, each segment's
+blocks side by side, so ``w`` is never formed per incidence.  The complex ``Z`` is formed only
 by :attr:`Factor.blocks`, for the dense export :meth:`LaplacianBundle.dense`
 and the block-sparse ``LaplacianBundle.L``; both sum ``conj(Z_k)^T Z_l``
 over the pairs of incidences of each hyperedge, so they are Hermitian to
@@ -39,7 +39,7 @@ from .blockmatrix import BlockComplexMatrix, _check_dense_cap
 from .hypergraph import DirectedHypergraph
 # read as laplacian.jacobi_eigh by perfbench/tests/test_smoke.py::test_tracer_wraps_every_lookup_and_restores_it
 from .jacobi import jacobi_eigh  # noqa: F401
-from .sheaf import IncidenceStructure, SheafAssignment
+from .sheaf import IncidenceStructure, SheafAssignment, tail_coefficient
 
 __all__ = [
     "NodeSignal",
@@ -83,76 +83,57 @@ def _check_same_incidences(sheaf: IncidenceStructure, hypergraph: IncidenceStruc
 
 
 class Factor:
-    """The factor ``Z``, ``Z_k = w_k M_k``, prepared once for repeated products.
+    """The factor ``Z``, ``Z_k = w_k M_k``, ``w_k = S_k delta_e^{-1/2}``, prepared once for repeated products.
 
-    ``w`` (the ``(I,)`` weight of :meth:`IncidenceStructure.weights`) and
-    the real blocks ``M`` ``(I, d, d)`` are kept in canonical order, ``M`` as
-    the caller passed it; any other shape of ``M`` raises ``ValueError``.  No
-    per-incidence product is formed: a segment's ``L`` blocks lie side by
-    side as one real ``d x (L d)`` matrix (``M_k`` on the edge half,
-    ``M_k^T`` on the node half), and one ``np.matmul`` per run of
-    equal-length segments multiplies it with the segment's stacked signal
-    rows on the float view.  ``w_k`` depends on ``k`` only through its
-    hyperedge and role, so the edge half sums tails and heads apart
-    (``pair_plan``) and weights the two sums, and the node half gathers from
-    ``conj(w)``-weighted copies of its input per (hyperedge, role).
+    ``M`` ``(I, d, d)`` is kept in canonical order as passed (any other shape raises
+    ``ValueError``), and ``delta_e^{-1/2}`` is folded into the prepared blocks.  No per-incidence
+    product is formed: a hyperedge's (edge half) or a vertex's (node half) ``L`` blocks lie side
+    by side as one real ``d x (L d)`` matrix, and one ``np.matmul`` per run of equal-length
+    segments multiplies it with the segment's stacked signal rows on the float view.  The phase
+    ``phi = tail_coefficient(q)`` rides on the signal: the edge half reads its rows from
+    ``[X; phi X]`` and the node half from ``[Y; conj(phi) Y]``, tails from the phased half, so
+    tails and heads sum inside one product, and each run gathers its own rows just before it.
     """
 
-    def __init__(self, structure: IncidenceStructure, w: np.ndarray, M: np.ndarray):
+    def __init__(self, structure: IncidenceStructure, q: float, M: np.ndarray):
         num_inc = len(structure.inc_node)
         if M.shape != (num_inc,) + M.shape[-1:] * 2:
             raise ValueError(f"factor blocks M must have shape ({num_inc}, d, d), got {M.shape}")
-        self.structure, self.w, self.M = structure, w, M
-        # each segment's M_k^T (edge half) or M_k (node half) stacked, then viewed side by side
-        self._edge = _run_views(np.swapaxes(M, 1, 2).take(structure.pair_plan.major, axis=0), structure.pair_plan)
-        self._node = _run_views(M.take(structure.node_plan.major, axis=0), structure.node_plan)
-
-    @functools.cached_property
-    def _pair_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """``w`` per (hyperedge, role) and its conjugate, ``(m, 2, 1, 1)``: tails, then heads, and
-        zero for a role without incidences."""
-        c = np.zeros(2 * self.structure.m, dtype=self.w.dtype)
-        c[self.structure.pair_plan.seg_ids] = self.w
-        c = c.reshape(-1, 2, 1, 1)
-        return c, np.conj(c)
-
-    def _conj_weighted(self, Y: np.ndarray) -> np.ndarray:
-        """``conj(w) Y_e`` per (hyperedge, role), ``(2 m, d, f)`` for ``Y`` ``(m, d, f)``; row
-        ``pair_plan.seg_ids[k]`` is ``conj(w_k) Y_{e_k}`` to the bit."""
-        return (self._pair_weights[1] * Y[:, None]).reshape((-1,) + Y.shape[1:])
-
-    def rows(self, X: np.ndarray) -> np.ndarray:
-        """``X``'s rows ``(I, d, f)`` in ``pair_plan.major`` order, the operand that :meth:`apply` gathers."""
-        return X.take(self.structure.pair_node, axis=0)
+        self.structure, self.q, self.M = structure, q, M
+        self.phase = tail_coefficient(q)
+        scaled = M / np.sqrt(structure.delta)[structure.inc_edge, None, None]
+        # each segment's delta_e^{-1/2} M_k^T (edge half) or delta_e^{-1/2} M_k (node half) stacked;
+        # take writes a C-order stack, so that the run views share its memory
+        edge, node = structure.edge_plan, structure.node_plan
+        self._edge = _run_views(np.swapaxes(scaled, 1, 2).take(edge.major, axis=0), edge, structure.edge_gather)
+        self._node = _run_views(scaled.take(node.major, axis=0), node, structure.node_gather)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """``Z X`` ``(m, d, f)`` for a real or complex signal ``X`` ``(n, d, f)``."""
-        return self.apply_rows(self.rows(X))
-
-    def apply_rows(self, R: np.ndarray) -> np.ndarray:
-        """``Z X`` from ``X``'s gathered :meth:`rows` ``R``."""
         s = self.structure
-        sums = _run_products(self._edge, R, 2 * s.m, s.pair_plan.rank.reshape(-1, 2))
-        return np.add.reduce(self._pair_weights[0] * sums, axis=1)  # tails plus heads
+        return _run_products(self._edge, _phased(X, self.phase), s.m, s.edge_plan.rank)
 
-    def block_gradient(self, Y: np.ndarray, R: np.ndarray) -> np.ndarray:
+    def block_gradient(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
         """``Re(conj(w_k) Y_{e_k} X_{u_k}^H)`` ``(I, d, d)``, the gradient of ``Re <Y, Z X>`` in ``M``,
-        for ``Y`` ``(m, d, f)`` and ``X``'s :meth:`rows` ``R``.  ``conj(w_k) Y_{e_k}`` depends on ``k``
-        only through its (hyperedge, role), so one real product per run of ``pair_plan`` multiplies
-        each segment's stacked rows with it on the float views (with its ``Re`` for a real ``R``)."""
+        for ``Y`` ``(m, d, f)`` and ``X`` ``(n, d, f)``.  That is ``delta_e^{-1/2} Re(Y_e (S_k X_u)^H)``,
+        so per run of ``edge_plan`` one real product multiplies each segment's rows, gathered from
+        ``[X; phi X]`` as :meth:`apply` gathers them, with its scaled ``Y_e`` on the float views."""
         s, d = self.structure, self.M.shape[-1]
-        P = self._conj_weighted(Y).take(s.pair_plan.rank.argsort(), axis=0)  # segments in run order
-        R, P = (R.view(float), _float_view(P)) if R.dtype.kind == "c" else (R, np.ascontiguousarray(P.real))
-        out = np.empty((len(R), d, d))  # X_k (conj(w_k) Y_{e_k})^H per row, the transposed block
-        for lo, hi, first, end in s.pair_plan.runs:
-            rows = R[first:end].reshape(hi - lo, (end - first) // (hi - lo) * d, R.shape[-1])
+        v = _float_view(_phased(X, self.phase))
+        P = np.empty_like(Y, dtype=complex)  # delta_e^{-1/2} Y_e, segments in run order
+        P[s.edge_plan.rank] = Y / np.sqrt(s.delta)[:, None, None]
+        P = _float_view(P)
+        out = np.empty((len(s.inc_node), d, d))  # (S_k X_{u_k}) (delta_e^{-1/2} Y_e)^H per row, transposed
+        for lo, hi, first, end in s.edge_plan.runs:
+            rows = v.take(s.edge_gather[first:end], axis=0)
+            rows = rows.reshape(hi - lo, (end - first) // (hi - lo) * d, v.shape[-1])
             np.matmul(rows, np.swapaxes(P[lo:hi], 1, 2), out=out[first:end].reshape(rows.shape[:2] + (d,)))
-        return np.swapaxes(out.take(s.pair_row, axis=0), 1, 2)
+        return np.swapaxes(out.take(s.edge_row, axis=0), 1, 2)
 
     def adjoint(self, Y: np.ndarray) -> np.ndarray:
         """``Z^dagger Y`` ``(n, d, f)`` for ``Y`` ``(m, d, f)``."""
         s = self.structure
-        return _run_products(self._node, self._conj_weighted(Y).take(s.node_pair, axis=0), s.n, s.node_plan.rank)
+        return _run_products(self._node, _phased(Y, np.conj(self.phase)), s.n, s.node_plan.rank)
 
     def gram(self, X: np.ndarray) -> np.ndarray:
         """``Z^dagger Z X``: the signless operator applied to ``X`` ``(n, d, f)``."""
@@ -160,31 +141,41 @@ class Factor:
 
     @property
     def blocks(self) -> np.ndarray:
-        """The complex blocks ``Z_k = w_k M_k`` ``(I, d, d)``."""
-        return self.w[:, None, None] * self.M
+        """The complex blocks ``Z_k = w_k M_k`` ``(I, d, d)``, ``w`` from ``structure.weights(q)``."""
+        return self.structure.weights(self.q)[:, None, None] * self.M
 
 
-def _run_views(stacked: np.ndarray, plan: SegmentPlan) -> tuple:
-    """Per run of ``plan``, its segments' blocks side by side as a ``(segments, d, L d)`` view of
-    ``stacked`` ``(I, d, d)`` (rows in ``plan.major`` order), each matrix the transpose of its
-    segment's ``L d x d`` stack: no copy."""
+def _phased(v: np.ndarray, phase: complex) -> np.ndarray:
+    """The complex stack ``[v; phase v]`` ``(2 r, ...)`` of ``v`` ``(r, ...)``: row ``r + i`` is
+    ``phase v_i``, the row that a tail incidence reads."""
+    out = np.empty((2 * len(v),) + v.shape[1:], dtype=np.result_type(v, phase))
+    out[: len(v)] = v
+    np.multiply(v, phase, out=out[len(v):])
+    return out
+
+
+def _run_views(stacked: np.ndarray, plan: SegmentPlan, gather: np.ndarray) -> tuple:
+    """Per run of ``plan``, its segments ``lo:hi``, the rows of the signal stack that it reads
+    (its slice of ``gather``) and its segments' blocks side by side as a ``(segments, d, L d)``
+    view of ``stacked`` ``(I, d, d)`` (rows in ``plan.major`` order), each matrix the transpose of
+    its segment's ``L d x d`` stack: no copy."""
     d = stacked.shape[-1]
     return tuple(
-        (lo, hi, first, end, stacked[first:end].reshape(hi - lo, (end - first) // (hi - lo) * d, d).swapaxes(1, 2))
+        (lo, hi, gather[first:end], stacked[first:end].reshape(hi - lo, (end - first) // (hi - lo) * d, d).swapaxes(1, 2))
         for lo, hi, first, end in plan.runs
     )
 
 
-def _run_products(runs: tuple, rows: np.ndarray, num_segments: int, rank: np.ndarray) -> np.ndarray:
-    """Segment sums of ``blocks_k rows_k``, read out in ``rank`` order, for ``rows`` gathered in
-    segment-major order: one real product per run of the side-by-side blocks with the segments'
-    stacked rows (the float view of complex rows), so each sum is formed inside its product."""
-    v = rows.view(rows.real.dtype)  # a fresh gather, contiguous
+def _run_products(runs: tuple, stack: np.ndarray, num_segments: int, rank: np.ndarray) -> np.ndarray:
+    """Segment sums of ``blocks_k stack[gather_k]`` over the :func:`_run_views` ``runs``, read out
+    in ``rank`` order: per run, the rows it reads are gathered from the float view of the complex
+    ``stack`` and multiplied with the side-by-side blocks in one real product, so each sum is
+    formed inside its product and no gather spans the whole signal."""
+    v = _float_view(stack)
     out = np.empty((num_segments,) + v.shape[1:])
-    for lo, hi, first, end, blocks in runs:
-        np.matmul(blocks, v[first:end].reshape(hi - lo, blocks.shape[-1], v.shape[-1]), out=out[lo:hi])
-    sums = out[rank]
-    return sums.view(complex) if rows.dtype.kind == "c" else sums
+    for lo, hi, index, blocks in runs:
+        np.matmul(blocks, v.take(index, axis=0).reshape(hi - lo, blocks.shape[-1], v.shape[-1]), out=out[lo:hi])
+    return out[rank].view(complex)
 
 
 def _degree_blocks(structure: IncidenceStructure, F: np.ndarray) -> np.ndarray:
@@ -251,8 +242,8 @@ class LaplacianBundle:
 
     @functools.cached_property
     def factor(self) -> Factor:
-        """The prepared factor ``Z_k = w_k M_k``, its weights from ``structure.weights(q)``."""
-        return Factor(self.structure, self.structure.weights(self.sheaf.config.q), self.M)
+        """The prepared factor ``Z_k = w_k M_k`` at the sheaf's ``q``."""
+        return Factor(self.structure, self.sheaf.config.q, self.M)
 
     @functools.cached_property
     def L(self) -> BlockComplexMatrix:

@@ -311,19 +311,14 @@ def _apply_signless(M: Tensor, X: Tensor, factor: Factor) -> Tensor:
     output gradient ``G``.  The real blocks' gradient is
     ``Re(conj(w_k) (U_e G_u^H + V_e X_u^H))`` with the edge halves ``U = Z X``
     (kept from the forward) and ``V = Z G``: :meth:`.Factor.block_gradient`
-    on the rows of ``G`` and ``X`` that the two applies gather, ``X``'s kept
-    only when ``M`` takes a gradient.
+    of ``G`` and ``X``, which gathers their rows run by run as the applies do.
     """
-    x_rows = factor.rows(X.value)
-    U = factor.apply_rows(x_rows)
-    x_rows = x_rows if M.requires_grad else None
+    U = factor.apply(X.value)
 
     def backward(G):
-        g_rows = factor.rows(G)
-        V = factor.apply_rows(g_rows)
+        V = factor.apply(G)
         if M.requires_grad:
-            M.accumulate(factor.block_gradient(U, g_rows) + factor.block_gradient(V, x_rows))
-        del g_rows  # freed before the adjoint runs
+            M.accumulate(factor.block_gradient(U, G) + factor.block_gradient(V, X.value))
         if X.requires_grad:
             X.accumulate(factor.adjoint(V))
 
@@ -401,7 +396,6 @@ def _forward_tape(
     feats = tape.tensor(np.asarray(features, dtype=float))
     X = ad.reshape(ad.add(ad.matmul(feats, P["proj_W"]), P["proj_b"]), (n, d, f))
 
-    w = structure.weights(config.q)
     applied: list[Factor] = []
     for layer in range(config.num_layers):
         if factors is not None:
@@ -419,7 +413,7 @@ def _forward_tape(
                 shape = (len(structure.inc_node),) + (1,) * (len(maps.shape) - 1)
                 maps = ad.mul(maps, mask.reshape(shape))
             M = _operator_blocks(maps, structure, config)
-            factor = Factor(structure, w, M.value)
+            factor = Factor(structure, config.q, M.value)
         applied.append(factor)
         H = ad.matmul(P[f"W1_{layer}"], X) if config.left_projection else X
         Y = _apply_signless(M, ad.matmul(H, P[f"W2_{layer}"]), factor)

@@ -44,10 +44,11 @@ class IncidenceStructure:
     """Canonical incidence order of one hypergraph (that of :meth:`DirectedHypergraph.incidences`:
     edge by edge, tails before heads, vertices ascending) and the index plans all factor paths share.
 
-    ``pair_plan`` groups the incidences by (hyperedge, role): segment ``2 e``
-    holds the tails of ``e`` and ``2 e + 1`` its heads.  ``pair_node`` is the
-    vertex of each row of ``pair_plan.major``, and ``node_pair`` the pair of
-    each row of ``node_plan.major``: the rows that the kernel gathers."""
+    ``edge_gather`` is the row of the stack ``[X; phi X]`` (``n`` rows each)
+    that each row of ``edge_plan.major`` reads, ``inc_node + n inc_is_tail``,
+    and ``node_gather`` the row of ``[Y; conj(phi) Y]`` (``m`` rows each) that
+    each row of ``node_plan.major`` reads, ``inc_edge + m inc_is_tail``: tails
+    read the phased half."""
 
     n: int
     m: int
@@ -57,9 +58,8 @@ class IncidenceStructure:
     delta: np.ndarray
     node_plan: SegmentPlan
     edge_plan: SegmentPlan
-    pair_plan: SegmentPlan
-    pair_node: np.ndarray
-    node_pair: np.ndarray
+    edge_gather: np.ndarray
+    node_gather: np.ndarray
 
     @classmethod
     def build(cls, H: DirectedHypergraph) -> "IncidenceStructure":
@@ -71,21 +71,21 @@ class IncidenceStructure:
             inc_edge = np.repeat(np.arange(len(edges)), degree)
             inc_is_tail = np.fromiter(chain((True,) * len(e.tail) + (False,) * len(e.head) for e in edges), dtype=bool)
             node_plan = SegmentPlan.build(inc_node, H.num_vertices)
-            pair_plan = SegmentPlan.build(2 * inc_edge + ~inc_is_tail, 2 * H.num_hyperedges)
-            pair_node, node_pair = inc_node[pair_plan.major], pair_plan.seg_ids[node_plan.major]
+            edge_plan = SegmentPlan.build(inc_edge, H.num_hyperedges)
+            edge_gather = (inc_node + H.num_vertices * inc_is_tail)[edge_plan.major]
+            node_gather = (inc_edge + H.num_hyperedges * inc_is_tail)[node_plan.major]
             arrays = inc_node, inc_edge, inc_is_tail, degree.astype(float)
-            for a in (*arrays, pair_node, node_pair):
+            for a in (*arrays, edge_gather, node_gather):
                 a.setflags(write=False)
             H._derived[cls] = cls(
-                H.num_vertices, H.num_hyperedges, *arrays,
-                node_plan, SegmentPlan.build(inc_edge, H.num_hyperedges), pair_plan, pair_node, node_pair,
+                H.num_vertices, H.num_hyperedges, *arrays, node_plan, edge_plan, edge_gather, node_gather
             )
         return H._derived[cls]
 
     @functools.cached_property
-    def pair_row(self) -> np.ndarray:
-        """The row of ``pair_plan.major`` that holds each incidence, read-only."""
-        row = self.pair_plan.major.argsort()
+    def edge_row(self) -> np.ndarray:
+        """The row of ``edge_plan.major`` that holds each incidence, read-only."""
+        row = self.edge_plan.major.argsort()
         row.setflags(write=False)
         return row
 

@@ -1,7 +1,9 @@
+import gc
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from hypersheaf import laplacian, sheaf
 from hypersheaf.autodiff import Tape
 from hypersheaf.blockmatrix import DENSE_EXPORT_CAP, BlockComplexMatrix
+from hypersheaf.data import SyntheticConfig, generate_synthetic
 from hypersheaf.hypergraph import DirectedHypergraph, Hyperedge
 from hypersheaf.laplacian import (
     DEGREE_EPS,
@@ -28,7 +31,7 @@ from hypersheaf.laplacian import (
 )
 from hypersheaf.model import _diagonal_blocks
 from hypersheaf.sheaf import IncidenceStructure, SheafAssignment, SheafConfig, build_fixed_sheaf, directional_coefficient
-from hypersheaf.spectral import random_instance
+from hypersheaf.spectral import random_hypergraph, random_instance
 from hypersheaf.theorems import counterexample_hypergraph
 
 
@@ -296,8 +299,9 @@ def _kernel_cases():
     ]
 
 
-# worst on unused seeds: 7.9e-16 (edge half) and 5.2e-16 (node half) for full
-# blocks, 6.7e-16 and 3.9e-16 for diagonal ones
+# worst on unused seeds (60 of the edge test, 600 draws of the node test): 6.3e-16
+# (edge half) and 5.0e-16 (node half) for full blocks, 3.7e-16 and 4.2e-16 for
+# diagonal ones
 KERNEL_TOL_RELATIVE = 2e-15
 
 
@@ -325,7 +329,7 @@ def test_kernel_matches_dense_factor_products(d, shape, q, signal, graph, f):
     Z = np.zeros((structure.m * d, structure.n * d), dtype=complex)
     for k, (u, e) in enumerate(zip(structure.inc_node, structure.inc_edge)):
         Z[e * d:(e + 1) * d, u * d:(u + 1) * d] = w[k] * M[k]
-    factor = Factor(structure, w, M)
+    factor = Factor(structure, q, M)
     X = rng.standard_normal((structure.n, d, f))
     Y = rng.standard_normal((structure.m, d, f))
     if signal == "complex":
@@ -375,14 +379,14 @@ def test_node_order_gathers_sum_the_same_rows_bit_for_bit():
         ]:
             oracle = np.zeros((s.n, d, f), dtype=complex)
             np.add.at(oracle, s.inc_node, products)
-            assert _relative_gap(Factor(s, w, blocks).adjoint(Y), oracle) <= KERNEL_TOL_RELATIVE
+            assert _relative_gap(Factor(s, A.config.q, blocks).adjoint(Y), oracle) <= KERNEL_TOL_RELATIVE
 
 
 @pytest.mark.parametrize("shape", ["full", "diagonal"])
 @pytest.mark.parametrize("f", [1, 5])
 def test_edge_half_sums_the_canonical_products_bit_for_bit(shape, f):
     # the edge half sums the tails and the heads of each hyperedge (3 to 19
-    # incidences) inside one product each and weights the two sums, for full
+    # incidences) inside one product, tails read from the phased signal, for full
     # and diagonal blocks alike; the result must agree with the canonical-order
     # products w_k M_k X_{u_k} summed by np.add.at within KERNEL_TOL_RELATIVE
     rng = np.random.default_rng(1913 + f)
@@ -403,7 +407,7 @@ def test_edge_half_sums_the_canonical_products_bit_for_bit(shape, f):
         M = np.stack([np.diag(m) for m in M])
     oracle = np.zeros((s.m, d, f), dtype=complex)
     np.add.at(oracle, s.inc_edge, products)
-    assert _relative_gap(Factor(s, w, M).apply(X), oracle) <= KERNEL_TOL_RELATIVE
+    assert _relative_gap(Factor(s, 0.3, M).apply(X), oracle) <= KERNEL_TOL_RELATIVE
 
 
 def test_diagonal_factor_is_its_embedded_blocks_bit_for_bit():
@@ -415,11 +419,11 @@ def test_diagonal_factor_is_its_embedded_blocks_bit_for_bit():
         for _ in range(20):
             H, A = random_instance(rng, d_choices=(d,))
             s = IncidenceStructure.build(H)
-            w, f = s.weights(A.config.q), int(rng.integers(1, 4))
+            q, f = A.config.q, int(rng.integers(1, 4))
             diagonals = rng.standard_normal((len(s.inc_node), d))
             M = _diagonal_blocks(Tape().tensor(diagonals)).value
             embedded = np.stack([np.diag(m) for m in diagonals])
-            diagonal, full = Factor(s, w, M), Factor(s, w, embedded)
+            diagonal, full = Factor(s, q, M), Factor(s, q, embedded)
             assert diagonal.M is M and M.tobytes() == embedded.tobytes()
             X = rng.standard_normal((s.n, d, f)) + 1j * rng.standard_normal((s.n, d, f))
             Y = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
@@ -439,33 +443,43 @@ def test_factor_rejects_blocks_that_are_not_one_square_block_per_incidence(shape
     num_inc, d = len(s.inc_node), 3
     M = np.ones({"I,d": (num_inc, d), "I-1,d,d": (num_inc - 1, d, d), "I,d,d+1": (num_inc, d, d + 1)}[shape])
     with pytest.raises(ValueError, match=rf"shape \({num_inc}, d, d\), got {re.escape(str(M.shape))}"):
-        Factor(s, s.weights(A.config.q), M)
+        Factor(s, A.config.q, M)
 
 
-def test_pair_weighting_is_the_per_incidence_weighting_bit_for_bit():
-    # the full-map gradient weights U per (hyperedge, role) and gathers it: every
-    # incidence of a pair has the same w_k, so the rows equal conj(w_k) U_{e_k}
+def test_phased_gathers_are_the_per_incidence_phases_bit_for_bit():
+    # the phase rides on the signal: the edge half gathers its rows from [X; phi X]
+    # and the node half from [Y; conj(phi) Y], tails from the phased half, so the
+    # gathered rows are S_k X_{u_k} in edge_plan.major order and conj(S_k) Y_{e_k}
+    # in node_plan.major order, for real and complex X (the signal the left operand
+    # of each complex product, as in the kernel: numpy's fused multiply-adds make
+    # the operand order show in the last bit)
     rng = np.random.default_rng(577)
-    for _ in range(200):
+    for draw in range(200):
         H, A = random_instance(rng)
         s = IncidenceStructure.build(H)
-        w, d, f = s.weights(A.config.q), A.config.d, int(rng.integers(1, 4))
-        U = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
-        for M in (A.maps, np.stack([np.diag(np.diagonal(F)) for F in A.maps])):
-            rows = Factor(s, w, M)._conj_weighted(U)[s.pair_plan.seg_ids]
-            assert rows.tobytes() == (np.conj(w)[:, None, None] * U[s.inc_edge]).tobytes()
+        q, d, f = A.config.q, A.config.d, int(rng.integers(1, 4))
+        S = s.phases(q)[:, None, None]
+        X = rng.standard_normal((s.n, d, f))
+        if draw % 2:
+            X = X + 1j * rng.standard_normal((s.n, d, f))
+        Y = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
+        phi = sheaf.tail_coefficient(q)
+        edge_rows = laplacian._phased(X, phi)[s.edge_gather]
+        assert edge_rows.tobytes() == (X[s.inc_node] * S)[s.edge_plan.major].tobytes()
+        node_rows = laplacian._phased(Y, np.conj(phi))[s.node_gather]
+        assert node_rows.tobytes() == (Y[s.inc_edge] * np.conj(S))[s.node_plan.major].tobytes()
 
 
 def test_block_gradient_matches_the_per_incidence_outer_products():
     # oracle: Re(conj(w_k) Y_{e_k} X_{u_k}^H) incidence by incidence, the expression
     # the model's full-map gradient used before the per-run products
     rng = np.random.default_rng(578)
-    empty_roles = 0
+    one_role = 0
     for draw in range(200):
         H, A = random_instance(rng)
         s = IncidenceStructure.build(H)
         w, d, f = s.weights(A.config.q), A.config.d, int(rng.integers(1, 4))
-        factor = Factor(s, w, A.maps)
+        factor = Factor(s, A.config.q, A.maps)
         Y = rng.standard_normal((s.m, d, f)) + 1j * rng.standard_normal((s.m, d, f))
         X = rng.standard_normal((s.n, d, f))
         if draw % 2:
@@ -473,11 +487,11 @@ def test_block_gradient_matches_the_per_incidence_outer_products():
         expected = np.real(
             np.conj(w)[:, None, None] * Y[s.inc_edge] @ np.conj(np.swapaxes(X[s.inc_node], 1, 2))
         )
-        got = factor.block_gradient(Y, factor.rows(X))
+        got = factor.block_gradient(Y, X)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-        empty_roles += int(np.any(np.bincount(s.pair_plan.seg_ids, minlength=2 * s.m) == 0))
-    assert empty_roles > 0  # undirected hyperedges leave their head role empty
+        one_role += int(np.any(np.bincount(s.inc_edge[~s.inc_is_tail], minlength=s.m) == 0))
+    assert one_role > 0  # undirected hyperedges hold tails only
 
 
 def test_structure_is_built_once_per_hypergraph_and_read_only():
@@ -487,8 +501,8 @@ def test_structure_is_built_once_per_hypergraph_and_read_only():
     assert IncidenceStructure.build(H) is s
     # build_fixed_sheaf holds the same cached structure
     assert build_fixed_sheaf(H, SheafConfig(q=0.1, d=2, map_shape="full")).structure is s
-    arrays = [s.inc_node, s.inc_edge, s.inc_is_tail, s.delta, s.pair_node, s.node_pair, *s.edge_pairs, s.pair_row]
-    for plan in (s.node_plan, s.edge_plan, s.pair_plan):
+    arrays = [s.inc_node, s.inc_edge, s.inc_is_tail, s.delta, s.edge_gather, s.node_gather, *s.edge_pairs, s.edge_row]
+    for plan in (s.node_plan, s.edge_plan):
         arrays += [plan.seg_ids, plan.order, plan.rank, plan.major]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -498,12 +512,68 @@ def test_structure_is_built_once_per_hypergraph_and_read_only():
     assert twin == H and hash(twin) == hash(H) == key and repr(twin) == repr(H)
     t = IncidenceStructure.build(twin)
     assert t is not s and twin == H and hash(twin) == key
-    for a, b in [(t, s), (t.node_plan, s.node_plan), (t.edge_plan, s.edge_plan), (t.pair_plan, s.pair_plan)]:
+    for a, b in [(t, s), (t.node_plan, s.node_plan), (t.edge_plan, s.edge_plan)]:
         for name, value in vars(b).items():
             if isinstance(value, np.ndarray):
                 np.testing.assert_array_equal(getattr(a, name), value)
     assert t.node_plan.runs == s.node_plan.runs and t.edge_plan.runs == s.edge_plan.runs
-    assert t.pair_plan.runs == s.pair_plan.runs
+
+
+def _moved_bundle(G, A, relabel):
+    """The normalized bundle of ``A``'s maps over ``G``, which holds ``A``'s incidences with
+    vertex ``u`` renamed ``relabel[u]``, each map kept on its renamed incidence."""
+    s, t, n = A.structure, IncidenceStructure.build(G), G.num_vertices
+    maps = np.empty_like(A.maps)
+    maps[np.argsort(t.inc_edge * n + t.inc_node)] = A.maps[np.argsort(s.inc_edge * n + relabel[s.inc_node])]
+    return build_laplacian(G, SheafAssignment.over(t, A.config, maps), normalized=True)
+
+
+def test_normalized_operator_obeys_reversal_and_relabelling_at_scale():
+    # two operator laws through the matrix-free kernel, at n = 2,000, d = 3, full maps
+    # and q = 0.1: reversing every directed hyperedge swaps the tail phase between the
+    # two sides, so L_N(H^rev) = conj(L_N(H)); relabelling the vertices by pi permutes
+    # the operator, L'_N P x = P L_N x.  Worst gaps on 20 other seeds: 2.9e-16 and 2.4e-16
+    rng = np.random.default_rng(2026)
+    H = random_hypergraph(rng, (2000, 2000), (800, 800), directed_fraction=0.6)
+    A = build_fixed_sheaf(H, SheafConfig(q=0.1, d=3, map_shape="full"), rng_seed=7)
+    n, d, f = H.num_vertices, 3, 4
+    x = rng.standard_normal((n * d, f)) + 1j * rng.standard_normal((n * d, f))
+    bundle = build_laplacian(H, A, normalized=True)
+    Lx = apply_laplacian(bundle, x)
+    scale = np.max(np.abs(Lx))
+
+    flipped = DirectedHypergraph(n, tuple(Hyperedge(e.head, e.tail) if e.head else e for e in H.hyperedges))
+    reversed_x = apply_laplacian(_moved_bundle(flipped, A, np.arange(n)), x)
+    assert np.max(np.abs(reversed_x - np.conj(apply_laplacian(bundle, np.conj(x))))) <= 1e-13 * scale
+    assert np.max(np.abs(reversed_x - Lx)) > 0.1 * scale  # a real operator would not meet the law (0.42 and up)
+
+    pi = rng.permutation(n)
+    renamed = DirectedHypergraph(n, tuple(Hyperedge(pi[list(e.tail)], pi[list(e.head)]) for e in H.hyperedges))
+    px = np.empty((n, d, f), dtype=complex)
+    px[pi] = x.reshape(n, d, f)
+    relabelled = apply_laplacian(_moved_bundle(renamed, A, pi), px.reshape(n * d, f)).reshape(n, d, f)[pi]
+    assert np.max(np.abs(relabelled.reshape(n * d, f) - Lx)) <= 1e-13 * scale
+
+
+def test_gram_peaks_below_one_signal_wide_incidence_array():
+    # each run gathers its own rows just before its product, so one gram never holds an
+    # (I, d, f) array: measured 8.5 MiB against 11.1 MiB for that array, and 17.2 MiB
+    # when the whole signal was gathered before the products
+    ds = generate_synthetic(SyntheticConfig(n=5000, classes=5, intra_per_class=300, inter_per_pair=100, seed=0))
+    A = build_fixed_sheaf(ds.hypergraph, SheafConfig(q=0.1, d=2, map_shape="full"), rng_seed=0)
+    factor = build_laplacian(ds.hypergraph, A, normalized=True, jitter=DEGREE_EPS).factor
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((5000, 2, 16)) + 1j * rng.standard_normal((5000, 2, 16))
+    factor.gram(X)  # warm: nothing prepared lazily counts toward the peak
+    gc.collect()
+    tracemalloc.start()
+    try:
+        factor.gram(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    incidence_array = len(factor.structure.inc_node) * X[0].nbytes
+    assert peak < incidence_array, f"peak {peak / 2**20:.2f} MiB, one (I, d, f) array {incidence_array / 2**20:.2f} MiB"
 
 
 def test_dense_factor_places_weighted_blocks():

@@ -330,7 +330,7 @@ def test_signless_node_matches_dense_operator(shape):
     structure, config, maps, X = signless_node_case(shape)
     M = _operator_blocks(Tape().tensor(maps), structure, config).value
     assert M.dtype == float
-    tape, factor = Tape(), Factor(structure, structure.weights(config.q), M)
+    tape, factor = Tape(), Factor(structure, config.q, M)
     Y = _apply_signless(tape.tensor(M, requires_grad=True), tape.tensor(X, requires_grad=True), factor)
     assert len(tape.nodes) <= 1
     expected = dense_signless(structure, config, M) @ X.reshape(-1, X.shape[2])
@@ -354,7 +354,7 @@ def check_signless_node_gradients(shape, real_signal):
         T = {name: tape.tensor(value, requires_grad=True) for name, value in p.items()}
         x = T["xr"] if real_signal else ad.add(T["xr"], ad.mul(T["xi"], 1j))
         M = _operator_blocks(T["maps"], structure, config)
-        Y = _apply_signless(M, x, Factor(structure, structure.weights(config.q), M.value))
+        Y = _apply_signless(M, x, Factor(structure, config.q, M.value))
         # quadratic in the output, so the signal gradient is not constant
         loss = parts_loss(Y, wr, wi, square_imag=True)
         tape.backward(loss)
@@ -977,7 +977,7 @@ def test_second_train_on_a_hypergraph_builds_no_structure(monkeypatch, tmp_path)
     copy = read_dataset(tmp_path / "data")
     assert copy.hypergraph == ds.hypergraph and copy.hypergraph is not ds.hypergraph
     assert train(copy, config, budget).history == first.history
-    assert len(builds) == 3  # its node, edge and (hyperedge, role) plans
+    assert len(builds) == 2  # its node and edge plans
 
 
 def _garbage_left_by(call):
