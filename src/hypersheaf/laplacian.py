@@ -6,7 +6,8 @@ Every incidence ``k = (u, e)`` carries one complex ``d x d`` factor block
 
 (``S_k`` the unit-modulus directional phase, ``F_k`` the real restriction
 map, ``D_u = sum_e F^T F`` the real degree block, the bracketed root only in
-the normalized case, shared with the model in :func:`_spd_inverse_sqrt`).
+the normalized case, shared with the model in :func:`_spd_inverse_sqrt`: in
+closed form by one Jacobi rotation per block for ``d <= 2``, by LAPACK beyond).
 Stacked, the blocks form the factor ``Z``, and
 
     L   = D_V - Z^dagger Z     (unnormalized)
@@ -101,7 +102,7 @@ class Factor:
             raise ValueError(f"factor blocks M must have shape ({num_inc}, d, d), got {M.shape}")
         self.structure, self.q, self.M = structure, q, M
         self.phase = tail_coefficient(q)
-        scaled = M / np.sqrt(structure.delta)[structure.inc_edge, None, None]
+        scaled = M / np.sqrt(structure.delta).take(structure.inc_edge)[:, None, None]
         # each segment's delta_e^{-1/2} M_k^T (edge half) or delta_e^{-1/2} M_k (node half) stacked;
         # take writes a C-order stack, so that the run views share its memory
         edge, node = structure.edge_plan, structure.node_plan
@@ -206,17 +207,68 @@ def build_degree_matrices(
 def _spd_inverse_sqrt(D: np.ndarray, *, jitter: float = 0.0) -> tuple[np.ndarray, ...]:
     """Inverse square roots ``V diag(w^{-1/2}) V^T`` of symmetric PSD blocks ``(n, d, d)``.
 
-    One batched ``eigh`` of ``D + jitter I = V diag(w) V^T``; returns the roots,
-    ``w`` and ``V``.  A block with ``w <= 0`` (at ``jitter == 0``, a singular
-    one) raises, naming the lowest such vertex.
+    With ``D + jitter I = V diag(w) V^T``, ``w`` ascending per block and ``V`` orthonormal, returns
+    the roots, ``w`` and ``V``.  Blocks of size 1 and 2 take them in closed form
+    (:func:`_jacobi_roots` for 2), vectorised over the blocks; larger ones take one batched LAPACK
+    ``eigh``.  A block with ``w <= 0`` (at ``jitter == 0``, a singular one) raises, naming the
+    lowest such vertex; a NaN block gives NaN.
     """
-    w, V = np.linalg.eigh(D + jitter * np.eye(D.shape[-1]))
-    singular = np.flatnonzero(np.any(w <= 0.0, axis=1))
-    if singular.size:
-        raise ValueError(
-            f"degree block of vertex {singular[0]} is singular; enable jitter or fix the instance"
-        )
+    d = D.shape[-1]
+    if d == 1:
+        w = D[:, 0] + jitter
+        _check_positive(w)
+        return (1.0 / np.sqrt(w))[:, :, None], w, np.ones((len(D), 1, 1))
+    if d == 2:
+        return _jacobi_roots(D, jitter)
+    w, V = np.linalg.eigh(D + jitter * np.eye(d))
+    _check_positive(w)
     return (V / np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2), w, V
+
+
+def _jacobi_roots(D: np.ndarray, jitter: float) -> tuple[np.ndarray, ...]:
+    """:func:`_spd_inverse_sqrt` for ``2 x 2`` blocks ``[[a, b], [b, c]]`` (``b`` from the lower
+    triangle), by the symmetric Schur decomposition (Golub and Van Loan, *Matrix Computations*,
+    section 8.5): one Jacobi rotation ``J = cs [[1, t], [-t, 1]]``, ``cs = (1 + t^2)^{-1/2}``, with
+    ``t = 2b / (c - a + sign(c - a) hypot(c - a, 2b))``, ``|t| <= 1``, gives
+    ``J^T D J = diag(a - tb, c + tb)``.  A diagonal block keeps ``t = 0`` and so its bits.  The roots
+    are formed entrywise from ``t`` and the two eigenvalues' roots, and ``J``'s columns swap where
+    ``c < a`` (there ``a - tb > c + tb``), so that ``w`` ascends."""
+    a, b, c = D[:, 0, 0], D[:, 1, 0], D[:, 1, 1]
+    diff, b2 = c - a, b + b
+    den = diff + np.copysign(np.hypot(diff, b2), diff)
+    t = b2 / (den + (den == 0.0))  # den is 0 only where b and c - a are: t = 0
+    tb = t * b
+    w = np.empty((len(D), 2))
+    np.subtract(a, tb, out=w[:, 0])
+    np.add(c, tb, out=w[:, 1])
+    if jitter:
+        w += jitter
+    _check_positive(w)
+    r = 1.0 / np.sqrt(w)
+    ra, rb = r[:, 0], r[:, 1]
+    u = t * t
+    k = 1.0 / (1.0 + u)  # cs^2
+    root = np.empty((len(D), 2, 2))
+    np.multiply(k, ra + u * rb, out=root[:, 0, 0])
+    np.multiply(k, u * ra + rb, out=root[:, 1, 1])
+    np.multiply(k * t, rb - ra, out=root[:, 0, 1])
+    root[:, 1, 0] = root[:, 0, 1]
+    cs = np.sqrt(k)
+    sn = t * cs
+    swap = diff < 0.0
+    x, y = np.where(swap, sn, cs), np.where(swap, cs, -sn)  # the first column of V, the lower eigenvalue's
+    V = np.empty_like(root)
+    V[:, 0, 0] = V[:, 1, 1] = x
+    V[:, 1, 0] = y
+    np.negative(y, out=V[:, 0, 1])
+    w.sort(axis=1)
+    return root, w, V
+
+
+def _check_positive(w: np.ndarray) -> None:
+    if (w <= 0.0).any():
+        vertex = np.flatnonzero((w <= 0.0).any(axis=1))[0]
+        raise ValueError(f"degree block of vertex {vertex} is singular; enable jitter or fix the instance")
 
 
 @dataclass
@@ -253,7 +305,7 @@ class LaplacianBundle:
         s, n, d = self.structure, self.n, self.d
         left, right = s.edge_pairs
         Z = self.factor.blocks
-        blocks = -(np.conj(np.swapaxes(Z[left], 1, 2)) @ Z[right])
+        blocks = -(np.conj(np.swapaxes(Z.take(left, axis=0), 1, 2)) @ Z.take(right, axis=0))
         diag = np.broadcast_to(np.eye(d), (n, d, d)) if self.normalized else self.D_V
         pairs = zip(s.inc_node[left].tolist(), s.inc_node[right].tolist(), blocks)
         return BlockComplexMatrix(n, n, d, [*pairs, *zip(range(n), range(n), diag)])
@@ -273,7 +325,7 @@ class LaplacianBundle:
         np.not_equal(key[1:], key[:-1], out=first[1:])
         starts = first.nonzero()[0]
         Z, out = self.factor.blocks, np.zeros((n, d, n, d), dtype=complex)
-        sums = np.add.reduceat(np.conj(np.swapaxes(Z[left], 1, 2)) @ Z[right], starts)
+        sums = np.add.reduceat(np.conj(np.swapaxes(Z.take(left, axis=0), 1, 2)) @ Z.take(right, axis=0), starts)
         out[key[starts] // n, :, key[starts] % n, :] = -sums
         out[np.arange(n), :, np.arange(n), :] += np.eye(d) if self.normalized else self.D_V
         return out.reshape(n * d, n * d)
@@ -298,7 +350,7 @@ def build_laplacian(
     M, dv_inv_sqrt, dv_eigenvalues = F, None, None
     if normalized:
         dv_inv_sqrt, dv_eigenvalues, _ = _spd_inverse_sqrt(D_V, jitter=jitter)
-        M = F @ dv_inv_sqrt[structure.inc_node]
+        M = F @ dv_inv_sqrt.take(structure.inc_node, axis=0)
     return LaplacianBundle(A, structure, M, D_V, normalized, dv_inv_sqrt, dv_eigenvalues)
 
 

@@ -61,7 +61,7 @@ def complex_layer_norm(
 ) -> np.ndarray:
     """Whiten each feature column's (re, im) pairs jointly, then apply the affine: the 2x2 covariance
     of a column's real and imaginary parts across rows (plus ``eps`` on the diagonal) is inverted by its
-    ``eigh`` root, the one that degree blocks use."""
+    closed-form root, one Jacobi rotation per column: the :func:`_spd_inverse_sqrt` that degree blocks use."""
     return _whiten(np.array(X, dtype=complex, order="C"), gamma, beta, eps)[0]
 
 
@@ -261,7 +261,8 @@ def _root_derivative(w: np.ndarray, V: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def _normalized_blocks(maps: Tensor, structure: IncidenceStructure) -> Tensor:
     """Full maps ``F`` ``(I, d, d)`` to ``M_k = F_k D_{u_k}^{-1/2}``, ``D_u = sum F^T F + DEGREE_EPS I``,
-    as one tape node.  The roots are assembly's :func:`_spd_inverse_sqrt`; the backward sends
+    as one tape node.  The roots are assembly's :func:`_spd_inverse_sqrt` (closed form for ``d <= 2``, whose
+    ``w`` and ``V`` the backward reads as it reads LAPACK's beyond); the backward sends
     ``dR_u = sum F_k^T G_k`` through :func:`_root_derivative` to ``dD`` and returns
     ``G_k R_u^T + F_k (dD + dD^T)_u``."""
     F, s = maps.value, structure

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -632,10 +633,12 @@ def test_kernel_assembly_and_oracle_agree(instance, normalized):
     x = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
     free = apply_laplacian(bundle, x)
     np.testing.assert_allclose(free, bundle.L.to_dense() @ x, rtol=0, atol=1e-10)
-    # both sides invert with LAPACK eigh, the package block by block and the
-    # oracle on the dense block-diagonal D_V; their rounding gap still grows
-    # with the blocks' conditioning (over 6,000 examples the flat 1e-10 failed
-    # 8 times, worst 6.2e-10 at cond 2.3e7, 0.13 of this bound)
+    # the package inverts D_V block by block (in closed form for d <= 2, with
+    # LAPACK eigh beyond), the oracle with LAPACK on the dense block-diagonal
+    # D_V; their rounding gap still grows with the blocks' conditioning (over
+    # 6,000 examples with eigh on both sides the flat 1e-10 failed 8 times,
+    # worst 6.2e-10 at cond 2.3e7, 0.13 of this bound; with the closed form,
+    # 3,000 derandomized examples reached 0.054 of it)
     cond = float(np.linalg.cond(bundle.D_V).max()) if normalized else 1.0
     oracle = dense_laplacian_oracle(H, A, normalized=normalized)
     np.testing.assert_allclose(free, oracle @ x, rtol=0, atol=1e-10 + 1e-15 * cond)
@@ -718,14 +721,93 @@ def test_jitter_must_be_finite_and_non_negative(jitter):
 
 
 def test_inverse_root_of_diagonal_blocks_is_elementwise_exactly():
-    # trivial and diagonal maps share the eigh path of full ones, so on
-    # diagonal blocks it must give the elementwise root bit for bit
+    # trivial and diagonal maps share the root path of full ones (closed form
+    # for d <= 2, eigh beyond), so on diagonal blocks it must give the
+    # elementwise root bit for bit
     rng = np.random.default_rng(23)
     for d in range(1, 7):
         diag = rng.uniform(1e-3, 10.0, size=(200, d))
         diag[:, 0] = diag[:, -1]  # repeated eigenvalues too
         root = _spd_inverse_sqrt(diag[:, :, None] * np.eye(d))[0]
         np.testing.assert_array_equal(root, (1.0 / np.sqrt(diag))[:, :, None] * np.eye(d))
+
+
+def _lapack_roots(D, jitter=0.0):
+    """The oracle of the closed-form roots: LAPACK eigh, block by block in one batch."""
+    w, V = np.linalg.eigh(D + jitter * np.eye(D.shape[-1]))
+    return (V / np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2), w, V
+
+
+def _rotated_blocks(rng, conds):
+    """2x2 SPD blocks of the given conditions, random orientation and scale 1e-3 to 1e3."""
+    theta = rng.uniform(-np.pi, np.pi, len(conds))
+    scale = 10.0 ** rng.uniform(-3, 3, len(conds))
+    cos, sin = np.cos(theta), np.sin(theta)
+    Q = np.stack([cos, sin, -sin, cos], axis=1).reshape(-1, 2, 2)
+    D = (Q * np.stack([scale, scale / conds], axis=1)[:, None, :]) @ np.swapaxes(Q, 1, 2)
+    return 0.5 * (D + np.swapaxes(D, 1, 2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_roots_match_lapack_across_conditioning(seed):
+    # d = 2 takes its roots from one Jacobi rotation per block, LAPACK eigh is
+    # the oracle.  Conditions 1 to 1e12.  Bounds per block, in units of eps,
+    # each 2-4 times the worst of 40 unused seeds (1000-1039, 5,000 blocks each):
+    # root gap / |R| 1.2 cond (bound 4 cond); |w - w_eigh| / |D| 3.9 (bound 8);
+    # |V diag(w) V^T - D| / |D| 2.8 (bound 8); |V^T V - I| 2.0 (bound 4).  The
+    # residual |R D R - I| grows with cond on both sides; per condition level
+    # the worst block's is within 3.0 of LAPACK's worst there (bound 6)
+    eps = np.finfo(float).eps
+    levels = np.logspace(0, 12, 25)
+    D = _rotated_blocks(np.random.default_rng(seed), np.repeat(levels, 200))
+    R, w, V = _spd_inverse_sqrt(D)
+    R0, w0, _ = _lapack_roots(D)
+    cond, scale = np.linalg.cond(D), np.abs(D).max(axis=(1, 2))
+    assert np.all(np.abs(R - R0).max(axis=(1, 2)) <= 4 * eps * cond * np.abs(R0).max(axis=(1, 2)))
+    assert np.all(np.abs(w - w0).max(axis=1) <= 8 * eps * scale)
+    assert np.all(w[:, 0] <= w[:, 1])
+    recon = V @ (w[:, :, None] * np.swapaxes(V, 1, 2))
+    assert np.all(np.abs(recon - D).max(axis=(1, 2)) <= 8 * eps * scale)
+    assert np.abs(np.swapaxes(V, 1, 2) @ V - np.eye(2)).max() <= 4 * eps
+    residual = [np.abs(r @ D @ r - np.eye(2)).max(axis=(1, 2)).reshape(len(levels), -1).max(axis=1) for r in (R, R0)]
+    assert np.all(residual[0] <= 6 * residual[1])
+
+
+def test_closed_form_roots_of_exact_blocks():
+    # diagonal blocks keep t = 0 and so their bits, in ascending order whatever
+    # the order of a and c; a zero block takes the jitter alone
+    D = np.array([np.diag([3.0, 3.0]), np.diag([4.0, 1.0]), np.diag([1.0, 4.0]), np.zeros((2, 2))])
+    R, w, V = _spd_inverse_sqrt(D, jitter=0.25)
+    np.testing.assert_array_equal(w, [[3.25, 3.25], [1.25, 4.25], [1.25, 4.25], [0.25, 0.25]])
+    expected = 1.0 / np.sqrt(np.diagonal(D, axis1=1, axis2=2) + 0.25)
+    np.testing.assert_array_equal(R, expected[:, :, None] * np.eye(2))
+    np.testing.assert_array_equal(np.abs(V), [np.eye(2), np.eye(2)[::-1], np.eye(2), np.eye(2)])
+    np.testing.assert_array_equal(V @ (w[:, :, None] * np.swapaxes(V, 1, 2)), D + 0.25 * np.eye(2))
+    # d = 1: the square root itself, the bits of the LAPACK path it replaced
+    D1 = np.random.default_rng(7).uniform(0.0, 5.0, size=(50, 1, 1))
+    for got, oracle in zip(_spd_inverse_sqrt(D1, jitter=1e-8), _lapack_roots(D1, jitter=1e-8)):
+        assert got.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_roots_name_the_lowest_singular_block(d):
+    # without jitter a zero block (d = 1) or a rank-one block (d = 2) is singular: its eigenvalue 0 is exact
+    singular = np.ones((d, d)) if d == 2 else np.zeros((1, 1))
+    D = np.array([np.eye(d), singular, 2 * np.eye(d), np.zeros((d, d))])
+    with pytest.raises(ValueError, match="vertex 1 is singular"):
+        _spd_inverse_sqrt(D)
+    R = _spd_inverse_sqrt(D, jitter=DEGREE_EPS)[0]
+    assert np.isfinite(R).all()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_roots_pass_nan_through_without_warning(d):
+    D = np.array([2 * np.eye(d), np.full((d, d), np.nan), 3 * np.eye(d)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R, w, V = _spd_inverse_sqrt(D)
+    assert np.isnan(R[1]).all() and np.isnan(w[1]).all()
+    np.testing.assert_array_equal(R[[0, 2]], _lapack_roots(D[[0, 2]])[0])
 
 
 def test_dense_text_round_trip():

@@ -338,7 +338,7 @@ def test_signless_node_matches_dense_operator(shape):
 
 
 def check_signless_node_gradients(shape, real_signal):
-    # from the raw maps, so the degree roots (one eigh node for full maps)
+    # from the raw maps, so the degree roots (one root node for full maps)
     # are differentiated too; the real blocks M take the phase-weighted
     # gradient inside the node
     structure, config, maps, X = signless_node_case(shape)
