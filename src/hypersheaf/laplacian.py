@@ -208,19 +208,18 @@ def _spd_inverse_sqrt(D: np.ndarray, *, jitter: float = 0.0) -> tuple[np.ndarray
     """Inverse square roots ``V diag(w^{-1/2}) V^T`` of symmetric PSD blocks ``(n, d, d)``.
 
     With ``D + jitter I = V diag(w) V^T``, ``w`` ascending per block and ``V`` orthonormal, returns
-    the roots, ``w`` and ``V``.  Blocks of size 1 and 2 take them in closed form
-    (:func:`_jacobi_roots` for 2), vectorised over the blocks; larger ones take one batched LAPACK
+    the roots, ``w`` and ``V``.  Blocks of size 1 and 2 take them in closed form (for 2,
+    :func:`_jacobi_roots`), vectorised over the blocks; larger ones take one batched LAPACK
     ``eigh``.  A block with ``w <= 0`` (at ``jitter == 0``, a singular one) raises, naming the
     lowest such vertex; a NaN block gives NaN.
     """
     d = D.shape[-1]
-    if d == 1:
-        w = D[:, 0] + jitter
-        _check_positive(w)
-        return (1.0 / np.sqrt(w))[:, :, None], w, np.ones((len(D), 1, 1))
     if d == 2:
         return _jacobi_roots(D, jitter)
-    w, V = np.linalg.eigh(D + jitter * np.eye(d))
+    if d == 1:
+        w, V = D[:, 0] + jitter, np.ones((len(D), 1, 1))
+    else:
+        w, V = np.linalg.eigh(D + jitter * np.eye(d))
     _check_positive(w)
     return (V / np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2), w, V
 
